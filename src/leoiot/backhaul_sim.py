@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import csv
 import math
+import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -312,6 +314,10 @@ class RaFeedSettings:
     delay at low loads, while a single-attempt lightly loaded channel is
     invisible next to the queueing delays.
 
+    The access procedure does not depend on rho, so a sweep simulates one
+    feed per mode and replication and every load of that replication
+    rescales the same feed (common random numbers across loads).
+
     ``a1_rate_per_s`` keeps the one-attempt feed far below the channel
     capacity so its ms-scale handshake stays negligible on the unit
     timescale; ``a10_rate_per_s`` drives the ten-attempt feed into heavy
@@ -326,6 +332,17 @@ class RaFeedSettings:
         if self.config is None:
             object.__setattr__(self, "config",
                                backhauling_preset().ground_ra)
+
+
+@dataclass(frozen=True)
+class AccessFeed:
+    """Departure process of the access stage on its own millisecond clock,
+    before a load is chosen: the first successful updates in departure
+    order, with their generation times."""
+
+    departures_ms: np.ndarray
+    gen_times_ms: np.ndarray
+    success_prob: float
 
 
 @dataclass(frozen=True)
@@ -344,9 +361,15 @@ class SweepRow:
     ra_success_prob: float | None   # None for the no-ra mode
 
 
-def _feed_seed(master_seed: int, mode: str, rho: float, replication: int):
+def _poisson_seed(master_seed: int, rho: float, replication: int):
     return np.random.SeedSequence(
-        (master_seed, 0xFEED, _MODE_ID[mode], int(round(rho * 1e6)), replication))
+        (master_seed, 0xFEED, _MODE_ID["no-ra"], int(round(rho * 1e6)),
+         replication))
+
+
+def _access_seed(master_seed: int, mode: str, replication: int):
+    return np.random.SeedSequence(
+        (master_seed, 0xFEED, _MODE_ID[mode], replication))
 
 
 def _net_seed(master_seed: int, mode: str, rho: float, hops: int,
@@ -356,13 +379,14 @@ def _net_seed(master_seed: int, mode: str, rho: float, hops: int,
          int(round(link_erasure * 1e6)), replication))
 
 
-def ra_departure_stream(mode: str, rho: float, n_packets: int, seed,
-                        feed: RaFeedSettings):
-    """Departure process of the access stage, rescaled to arrival rate rho.
+def ra_departure_stream(mode: str, n_packets: int, seed,
+                        feed: RaFeedSettings) -> AccessFeed:
+    """Simulate the access stage until it has ``n_packets`` departures.
 
-    Returns (stream, ra_success_prob).  Times are in chain units; the
-    generation times keep the (rescaled) handshake latency in front of
-    the queueing network.
+    The horizon is sized from the expected delivered rate; if that pass
+    falls short, one more pass runs with the horizon scaled by the
+    observed shortfall.  The result is load-free: ``rescale_feed`` puts
+    it on the chain's clock.
     """
     attempts = 1 if mode == "ra-a1" else 10
     rate = feed.a1_rate_per_s if mode == "ra-a1" else feed.a10_rate_per_s
@@ -372,40 +396,58 @@ def ra_departure_stream(mode: str, rho: float, n_packets: int, seed,
     per_attempt = math.exp(-lam_rao / cfg.preambles) * (1.0 - cfg.erasure_prob)
     guess = rate / 1000.0 * (per_attempt if attempts == 1 else 0.85)
     horizon = n_packets / guess * 1.3
-    trace = None
-    for _ in range(4):
+    trace = ra_sim.run(cfg, rate, horizon, np.random.default_rng(seed))
+    if 0 < trace.success_count < n_packets:
+        # aim five Poisson standard deviations past the departures needed
+        target = n_packets + 5.0 * math.sqrt(n_packets)
+        horizon *= target / trace.success_count
         trace = ra_sim.run(cfg, rate, horizon, np.random.default_rng(seed))
-        if trace.success_count >= n_packets:
-            break
-        horizon *= 1.7
     if trace.success_count < n_packets:
         raise RuntimeError(
             f"RA feed produced {trace.success_count} < {n_packets} departures")
-    dep_ms = trace.departures[:n_packets]
-    successes = sorted((r for r in trace.records if r.outcome == "success"),
-                       key=lambda r: r.departure_time)[:n_packets]
+    successes = [r for r in trace.records if r.outcome == ra_sim.SUCCESS]
+    dep_ms = np.array([r.departure_time for r in successes])
     gen_ms = np.array([r.gen_time for r in successes])
-    rate_ms = n_packets / float(dep_ms[-1])
+    first = np.argsort(dep_ms, kind="stable")[:n_packets]
+    return AccessFeed(departures_ms=dep_ms[first], gen_times_ms=gen_ms[first],
+                      success_prob=trace.success_probability)
+
+
+def rescale_feed(access: AccessFeed, rho: float) -> ArrivalStream:
+    """The access feed on the chain's clock, at mean arrival rate rho.
+
+    Generation times scale with the departures, so the handshake latency
+    stays in front of the queueing network in chain units.
+    """
+    dep_ms = access.departures_ms
+    rate_ms = len(dep_ms) / float(dep_ms[-1])
     scale = rate_ms / rho            # chain units per millisecond
-    return (ArrivalStream(arrival_times=dep_ms * scale, gen_times=gen_ms * scale),
-            trace.success_probability)
+    return ArrivalStream(arrival_times=dep_ms * scale,
+                         gen_times=access.gen_times_ms * scale)
 
 
 def run_point(mode: str, rho: float, hops: int, link_erasure: float,
               replication: int, master_seed: int, n_packets: int,
               feed: RaFeedSettings | None = None,
-              warmup_fraction: float = 0.05) -> SweepRow:
-    """One sweep cell: build the arrival stream, run the chain, summarize."""
-    feed = feed or RaFeedSettings()
+              warmup_fraction: float = 0.05,
+              access: AccessFeed | None = None) -> SweepRow:
+    """One sweep cell: build the arrival stream, run the chain, summarize.
+
+    ``access`` is the cell's access feed when the caller has simulated it
+    already (``sweep`` shares one per mode and replication); without it an
+    ra cell simulates its own from the same seed.
+    """
     ra_p = None
     if mode == "no-ra":
-        rng = np.random.default_rng(_feed_seed(master_seed, mode, rho,
-                                               replication))
+        rng = np.random.default_rng(_poisson_seed(master_seed, rho,
+                                                  replication))
         stream = poisson_stream(rho, n_packets, rng)
     elif mode in ("ra-a1", "ra-a10"):
-        stream, ra_p = ra_departure_stream(
-            mode, rho, n_packets,
-            _feed_seed(master_seed, mode, rho, replication), feed)
+        if access is None:
+            access = _access_feed((mode, replication), master_seed, n_packets,
+                                  feed or RaFeedSettings())
+        stream = rescale_feed(access, rho)
+        ra_p = access.success_prob
     else:
         raise ValueError(f"unknown mode {mode!r}")
     cfg = BackhaulConfig.uniform(hops, 1.0, link_erasure)
@@ -423,8 +465,24 @@ def run_point(mode: str, rho: float, hops: int, link_erasure: float,
         ra_success_prob=ra_p)
 
 
-def _run_point_args(args):
-    return run_point(*args)
+# access feeds of the running sweep, installed once in each pool worker
+_POOL_FEEDS: dict = {}
+
+
+def _access_feed(key, master_seed: int, n_packets: int,
+                 feed: RaFeedSettings) -> AccessFeed:
+    mode, replication = key
+    return ra_departure_stream(mode, n_packets,
+                               _access_seed(master_seed, mode, replication),
+                               feed)
+
+
+def _install_feeds(feeds: dict):
+    _POOL_FEEDS.update(feeds)
+
+
+def _run_cell(task) -> SweepRow:
+    return run_point(*task, access=_POOL_FEEDS.get((task[0], task[4])))
 
 
 def sweep(rhos, hops_list, erasures, modes, replications: int,
@@ -433,17 +491,36 @@ def sweep(rhos, hops_list, erasures, modes, replications: int,
           warmup_fraction: float = 0.05):
     """Cross product of the grid, deterministically seeded per cell.
 
-    The result order and content depend only on the grid and the master
-    seed, never on the worker count.
+    Each access feed is simulated once per (mode, replication), before
+    the cells fan out, and rescaled to every load.  The result order and
+    content depend only on the grid and the master seed, never on the
+    worker count.
     """
+    unknown = [m for m in modes if m not in MODES]
+    if unknown:
+        raise ValueError(f"unknown mode(s) {unknown}")
+    feed = feed or RaFeedSettings()
+    keys = list(dict.fromkeys((m, rep) for m in modes if m != "no-ra"
+                              for rep in range(replications)))
+    simulate = partial(_access_feed, master_seed=master_seed,
+                       n_packets=n_packets, feed=feed)
     tasks = [(m, rho, n, e, rep, master_seed, n_packets, feed, warmup_fraction)
              for m in modes for rho in rhos for n in hops_list
              for e in erasures for rep in range(replications)]
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_run_point_args, tasks, chunksize=1))
+        spawn = multiprocessing.get_context("spawn")
+        feeds = {}
+        if keys:
+            with ProcessPoolExecutor(max_workers=min(workers, len(keys)),
+                                     mp_context=spawn) as pool:
+                feeds = dict(zip(keys, pool.map(simulate, keys)))
+        with ProcessPoolExecutor(max_workers=workers, mp_context=spawn,
+                                 initializer=_install_feeds,
+                                 initargs=(feeds,)) as pool:
+            rows = list(pool.map(_run_cell, tasks, chunksize=1))
     else:
-        rows = [run_point(*t) for t in tasks]
+        feeds = dict(zip(keys, map(simulate, keys)))
+        rows = [run_point(*t, access=feeds.get((t[0], t[4]))) for t in tasks]
     rows.sort(key=lambda r: (r.mode, r.rho, r.hops, r.link_erasure,
                              r.replication))
     return rows

@@ -37,6 +37,8 @@ FIG7_ERASURES = (0.0, 0.01, 0.1)
 
 # report tolerances for simulation-vs-closed-form agreement (no-ra rows)
 TOLERANCES = {"mean_system_time": 0.02, "mean_aoi": 0.10}
+# smallest sweep cell whose age average keeps deliveries past the warm-up
+MIN_PACKETS = 10
 
 
 @dataclass(frozen=True)
@@ -69,6 +71,27 @@ class ResultRow:
     metric: str
     value: float
     stderr: float | None      # None for analytic rows
+
+
+def sweep_problems(spec: ExperimentSpec) -> list:
+    """Collect sweep-grid values no run can use; empty means usable."""
+    out = []
+    rhos = [r for r in spec.rhos if not 0.0 < r < math.inf]
+    if rhos:
+        out.append(f"rho {rhos}: every load must be > 0")
+    hops = [n for n in spec.hops if n < 1]
+    if hops:
+        out.append(f"hops {hops}: every hop count must be >= 1")
+    erasures = [e for e in spec.erasures if not 0.0 <= e < 1.0]
+    if erasures:
+        out.append(f"link erasure {erasures}: every erasure must lie in [0, 1)")
+    if spec.packets < MIN_PACKETS:
+        out.append(f"packets {spec.packets}: must be >= {MIN_PACKETS}")
+    if spec.replications < 1:
+        out.append(f"replications {spec.replications}: must be >= 1")
+    if spec.workers < 1:
+        out.append(f"workers {spec.workers}: must be >= 1")
+    return out
 
 
 def _write_csv(path: Path, header, rows, schema: str):
@@ -209,7 +232,7 @@ def run_backhauling(spec: ExperimentSpec):
     Returns (files, report_ok).
     """
     cfg = spec.config
-    problems = validate(cfg)
+    problems = validate(cfg) + sweep_problems(spec)
     if problems:
         raise ValueError("invalid scenario: " + "; ".join(problems))
     out = spec.out_dir
@@ -416,23 +439,30 @@ def _load_spec(args, figure: str) -> ExperimentSpec:
         config = replace(config, seed=args.seed)
     out = Path(args.out or os.environ.get(OUTPUT_ENV_VAR, "results"))
     spec = ExperimentSpec(config=config, figure=figure, out_dir=out)
-    if getattr(args, "replications", None):
+    if getattr(args, "replications", None) is not None:
         spec = replace(spec, replications=args.replications)
-    if getattr(args, "workers", None):
+    if getattr(args, "workers", None) is not None:
         spec = replace(spec, workers=args.workers)
-    if getattr(args, "packets", None):
+    if getattr(args, "packets", None) is not None:
         spec = replace(spec, packets=args.packets)
-    if getattr(args, "rho", None):
+    if getattr(args, "rho", None) is not None:
         spec = replace(spec, rhos=tuple(args.rho))
-    if getattr(args, "hops", None):
+    if getattr(args, "hops", None) is not None:
         spec = replace(spec, hops=tuple(args.hops))
     if getattr(args, "link_erasure", None) is not None:
         spec = replace(spec, erasures=tuple(args.link_erasure))
-    if getattr(args, "mode", None):
+    if getattr(args, "mode", None) is not None:
         spec = replace(spec, modes=tuple(args.mode))
-    if getattr(args, "attempts", None):
+    if getattr(args, "attempts", None) is not None:
         spec = replace(spec, attempts=tuple(args.attempts))
     return spec
+
+
+def _rejected(problems) -> bool:
+    """Print one ``error:`` line per problem; True if there were any."""
+    for p in problems:
+        print(f"error: {p}", file=sys.stderr)
+    return bool(problems)
 
 
 def main(argv=None) -> int:
@@ -447,8 +477,6 @@ def main(argv=None) -> int:
     p_off = sub.add_parser("offload", help="contention pmfs and latency CDFs")
     _add_common(p_off)
     p_off.add_argument("--attempts", type=int, nargs="+", default=None)
-    p_off.add_argument("--replications", type=int, default=None)
-    p_off.add_argument("--workers", type=int, default=None)
 
     p_bh = sub.add_parser("backhaul", help="delay and age versus load sweep")
     _add_common(p_bh)
@@ -491,6 +519,8 @@ def main(argv=None) -> int:
 
     if args.command == "backhaul":
         spec = _load_spec(args, args.figure)
+        if _rejected(validate(spec.config) + sweep_problems(spec)):
+            return 2
         if args.figure == "fig6":
             spec = replace(spec, erasures=(0.0,), hops=spec.hops
                            if args.hops else FIG6_HOPS)
@@ -510,6 +540,8 @@ def main(argv=None) -> int:
 
     if args.command == "analytic":
         spec = _load_spec(args, "custom")
+        if _rejected(sweep_problems(spec)):
+            return 2
         files = run_analytic(spec)
         for f in files:
             print(f"wrote {f}")

@@ -217,7 +217,7 @@ class TestSweep:
 
     def test_worker_count_does_not_change_results(self):
         kwargs = dict(rhos=(0.4, 0.7), hops_list=(2,), erasures=(0.0, 0.1),
-                      modes=("no-ra",), replications=2, master_seed=31,
+                      modes=("no-ra", "ra-a10"), replications=2, master_seed=31,
                       n_packets=20_000)
         serial = sweep(**kwargs, workers=1)
         parallel = sweep(**kwargs, workers=4)
@@ -251,6 +251,92 @@ class TestSweep:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             run_point("two-step", 0.5, 2, 0.0, 0, 7, 1000)
+
+
+class TestFeedReuse:
+    def test_one_access_run_per_mode_and_replication(self, monkeypatch):
+        calls = []
+        real = bs.ra_sim.run
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(bs.ra_sim, "run", counting)
+        rows = sweep((0.3, 0.6), (1, 2), (0.0,), ("ra-a1", "ra-a10"), 2, 11,
+                     n_packets=2_000)
+        assert len(rows) == 16
+        assert len(calls) == 4
+
+    def test_loads_rescale_the_same_feed(self, monkeypatch):
+        streams = []
+        real = bs.run
+
+        def capturing(stream, cfg, seed):
+            streams.append(stream)
+            return real(stream, cfg, seed)
+
+        monkeypatch.setattr(bs, "run", capturing)
+        rows = sweep((0.3, 0.7), (2,), (0.0,), ("ra-a10",), 1, 13,
+                     n_packets=2_000)
+        lo, hi = streams
+        assert np.allclose(lo.arrival_times * 0.3, hi.arrival_times * 0.7,
+                           rtol=1e-12, atol=0.0)
+        assert np.allclose(lo.gen_times * 0.3, hi.gen_times * 0.7,
+                           rtol=1e-12, atol=0.0)
+        for stream, rho in ((lo, 0.3), (hi, 0.7)):
+            assert len(stream) / stream.arrival_times[-1] == pytest.approx(
+                rho, rel=1e-12)
+        assert rows[0].ra_success_prob == rows[1].ra_success_prob
+
+    def test_standalone_point_matches_sweep_row(self):
+        rows = sweep((0.3, 0.6), (2,), (0.0,), ("ra-a1",), 1, 17,
+                     n_packets=2_000)
+        assert run_point("ra-a1", 0.6, 2, 0.0, 0, 17, 2_000) == rows[1]
+
+    def test_feed_is_in_departure_order(self):
+        access = bs.ra_departure_stream("ra-a10", 2_000, 19,
+                                        bs.RaFeedSettings())
+        assert len(access.departures_ms) == len(access.gen_times_ms) == 2_000
+        assert (np.diff(access.departures_ms) >= 0).all()
+        assert (access.gen_times_ms < access.departures_ms).all()
+
+    def test_short_first_pass_gets_one_resized_pass(self, monkeypatch):
+        calls = []
+        real = bs.ra_sim.run
+
+        def counting(*args, **kwargs):
+            trace = real(*args, **kwargs)
+            calls.append(trace.success_count)
+            return trace
+
+        monkeypatch.setattr(bs.ra_sim, "run", counting)
+        # near the ten-attempt channel's capacity the 0.85 success guess
+        # undersizes the horizon
+        access = bs.ra_departure_stream(
+            "ra-a10", 1_000, 3, bs.RaFeedSettings(a10_rate_per_s=350.0))
+        assert len(access.departures_ms) == 1_000
+        assert len(calls) == 2 and calls[0] < 1_000 <= calls[1]
+
+    def test_feed_still_short_after_second_pass_raises(self, monkeypatch):
+        calls = []
+        real = bs.ra_sim.run
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(bs.ra_sim, "run", counting)
+        # an overloaded channel: departures do not grow with the horizon
+        with pytest.raises(RuntimeError, match="departures"):
+            bs.ra_departure_stream("ra-a10", 1_000, 3,
+                                   bs.RaFeedSettings(a10_rate_per_s=600.0))
+        assert len(calls) == 2
+
+    def test_sweep_rejects_unknown_mode(self):
+        with pytest.raises(ValueError):
+            sweep((0.5,), (2,), (0.0,), ("ra-a1", "two-step"), 1, 7,
+                  n_packets=1_000)
 
 
 class TestFiniteBuffer:

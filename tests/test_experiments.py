@@ -211,6 +211,40 @@ class TestCli:
         assert code == 0
         assert (Path(tmp_path) / "offload_pmf_a1.csv").exists()
 
+    @pytest.mark.parametrize("flags, field", [
+        (["--rho", "0"], "rho"),
+        (["--rho", "nan"], "rho"),
+        (["--hops", "0"], "hops"),
+        (["--packets", "1"], "packets"),
+        (["--link-erasure", "1.0"], "erasure"),
+        (["--replications", "0"], "replications"),
+        (["--workers", "0"], "workers"),
+    ])
+    def test_backhaul_rejects_bad_sweep(self, tmp_path, capsys, flags, field):
+        out = tmp_path / "out"
+        code = main(["backhaul", "--figure", "custom", "--mode", "no-ra",
+                     "--out", str(out), *flags])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ") and field in err[0]
+        assert not out.exists()          # rejected before any work
+
+    def test_analytic_rejects_bad_grid(self, tmp_path, capsys):
+        code = main(["analytic", "--preset", "backhauling", "--hops", "0",
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: hops")
+
+    def test_library_sweep_rejects_bad_grid(self, tmp_path):
+        with pytest.raises(ValueError, match="rho"):
+            run_backhauling(backhaul_spec(tmp_path, rhos=(0.0, 0.5)))
+
+    @pytest.mark.parametrize("flag", ["--replications", "--workers"])
+    def test_offload_has_no_sweep_flags(self, flag):
+        with pytest.raises(SystemExit):
+            main(["offload", flag, "2"])
+
     def test_out_dir_from_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv(ex.OUTPUT_ENV_VAR, str(tmp_path / "envdir"))
         code = main(["analytic", "--preset", "backhauling",
