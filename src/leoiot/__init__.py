@@ -3,13 +3,12 @@ simulation cross-validated against closed-form delay and age analysis."""
 
 __version__ = "0.1.0"
 
-from .scenario import (BackhaulConfig, RaConfig, ScenarioConfig,
-                       TrafficConfig, backhauling_preset, load_config,
-                       offloading_preset, relayed_rates, split_rates,
-                       validate)
+from .scenario import (RaConfig, ScenarioConfig, TrafficConfig,
+                       backhauling_preset, load_config, offloading_preset,
+                       split_rates, validate)
 
 __all__ = [
-    "BackhaulConfig", "RaConfig", "ScenarioConfig", "TrafficConfig",
+    "RaConfig", "ScenarioConfig", "TrafficConfig",
     "backhauling_preset", "load_config", "offloading_preset",
-    "relayed_rates", "split_rates", "validate", "__version__",
+    "split_rates", "validate", "__version__",
 ]

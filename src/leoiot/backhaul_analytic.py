@@ -163,17 +163,9 @@ def _thinned_effective_model(model: TandemModel) -> TandemModel:
     mean system time equals the sum of per-node M/M/1 delays under the
     thinned arrival rates.  Collapses to the original model when every
     link is lossless."""
-    lam, mu = model.arrival_rate, model.service_rate
-    inv_sum = 0.0
-    rate = lam
-    for e in model.link_erasures:
-        if rate >= mu:
-            raise InstabilityError(
-                f"unstable under thinning: node rate {rate} >= mu={mu}")
-        inv_sum += 1.0 / (mu - rate)
-        rate *= (1.0 - e)
-    alpha_eff = model.hops / inv_sum
-    return TandemModel(model.hops, lam, lam + alpha_eff)
+    alpha_eff = model.hops / mean_delivered_delay(model)
+    return TandemModel(model.hops, model.arrival_rate,
+                       model.arrival_rate + alpha_eff)
 
 
 @dataclass(frozen=True)
@@ -228,3 +220,12 @@ def average_aoi_with_errors(model: TandemModel) -> float:
     q = 1.0 - d.p_s
     return lam * (d.p_s * d.e_ty + q * d.e_ty_prev
                   + d.e_y2 / 2.0 + (q / d.p_s) * d.e_y ** 2)
+
+
+def chain_metrics(hops: int, rho: float, eps: float):
+    """Closed-form (mean delay of a delivered update, average age) of a
+    chain of ``hops`` unit-rate servers fed at Poisson load ``rho``, every
+    link erasing with probability ``eps``.  At eps = 0 the loss-aware
+    forms reduce to the lossless ones (N/(1-rho) and the Erlang age)."""
+    model = TandemModel(hops, rho, 1.0, (eps,) * hops)
+    return mean_delivered_delay(model), average_aoi_with_errors(model)

@@ -21,7 +21,26 @@ from functools import partial
 import numpy as np
 
 from . import ra_sim
-from .scenario import BackhaulConfig, RaConfig, backhauling_preset
+from .scenario import RaConfig, backhauling_preset
+
+# leading share of each cell's observation window left out of its age average
+WARMUP_FRACTION = 0.05
+
+
+@dataclass(frozen=True)
+class BackhaulConfig:
+    """Chain of relay nodes, each one exponential server with an infinite
+    buffer; the last server is the feeder link."""
+
+    hops: int = 2
+    service_rates: tuple = (1.0, 1.0)     # per node, abstract units
+    link_erasures: tuple = (0.0, 0.0)     # per outgoing link, one per node
+
+    @staticmethod
+    def uniform(hops: int, service_rate: float = 1.0,
+                link_erasure: float = 0.0):
+        return BackhaulConfig(hops, (service_rate,) * hops,
+                              (link_erasure,) * hops)
 
 
 @dataclass(frozen=True)
@@ -50,20 +69,9 @@ def poisson_stream(rate: float, n_packets: int, rng) -> ArrivalStream:
 
 
 @dataclass
-class NodeTrace:
-    """Per-node per-packet times, aligned with ``packet_index``."""
-
-    packet_index: np.ndarray
-    arrivals: np.ndarray
-    starts: np.ndarray
-    departures: np.ndarray
-
-
-@dataclass
 class NetworkTrace:
     config: BackhaulConfig
     gen_times: np.ndarray        # all offered packets
-    nodes: list                  # NodeTrace per hop
     drop_node: np.ndarray        # 1-based dropping node; 0 = delivered
     delivered_index: np.ndarray
     delivery_times: np.ndarray
@@ -102,87 +110,30 @@ def _fcfs_waits(arrivals: np.ndarray, services: np.ndarray) -> np.ndarray:
     return v - np.minimum.accumulate(v)
 
 
-def _fcfs_finite_buffer(arrivals, services, capacity):
-    """Scalar FCFS pass with at most ``capacity`` packets in the node.
-
-    Returns (accepted mask, starts, departures) for the accepted packets.
-    Arrivals that find the node full are lost before consuming service.
-    """
-    from collections import deque
-    in_node = deque()
-    accepted = np.zeros(len(arrivals), dtype=bool)
-    starts, departures = [], []
-    busy_until = 0.0
-    for i, (a, s) in enumerate(zip(arrivals, services)):
-        while in_node and in_node[0] <= a:
-            in_node.popleft()
-        if len(in_node) >= capacity:
-            continue
-        start = max(a, busy_until)
-        dep = start + s
-        in_node.append(dep)
-        busy_until = dep
-        accepted[i] = True
-        starts.append(start)
-        departures.append(dep)
-    return accepted, np.array(starts), np.array(departures)
-
-
 def run(stream: ArrivalStream, cfg: BackhaulConfig, seed) -> NetworkTrace:
-    """Push a packet stream through the chain; returns the full trace."""
+    """Push a packet stream through the chain.
+
+    Per node the random draws are the service times of the packets that
+    reach it, in arrival order, then (on a lossy link) one uniform per
+    served packet deciding whether the link erases it.
+    """
     rng = np.random.default_rng(seed)
-    n = len(stream)
-    drop_node = np.zeros(n, dtype=np.int64)
-    nodes = []
-    if n == 0:
-        return NetworkTrace(cfg, stream.gen_times.copy(), nodes, drop_node,
-                            np.empty(0, dtype=np.int64), np.empty(0),
-                            stream.arrival_times.copy())
-    alive = np.arange(n)
-    arrivals = stream.arrival_times.copy()
+    drop_node = np.zeros(len(stream), dtype=np.int64)
+    alive = np.arange(len(stream))
+    times = stream.arrival_times
     for node in range(cfg.hops):
-        k = len(arrivals)
+        k = len(times)
         services = rng.exponential(1.0 / cfg.service_rates[node], size=k)
-        if k == 0:
-            nodes.append(NodeTrace(alive, arrivals, arrivals, arrivals))
-            continue
-        if cfg.buffer_size is None:
-            waits = _fcfs_waits(arrivals, services)
-            starts = arrivals + waits
-            departures = starts + services
-        else:
-            accepted, starts, departures = _fcfs_finite_buffer(
-                arrivals, services, cfg.buffer_size)
-            drop_node[alive[~accepted]] = node + 1
-            alive = alive[accepted]
-            arrivals = arrivals[accepted]
-            k = len(arrivals)
-        nodes.append(NodeTrace(packet_index=alive, arrivals=arrivals,
-                               starts=starts, departures=departures))
+        if k:
+            times = times + _fcfs_waits(times, services) + services
         eps = cfg.link_erasures[node]
         if eps > 0.0 and k:
             survive = rng.random(k) >= eps
             drop_node[alive[~survive]] = node + 1
-            alive = alive[survive]
-            arrivals = departures[survive]
-        else:
-            arrivals = departures
-    return NetworkTrace(cfg, stream.gen_times.copy(), nodes, drop_node,
-                        delivered_index=alive, delivery_times=arrivals,
-                        offered_arrivals=stream.arrival_times.copy())
-
-
-def with_propagation_offset(trace: NetworkTrace, per_hop: float) -> NetworkTrace:
-    """Reporting-level variant with a constant per-hop propagation delay.
-
-    Every delivery shifts by hops x offset; queueing inside the chain is
-    untouched (the inter-node links carry no queueing of their own), so
-    the delay and age summaries both shift by exactly that constant.
-    """
-    return NetworkTrace(trace.config, trace.gen_times, trace.nodes,
-                        trace.drop_node, trace.delivered_index,
-                        trace.delivery_times + trace.config.hops * per_hop,
-                        trace.offered_arrivals)
+            alive, times = alive[survive], times[survive]
+    return NetworkTrace(cfg, stream.gen_times, drop_node,
+                        delivered_index=alive, delivery_times=times,
+                        offered_arrivals=stream.arrival_times)
 
 
 def mean_system_time(trace: NetworkTrace) -> float:
@@ -298,6 +249,14 @@ def export_packets_csv(trace: NetworkTrace, path):
 
 MODES = ("no-ra", "ra-a1", "ra-a10")
 _MODE_ID = {m: i for i, m in enumerate(MODES)}
+# the second feed pass runs at most this many times longer than the first;
+# a feed that needs more is one its access channel cannot fill, and a
+# longer pass would only hold more updates in memory
+MAX_HORIZON_GROWTH = 10.0
+
+
+class FeedError(RuntimeError):
+    """The access channel cannot deliver the departures a feed needs."""
 
 
 @dataclass(frozen=True)
@@ -383,10 +342,12 @@ def ra_departure_stream(mode: str, n_packets: int, seed,
                         feed: RaFeedSettings) -> AccessFeed:
     """Simulate the access stage until it has ``n_packets`` departures.
 
-    The horizon is sized from the expected delivered rate; if that pass
-    falls short, one more pass runs with the horizon scaled by the
-    observed shortfall.  The result is load-free: ``rescale_feed`` puts
-    it on the chain's clock.
+    The horizon is sized from the expected delivered rate, and is at
+    least one RAO period; if that pass falls short, one more pass runs
+    with the horizon scaled by the observed shortfall (a pass with no
+    departure at all counts as one), at most ``MAX_HORIZON_GROWTH``
+    times longer.  The result is load-free: ``rescale_feed`` puts it on
+    the chain's clock.
     """
     attempts = 1 if mode == "ra-a1" else 10
     rate = feed.a1_rate_per_s if mode == "ra-a1" else feed.a10_rate_per_s
@@ -395,16 +356,19 @@ def ra_departure_stream(mode: str, n_packets: int, seed,
     lam_rao = rate / 1000.0 * cfg.rao_period
     per_attempt = math.exp(-lam_rao / cfg.preambles) * (1.0 - cfg.erasure_prob)
     guess = rate / 1000.0 * (per_attempt if attempts == 1 else 0.85)
-    horizon = n_packets / guess * 1.3
+    horizon = max(n_packets / guess * 1.3, cfg.rao_period)
     trace = ra_sim.run(cfg, rate, horizon, np.random.default_rng(seed))
-    if 0 < trace.success_count < n_packets:
+    if trace.success_count < n_packets:
         # aim five Poisson standard deviations past the departures needed
         target = n_packets + 5.0 * math.sqrt(n_packets)
-        horizon *= target / trace.success_count
+        horizon *= min(target / max(trace.success_count, 1),
+                       MAX_HORIZON_GROWTH)
         trace = ra_sim.run(cfg, rate, horizon, np.random.default_rng(seed))
     if trace.success_count < n_packets:
-        raise RuntimeError(
-            f"RA feed produced {trace.success_count} < {n_packets} departures")
+        raise FeedError(
+            f"{mode} feed produced {trace.success_count} < {n_packets} "
+            f"departures in {horizon:.6g} ms: {rate:g} updates/s on "
+            f"{cfg.preambles} preambles every {cfg.rao_period:g} ms")
     successes = [r for r in trace.records if r.outcome == ra_sim.SUCCESS]
     dep_ms = np.array([r.departure_time for r in successes])
     gen_ms = np.array([r.gen_time for r in successes])
@@ -429,7 +393,6 @@ def rescale_feed(access: AccessFeed, rho: float) -> ArrivalStream:
 def run_point(mode: str, rho: float, hops: int, link_erasure: float,
               replication: int, master_seed: int, n_packets: int,
               feed: RaFeedSettings | None = None,
-              warmup_fraction: float = 0.05,
               access: AccessFeed | None = None) -> SweepRow:
     """One sweep cell: build the arrival stream, run the chain, summarize.
 
@@ -453,7 +416,7 @@ def run_point(mode: str, rho: float, hops: int, link_erasure: float,
     cfg = BackhaulConfig.uniform(hops, 1.0, link_erasure)
     trace = run(stream, cfg, _net_seed(master_seed, mode, rho, hops,
                                        link_erasure, replication))
-    summary = average_aoi(trace, warmup_fraction=warmup_fraction)
+    summary = average_aoi(trace, warmup_fraction=WARMUP_FRACTION)
     return SweepRow(
         mode=mode, rho=rho, hops=hops, link_erasure=link_erasure,
         replication=replication, n_offered=trace.n_offered,
@@ -487,8 +450,7 @@ def _run_cell(task) -> SweepRow:
 
 def sweep(rhos, hops_list, erasures, modes, replications: int,
           master_seed: int, n_packets: int = 100_000,
-          feed: RaFeedSettings | None = None, workers: int = 1,
-          warmup_fraction: float = 0.05):
+          feed: RaFeedSettings | None = None, workers: int = 1):
     """Cross product of the grid, deterministically seeded per cell.
 
     Each access feed is simulated once per (mode, replication), before
@@ -504,7 +466,7 @@ def sweep(rhos, hops_list, erasures, modes, replications: int,
                               for rep in range(replications)))
     simulate = partial(_access_feed, master_seed=master_seed,
                        n_packets=n_packets, feed=feed)
-    tasks = [(m, rho, n, e, rep, master_seed, n_packets, feed, warmup_fraction)
+    tasks = [(m, rho, n, e, rep, master_seed, n_packets, feed)
              for m in modes for rho in rhos for n in hops_list
              for e in erasures for rep in range(replications)]
     if workers > 1:

@@ -34,6 +34,15 @@ DEFAULT_RHO_GRID = tuple(round(0.05 * k, 2) for k in range(1, 20))
 FIG6_HOPS = (1, 2, 4, 6)
 FIG7_HOPS = (4,)
 FIG7_ERASURES = (0.0, 0.01, 0.1)
+# spec defaults per figure, applied before the command-line flags
+FIGURE_DEFAULTS = {
+    "fig7": dict(hops=FIG7_HOPS, erasures=FIG7_ERASURES, modes=("no-ra",)),
+}
+# command-line flag -> the ExperimentSpec field it sets
+SPEC_FLAGS = {"rho": "rhos", "hops": "hops", "link_erasure": "erasures",
+              "mode": "modes", "attempts": "attempts",
+              "replications": "replications", "packets": "packets",
+              "workers": "workers"}
 
 # report tolerances for simulation-vs-closed-form agreement (no-ra rows)
 TOLERANCES = {"mean_system_time": 0.02, "mean_aoi": 0.10}
@@ -46,7 +55,7 @@ class ExperimentSpec:
     """Everything needed to reproduce one experiment run."""
 
     config: ScenarioConfig
-    figure: str = "custom"                # fig3 | fig4 | fig6 | fig7 | custom
+    figure: str = "custom"                # fig4 | fig6 | fig7 | custom
     rhos: tuple = DEFAULT_RHO_GRID
     hops: tuple = FIG6_HOPS
     erasures: tuple = (0.0,)
@@ -94,6 +103,14 @@ def sweep_problems(spec: ExperimentSpec) -> list:
     return out
 
 
+def offload_problems(config: ScenarioConfig) -> list:
+    """Config problems that stop the offloading pipeline; empty means usable."""
+    out = validate(config)
+    if config.space_ra is None:
+        out.append("space_ra: offloading needs the space path configured")
+    return out
+
+
 def _write_csv(path: Path, header, rows, schema: str):
     with open(path, "w", newline="") as fh:
         fh.write(f"# leoiot-results v1 {schema}\n")
@@ -137,11 +154,9 @@ def run_offloading(spec: ExperimentSpec):
     Returns the list of written files.
     """
     cfg = spec.config
-    problems = validate(cfg)
+    problems = offload_problems(cfg)
     if problems:
         raise ValueError("invalid scenario: " + "; ".join(problems))
-    if cfg.space_ra is None:
-        raise ValueError("offloading needs the space path configured")
     out = spec.out_dir
     out.mkdir(parents=True, exist_ok=True)
     written = []
@@ -209,14 +224,7 @@ def _analytic_rows(spec: ExperimentSpec):
             continue
         for hops in spec.hops:
             for eps in spec.erasures:
-                model = ba.TandemModel(hops, rho, 1.0, (eps,) * hops)
-                if eps == 0.0:
-                    tbar = ba.mean_network_delay(hops, rho, 1.0)
-                    aoi = ba.average_aoi_lossless(rho, ba.expected_ty(model))
-                else:
-                    # delivered packets ride the thinned queues
-                    tbar = ba.mean_delivered_delay(model)
-                    aoi = ba.average_aoi_with_errors(model)
+                tbar, aoi = ba.chain_metrics(hops, rho, eps)
                 rows.append(ResultRow(spec.figure, "analytic", rho, hops, eps,
                                       None, "mean_system_time", tbar, None))
                 rows.append(ResultRow(spec.figure, "analytic", rho, hops, eps,
@@ -377,14 +385,13 @@ def run_analytic(spec: ExperimentSpec):
         paths.append(("space", cfg.space_ra, lam_space))
     for name, ra_cfg, rate in paths:
         lam_rao = rate / 1000.0 * ra_cfg.rao_period
-        timing = ra.AccessTiming.from_config(ra_cfg)
         rows += [
             [name, "lam_rao", _fmt(lam_rao)],
             [name, "max_throughput_per_s",
              _fmt(ra.max_throughput(ra_cfg.preambles, ra_cfg.rao_period))],
             [name, "stability_margin",
              _fmt(ra.stability_margin(lam_rao, ra_cfg.preambles))],
-            [name, "min_access_delay_ms", _fmt(ra.min_access_delay(timing))],
+            [name, "min_access_delay_ms", _fmt(ra.min_access_delay(ra_cfg))],
             [name, "single_attempt_success",
              _fmt((1.0 - ra_cfg.erasure_prob)
                   * math.exp(-lam_rao / ra_cfg.preambles))],
@@ -394,13 +401,9 @@ def run_analytic(spec: ExperimentSpec):
             continue
         for hops in spec.hops:
             for eps in spec.erasures:
-                model = ba.TandemModel(hops, rho, 1.0, (eps,) * hops)
-                tbar = (ba.mean_network_delay(hops, rho, 1.0) if eps == 0.0
-                        else ba.mean_delivered_delay(model))
+                tbar, aoi = ba.chain_metrics(hops, rho, eps)
                 rows.append([f"chain rho={rho} N={hops} eps={eps}",
                              "mean_system_time", _fmt(tbar)])
-                aoi = (ba.average_aoi_lossless(rho, ba.expected_ty(model))
-                       if eps == 0.0 else ba.average_aoi_with_errors(model))
                 rows.append([f"chain rho={rho} N={hops} eps={eps}",
                              "mean_aoi", _fmt(aoi)])
     path = out / "analytic.csv"
@@ -428,33 +431,25 @@ def _add_common(p):
 
 
 def _load_spec(args, figure: str) -> ExperimentSpec:
+    """The run's spec: scenario, then figure defaults, then the flags.
+
+    A config that cannot be read or holds an unknown section, key or
+    malformed value raises ``OSError`` or ``ValueError``.
+    """
     name = args.preset or args.config
     if name is None:
-        name = {"fig3": "offloading", "fig4": "offloading"}.get(figure,
-                                                                "backhauling")
-    config = load_config(name)
-    if args.overrides:
-        config = apply_overrides(config, args.overrides)
+        name = "offloading" if figure == "fig4" else "backhauling"
+    config = apply_overrides(load_config(name), args.overrides)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     out = Path(args.out or os.environ.get(OUTPUT_ENV_VAR, "results"))
-    spec = ExperimentSpec(config=config, figure=figure, out_dir=out)
-    if getattr(args, "replications", None) is not None:
-        spec = replace(spec, replications=args.replications)
-    if getattr(args, "workers", None) is not None:
-        spec = replace(spec, workers=args.workers)
-    if getattr(args, "packets", None) is not None:
-        spec = replace(spec, packets=args.packets)
-    if getattr(args, "rho", None) is not None:
-        spec = replace(spec, rhos=tuple(args.rho))
-    if getattr(args, "hops", None) is not None:
-        spec = replace(spec, hops=tuple(args.hops))
-    if getattr(args, "link_erasure", None) is not None:
-        spec = replace(spec, erasures=tuple(args.link_erasure))
-    if getattr(args, "mode", None) is not None:
-        spec = replace(spec, modes=tuple(args.mode))
-    if getattr(args, "attempts", None) is not None:
-        spec = replace(spec, attempts=tuple(args.attempts))
+    spec = ExperimentSpec(config=config, figure=figure, out_dir=out,
+                          **FIGURE_DEFAULTS.get(figure, {}))
+    for flag, field_name in SPEC_FLAGS.items():
+        value = getattr(args, flag, None)
+        if value is not None:
+            spec = replace(spec, **{field_name: tuple(value)
+                                    if isinstance(value, list) else value})
     return spec
 
 
@@ -499,9 +494,15 @@ def main(argv=None) -> int:
                       dest="link_erasure")
 
     args = parser.parse_args(argv)
+    figure = getattr(args, "figure",
+                     "fig4" if args.command == "offload" else "custom")
+    try:
+        spec = _load_spec(args, figure)
+    except (OSError, ValueError) as exc:
+        _rejected([exc])
+        return 2
 
     if args.command == "validate":
-        spec = _load_spec(args, "custom")
         problems = validate(spec.config)
         if problems:
             for p in problems:
@@ -511,26 +512,21 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "offload":
-        spec = _load_spec(args, "fig4")
+        if _rejected(offload_problems(spec.config)):
+            return 2
         files = run_offloading(spec)
         for f in files:
             print(f"wrote {f}")
         return 0
 
     if args.command == "backhaul":
-        spec = _load_spec(args, args.figure)
         if _rejected(validate(spec.config) + sweep_problems(spec)):
             return 2
-        if args.figure == "fig6":
-            spec = replace(spec, erasures=(0.0,), hops=spec.hops
-                           if args.hops else FIG6_HOPS)
-        elif args.figure == "fig7":
-            spec = replace(spec,
-                           erasures=spec.erasures if args.link_erasure
-                           else FIG7_ERASURES,
-                           hops=spec.hops if args.hops else FIG7_HOPS,
-                           modes=spec.modes if args.mode else ("no-ra",))
-        files, ok = run_backhauling(spec)
+        try:
+            files, ok = run_backhauling(spec)
+        except bs.FeedError as exc:
+            _rejected([exc])
+            return 2
         for f in files:
             print(f"wrote {f}")
         if not ok:
@@ -538,16 +534,13 @@ def main(argv=None) -> int:
             return 1
         return 0
 
-    if args.command == "analytic":
-        spec = _load_spec(args, "custom")
-        if _rejected(sweep_problems(spec)):
-            return 2
-        files = run_analytic(spec)
-        for f in files:
-            print(f"wrote {f}")
-        return 0
-
-    return 2
+    # analytic
+    if _rejected(sweep_problems(spec)):
+        return 2
+    files = run_analytic(spec)
+    for f in files:
+        print(f"wrote {f}")
+    return 0
 
 
 if __name__ == "__main__":

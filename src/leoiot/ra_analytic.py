@@ -8,7 +8,6 @@ the classical exponential approximations are exposed separately with an
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .scenario import RaConfig
 
@@ -93,17 +92,6 @@ def stability_margin(lam_rao: float, preambles: int) -> float:
 # Erasures and per-attempt outcome probabilities
 # ---------------------------------------------------------------------------
 
-def power_ramping_erasure(attempt: int) -> float:
-    """Erasure probability 1 - e^(-a) under power ramping.
-
-    Provided for completeness; the evaluations use a fixed erasure
-    probability (full power from the first attempt).
-    """
-    if attempt < 1:
-        raise ValueError("attempt index starts at 1")
-    return 1.0 - math.exp(-attempt)
-
-
 def attempt_failure_prob(x: int, preambles: int, erasure: float) -> float:
     """Failure of one attempt: collision, or erasure of a collision-free preamble."""
     if not 0.0 <= erasure < 1.0:
@@ -122,48 +110,20 @@ def attempt_success_prob(x: int, preambles: int, erasure: float) -> float:
 # Access delay
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AccessTiming:
-    """Message timing for one path, all in milliseconds.
+def min_access_delay(cfg: RaConfig) -> float:
+    """Best-case four-message handshake duration, in milliseconds.
 
-    ``t_preamble`` and ``t_rar`` already include repetitions and the
-    extended prefix.  ``rar_window_ms`` is the full response window span.
+    The preamble and grant durations include repetitions and the extended
+    prefix.  The default budget counts the grant processing time twice
+    and the preamble processing time not at all; every term is a named
+    config field, so an alternative accounting is a one-line config change.
     """
-
-    t_preamble: float = 5.6
-    t_rar: float = 0.5
-    t_msg3: float = 1.0
-    t_msg4: float = 1.0
-    t_proc1: float = 2.0
-    t_proc2: float = 5.0
-    t_proc3: float = 4.0
-    rar_window_ms: float = 12.0
-    max_backoff: float = 320.0
-
-    @staticmethod
-    def from_config(cfg: RaConfig) -> "AccessTiming":
-        return AccessTiming(
-            t_preamble=cfg.preamble_duration,
-            t_rar=cfg.rar_duration,
-            t_msg3=cfg.t_msg3, t_msg4=cfg.t_msg4,
-            t_proc1=cfg.t_proc1, t_proc2=cfg.t_proc2, t_proc3=cfg.t_proc3,
-            rar_window_ms=cfg.rar_window_ms,
-            max_backoff=cfg.max_backoff,
-        )
+    return (cfg.preamble_duration + cfg.t_proc2 + cfg.rar_duration
+            + cfg.t_proc2 + cfg.t_proc3 + cfg.t_msg3 + cfg.t_msg4)
 
 
-def min_access_delay(t: AccessTiming) -> float:
-    """Best-case four-message handshake duration.
-
-    The default budget counts the grant processing time twice and the
-    preamble processing time not at all; every term is a named config
-    field, so an alternative accounting is a one-line config change.
-    """
-    return (t.t_preamble + t.t_proc2 + t.t_rar + t.t_proc2 + t.t_proc3
-            + t.t_msg3 + t.t_msg4)
-
-
-def access_delay(attempts: int, t: AccessTiming, backoffs, t_extra: float = 0.0) -> float:
+def access_delay(attempts: int, cfg: RaConfig, backoffs,
+                 t_extra: float = 0.0) -> float:
     """Handshake latency when success comes at attempt ``attempts``.
 
     ``backoffs`` holds the realized backoff draws of the failed attempts
@@ -175,8 +135,8 @@ def access_delay(attempts: int, t: AccessTiming, backoffs, t_extra: float = 0.0)
     if len(backoffs) != attempts - 1:
         raise ValueError("need one backoff per failed attempt")
     for b in backoffs:
-        if not 0.0 <= b <= t.max_backoff:
-            raise ValueError(f"backoff {b} outside [0, {t.max_backoff}]")
-    retry_overhead = t.t_preamble + t.t_proc1 + t.rar_window_ms
-    return (min_access_delay(t) + t_extra
+        if not 0.0 <= b <= cfg.max_backoff:
+            raise ValueError(f"backoff {b} outside [0, {cfg.max_backoff}]")
+    retry_overhead = cfg.preamble_duration + cfg.t_proc1 + cfg.rar_window_ms
+    return (min_access_delay(cfg) + t_extra
             + sum(backoffs) + (attempts - 1) * retry_overhead)

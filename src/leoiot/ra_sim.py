@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ra_analytic import AccessTiming, access_delay
+from .ra_analytic import access_delay
 from .scenario import RaConfig
 
 TRACE_SCHEMA_VERSION = "leoiot-trace v1"
@@ -170,7 +170,6 @@ def run(cfg: RaConfig, rate_per_s: float, horizon_ms: float, seed,
     n_raos = int(horizon_ms // t_rao)
     if n_raos < 1:
         raise ValueError(f"horizon {horizon_ms} ms holds no RAO (period {t_rao} ms)")
-    timing = AccessTiming.from_config(cfg)
     detect_lag = cfg.preamble_duration + cfg.t_proc1 + cfg.rar_window_ms
     prop_total = 4.0 * cfg.max_prop_delay
 
@@ -212,7 +211,7 @@ def run(cfg: RaConfig, rate_per_s: float, horizon_ms: float, seed,
         for j, t_extra in zip(win_idx[granted], t_extras[granted]):
             st = states[j]
             st.fates.append(SUCCESS)
-            latency = access_delay(st.attempt, timing, st.backoffs,
+            latency = access_delay(st.attempt, cfg, st.backoffs,
                                    float(t_extra)) + prop_total
             departure = st.gen_time + latency
             if departure > horizon_ms:

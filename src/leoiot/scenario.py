@@ -1,18 +1,30 @@
-"""Scenario configuration: traffic, random-access channel, backhaul chain.
+"""Scenario configuration: traffic and the random-access channel of each path.
 
 All rates in the config are in updates per second and all times in
 milliseconds, matching how the evaluation parameters are usually quoted.
-The backhaul chain is the exception: its service rates are in abstract
-time units (one unit = one mean service time), because the access channel
-and the relay chain live on incommensurable clocks.  See
-``backhaul_sim.RaFeedSettings`` for how the two are bridged.
+
+There is one configuration path.  A scenario is a ``ScenarioConfig``; the
+INI format holds one section per part of it (``[traffic]``,
+``[ground_ra]``, the optional ``[space_ra]``, and ``[run]`` for the
+top-level ``seed`` and ``horizon``).  ``load_config`` reads that format
+and rejects unknown sections and keys, ``dump_config`` writes every field
+back, and ``apply_overrides`` (the CLI ``--set section.key=value``; the
+``[run]`` keys may also go bare, as ``--set horizon=4e5``) can set every
+field.
+
+The relay chain is not part of the scenario: its unit-rate servers are
+fixed, and its load, hop count and link erasure come from the sweep grid
+(``experiments.ExperimentSpec``).  Its service units are abstract (one
+unit = one mean service time), because the access channel and the chain
+live on incommensurable clocks; see ``backhaul_sim.RaFeedSettings`` for
+how the two are bridged.
 """
 from __future__ import annotations
 
 import configparser
 import hashlib
 import io
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from importlib import resources
 
 VALID_PREAMBLE_COUNTS = (12, 24, 36, 48)
@@ -26,7 +38,6 @@ class TrafficConfig:
     users: int = 1000
     total_rate: float = 50.0          # updates per second, all devices combined
     ground_ratio: float = 0.5         # fraction of traffic on the terrestrial path
-    ground_core_link: bool = True     # terrestrial gNB has a direct core connection
 
     @property
     def per_user_rate(self) -> float:
@@ -79,36 +90,12 @@ class RaConfig:
 
 
 @dataclass(frozen=True)
-class BackhaulConfig:
-    """Chain of buffered relay nodes; the last server is the feeder link.
-
-    ``buffer_size`` caps the packets held at a node (queue plus server);
-    None keeps the default infinite buffers.  Finite buffers barely move
-    the delay and age figures unless they are only a few positions deep,
-    so the option is off by default and meant for exploratory runs.
-    """
-
-    hops: int = 2
-    service_rates: tuple = (1.0, 1.0)     # per node, abstract units
-    link_erasures: tuple = (0.0, 0.0)     # per outgoing link, one per node
-    buffer_size: int | None = None
-
-    @staticmethod
-    def uniform(hops: int, service_rate: float = 1.0, link_erasure: float = 0.0,
-                buffer_size: int | None = None):
-        return BackhaulConfig(hops, (service_rate,) * hops,
-                              (link_erasure,) * hops, buffer_size)
-
-
-@dataclass(frozen=True)
 class ScenarioConfig:
     traffic: TrafficConfig = field(default_factory=TrafficConfig)
     ground_ra: RaConfig = field(default_factory=RaConfig)
     space_ra: RaConfig | None = None
-    backhaul: BackhaulConfig | None = None
     seed: int = 1
     horizon: float = 3.2e6            # ms of simulated access-channel time
-    replications: int = 5
 
 
 def split_rates(traffic: TrafficConfig):
@@ -116,19 +103,6 @@ def split_rates(traffic: TrafficConfig):
     earth = traffic.ground_ratio * traffic.total_rate
     space = (1.0 - traffic.ground_ratio) * traffic.total_rate
     return earth, space
-
-
-def relayed_rates(traffic: TrafficConfig, pf_earth: float, pf_space: float):
-    """Rates relayed towards the core by each gNB after access failures.
-
-    The terrestrial gNB forwards directly only when it has a core link;
-    otherwise its surviving traffic rides the space segment.
-    """
-    earth, space = split_rates(traffic)
-    core = 1.0 if traffic.ground_core_link else 0.0
-    to_core_earth = earth * (1.0 - pf_earth) * core
-    to_core_space = space * (1.0 - pf_space) + earth * (1.0 - pf_earth) * (1.0 - core)
-    return to_core_earth, to_core_space
 
 
 def _check_ra(cfg: RaConfig, prefix: str, out: list):
@@ -170,23 +144,8 @@ def validate(config: ScenarioConfig) -> list:
     _check_ra(config.ground_ra, "ground_ra", out)
     if config.space_ra is not None:
         _check_ra(config.space_ra, "space_ra", out)
-    b = config.backhaul
-    if b is not None:
-        if b.hops < 1:
-            out.append(f"backhaul.hops: {b.hops} must be >= 1")
-        if len(b.service_rates) != b.hops or len(b.link_erasures) != b.hops:
-            out.append("backhaul: service_rates and link_erasures must have one "
-                       "entry per hop")
-        if any(mu <= 0 for mu in b.service_rates):
-            out.append("backhaul.service_rates: all rates must be > 0")
-        if any(not 0.0 <= e < 1.0 for e in b.link_erasures):
-            out.append("backhaul.link_erasures: every erasure outside [0, 1)")
-        if b.buffer_size is not None and b.buffer_size < 1:
-            out.append("backhaul.buffer_size: must be >= 1 when set")
     if config.horizon <= 0:
         out.append(f"horizon: {config.horizon} must be > 0")
-    if config.replications < 1:
-        out.append(f"replications: {config.replications} must be >= 1")
     return out
 
 
@@ -197,167 +156,131 @@ def validate(config: ScenarioConfig) -> list:
 def offloading_preset() -> ScenarioConfig:
     """Congested urban cell offloading half its traffic to one space gNB."""
     return ScenarioConfig(
-        traffic=TrafficConfig(users=1000, total_rate=50.0, ground_ratio=0.5,
-                              ground_core_link=True),
+        traffic=TrafficConfig(users=1000, total_rate=50.0, ground_ratio=0.5),
         ground_ra=RaConfig(rao_period=320.0, max_backoff=320.0, max_attempts=1),
         space_ra=RaConfig(rao_period=160.0, max_backoff=160.0, max_attempts=1,
                           repetitions=4, extended_prefix=2.0, max_prop_delay=4.0),
-        backhaul=None,
-        seed=1, horizon=3.2e6, replications=5,
+        seed=1, horizon=3.2e6,
     )
 
 
 def backhauling_preset() -> ScenarioConfig:
     """Remote gNB reaching the core over a chain of relay satellites."""
     return ScenarioConfig(
-        traffic=TrafficConfig(users=1000, total_rate=50.0, ground_ratio=1.0,
-                              ground_core_link=False),
+        traffic=TrafficConfig(users=1000, total_rate=50.0, ground_ratio=1.0),
         ground_ra=RaConfig(rao_period=40.0, max_backoff=160.0, max_attempts=1),
         space_ra=None,
-        backhaul=BackhaulConfig.uniform(2),
-        seed=1, horizon=4.0e5, replications=5,
+        seed=1, horizon=4.0e5,
     )
 
 
 PRESETS = {"offloading": offloading_preset, "backhauling": backhauling_preset}
 
-_RA_FIELDS = ("preambles", "rao_period", "repetitions", "rar_window",
-              "grants_per_subframe", "erasure_prob", "max_backoff",
-              "max_attempts", "extended_prefix", "max_prop_delay",
-              "t_preamble_base", "t_rar_base", "t_msg3", "t_msg4",
-              "t_proc1", "t_proc2", "t_proc3")
-_INT_FIELDS = {"users", "preambles", "repetitions", "rar_window",
-               "grants_per_subframe", "max_attempts", "hops", "seed",
-               "replications", "buffer_size"}
+# INI section -> the dataclass whose int and float fields are its keys;
+# [run] holds the top-level scalars of ScenarioConfig
+SECTIONS = {"traffic": TrafficConfig, "ground_ra": RaConfig,
+            "space_ra": RaConfig, "run": ScenarioConfig}
 
 
-def _ra_from_section(sec) -> RaConfig:
-    kwargs = {}
-    for name in _RA_FIELDS:
-        if name in sec:
-            kwargs[name] = int(sec[name]) if name in _INT_FIELDS else float(sec[name])
-    return RaConfig(**kwargs)
+def _keys(cls) -> dict:
+    return {f.name: int if f.type == "int" else float
+            for f in fields(cls) if f.type in ("int", "float")}
 
 
-def _float_list(text: str) -> tuple:
-    return tuple(float(tok) for tok in text.replace(",", " ").split())
+def _typed(section: str, items) -> dict:
+    """Typed field values of one section from ``(key, text)`` pairs;
+    an unknown key or a malformed number raises ``ValueError``."""
+    keys = _keys(SECTIONS[section])
+    out = {}
+    for key, raw in items:
+        kind = keys.get(key)
+        if kind is None:
+            raise ValueError(f"unknown key {key!r} in [{section}]; known: "
+                             f"{', '.join(keys)}")
+        try:
+            out[key] = kind(raw)
+        except ValueError:
+            raise ValueError(f"{section}.{key}: {raw!r} is not "
+                             f"{'an integer' if kind is int else 'a number'}"
+                             ) from None
+    return out
 
 
 def config_from_dict(parser: configparser.ConfigParser) -> ScenarioConfig:
-    traffic = TrafficConfig()
-    if parser.has_section("traffic"):
-        sec = parser["traffic"]
-        traffic = TrafficConfig(
-            users=sec.getint("users", traffic.users),
-            total_rate=sec.getfloat("total_rate", traffic.total_rate),
-            ground_ratio=sec.getfloat("ground_ratio", traffic.ground_ratio),
-            ground_core_link=sec.getboolean("ground_core_link",
-                                            traffic.ground_core_link),
-        )
-    ground = _ra_from_section(parser["ground_ra"]) if parser.has_section("ground_ra") \
-        else RaConfig()
-    space = _ra_from_section(parser["space_ra"]) if parser.has_section("space_ra") \
-        else None
-    backhaul = None
-    if parser.has_section("backhaul"):
-        sec = parser["backhaul"]
-        hops = sec.getint("hops", 2)
-        mus = _float_list(sec.get("service_rates", "1.0"))
-        eps = _float_list(sec.get("link_erasures", "0.0"))
-        if len(mus) == 1:
-            mus = mus * hops
-        if len(eps) == 1:
-            eps = eps * hops
-        buffer_size = sec.getint("buffer_size") if "buffer_size" in sec else None
-        backhaul = BackhaulConfig(hops, mus, eps, buffer_size)
-    seed, horizon, reps = 1, 3.2e6, 5
-    if parser.has_section("run"):
-        sec = parser["run"]
-        seed = sec.getint("seed", seed)
-        horizon = sec.getfloat("horizon", horizon)
-        reps = sec.getint("replications", reps)
-    return ScenarioConfig(traffic, ground, space, backhaul, seed, horizon, reps)
+    unknown = [s for s in parser.sections() if s not in SECTIONS]
+    if unknown:
+        raise ValueError(f"unknown section(s) {unknown}; known: "
+                         f"{', '.join(SECTIONS)}")
+    values = {name: _typed(name, parser[name].items())
+              for name in parser.sections()}
+    space = values.get("space_ra")
+    return ScenarioConfig(
+        traffic=TrafficConfig(**values.get("traffic", {})),
+        ground_ra=RaConfig(**values.get("ground_ra", {})),
+        space_ra=None if space is None else RaConfig(**space),
+        **values.get("run", {}))
+
+
+def _parse(text: str, source: str) -> ScenarioConfig:
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    try:
+        parser.read_string(text, source)
+    except configparser.Error as exc:
+        raise ValueError(" ".join(str(exc).split())) from None
+    return config_from_dict(parser)
 
 
 def load_config(path_or_preset: str) -> ScenarioConfig:
     """Load an INI scenario file; bare preset names resolve to the built-ins."""
     if path_or_preset in PRESETS:
         return PRESETS[path_or_preset]()
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     with open(path_or_preset) as fh:
-        parser.read_file(fh)
-    return config_from_dict(parser)
+        return _parse(fh.read(), path_or_preset)
 
 
 def load_preset_file(name: str) -> ScenarioConfig:
     """Parse the packaged INI preset (same content as the builder functions)."""
     text = resources.files("leoiot.presets").joinpath(f"{name}.ini").read_text()
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    parser.read_file(io.StringIO(text))
-    return config_from_dict(parser)
+    return _parse(text, f"{name}.ini")
+
+
+def _section_objects(config: ScenarioConfig) -> dict:
+    objects = {"traffic": config.traffic, "ground_ra": config.ground_ra,
+               "space_ra": config.space_ra, "run": config}
+    return {name: obj for name, obj in objects.items() if obj is not None}
 
 
 def dump_config(config: ScenarioConfig) -> str:
     """Serialize a scenario to the INI format accepted by ``load_config``."""
     parser = configparser.ConfigParser()
-    t = config.traffic
-    parser["traffic"] = {
-        "users": str(t.users), "total_rate": repr(t.total_rate),
-        "ground_ratio": repr(t.ground_ratio),
-        "ground_core_link": str(t.ground_core_link).lower(),
-    }
-
-    def ra_section(cfg: RaConfig):
-        return {name: repr(getattr(cfg, name)) for name in _RA_FIELDS}
-
-    parser["ground_ra"] = ra_section(config.ground_ra)
-    if config.space_ra is not None:
-        parser["space_ra"] = ra_section(config.space_ra)
-    if config.backhaul is not None:
-        b = config.backhaul
-        parser["backhaul"] = {
-            "hops": str(b.hops),
-            "service_rates": " ".join(repr(m) for m in b.service_rates),
-            "link_erasures": " ".join(repr(e) for e in b.link_erasures),
-        }
-        if b.buffer_size is not None:
-            parser["backhaul"]["buffer_size"] = str(b.buffer_size)
-    parser["run"] = {"seed": str(config.seed), "horizon": repr(config.horizon),
-                     "replications": str(config.replications)}
+    for name, obj in _section_objects(config).items():
+        parser[name] = {key: repr(getattr(obj, key))
+                        for key in _keys(SECTIONS[name])}
     buf = io.StringIO()
     parser.write(buf)
     return buf.getvalue()
 
 
 def apply_overrides(config: ScenarioConfig, overrides) -> ScenarioConfig:
-    """Apply ``section.field=value`` overrides (the CLI ``--set`` flag)."""
+    """Apply ``section.key=value`` overrides (the CLI ``--set`` flag); the
+    keys of ``[run]`` may also go bare, as ``seed=`` and ``horizon=``."""
     for item in overrides:
-        key, _, raw = item.partition("=")
-        if not _:
+        key, eq, raw = item.partition("=")
+        if not eq:
             raise ValueError(f"override {item!r} is not of the form key=value")
-        section, _, name = key.strip().partition(".")
-        raw = raw.strip()
-        if not name:
-            if section not in ("seed", "horizon", "replications"):
-                raise ValueError(f"unknown top-level key {section!r}")
-            value = int(raw) if section in _INT_FIELDS else float(raw)
-            config = replace(config, **{section: value})
-            continue
-        target = {
-            "traffic": config.traffic, "ground_ra": config.ground_ra,
-            "space_ra": config.space_ra, "backhaul": config.backhaul,
-        }.get(section)
+        section, _, name = key.strip().rpartition(".")
+        section = section or "run"
+        if section not in SECTIONS:
+            raise ValueError(f"cannot override {key!r}: unknown section "
+                             f"{section!r}")
+        values = _typed(section, [(name, raw.strip())])
+        target = _section_objects(config).get(section)
         if target is None:
-            raise ValueError(f"cannot override {key!r}: section missing")
-        if name in ("service_rates", "link_erasures"):
-            value = _float_list(raw)
-        elif name == "ground_core_link":
-            value = raw.lower() in ("1", "true", "yes", "on")
-        elif name in _INT_FIELDS:
-            value = int(raw)
-        else:
-            value = float(raw)
-        config = replace(config, **{section: replace(target, **{name: value})})
+            raise ValueError(f"cannot override {key!r}: the scenario has no "
+                             f"[{section}] section")
+        target = replace(target, **values)
+        config = target if section == "run" else replace(config,
+                                                         **{section: target})
     return config
 
 

@@ -18,9 +18,9 @@ from leoiot import ra_analytic as ra
 from leoiot import ra_sim
 from leoiot.backhaul_analytic import (TandemModel, average_aoi_lossless,
                                       expected_ty, mean_network_delay)
+from leoiot.backhaul_sim import BackhaulConfig
 from leoiot.experiments import ExperimentSpec, run_backhauling
-from leoiot.scenario import (BackhaulConfig, backhauling_preset,
-                             offloading_preset)
+from leoiot.scenario import backhauling_preset, offloading_preset
 
 MASTER_SEED = 20250809
 

@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from _chain_reference import reference_chain
 from leoiot import backhaul_sim as bs
 from leoiot.backhaul_analytic import TandemModel, average_aoi_lossless, \
     expected_ty, mean_network_delay
-from leoiot.backhaul_sim import (ArrivalStream, NetworkTrace,
+from leoiot.backhaul_sim import (ArrivalStream, BackhaulConfig, NetworkTrace,
                                  average_aoi, mean_system_time,
                                  poisson_stream, run, run_point, sweep)
-from leoiot.scenario import BackhaulConfig
 
 
 def mm1_aoi_exact(rho, mu=1.0):
@@ -20,7 +20,7 @@ def manual_trace(gen, deliv):
     """Build a delivered-only trace for integrator unit tests."""
     gen = np.asarray(gen, dtype=float)
     deliv = np.asarray(deliv, dtype=float)
-    return NetworkTrace(BackhaulConfig.uniform(1), gen, [],
+    return NetworkTrace(BackhaulConfig.uniform(1), gen,
                         np.zeros(len(gen), dtype=np.int64),
                         np.arange(len(gen)), deliv)
 
@@ -64,29 +64,25 @@ class TestRun:
         assert trace.n_offered == 0
 
     def test_fcfs_and_work_conservation(self):
-        s = poisson_stream(0.7, 50_000, np.random.default_rng(7))
+        # service starts exactly when both packet and server are free:
+        # the scan equals an event-driven FCFS chain on the same draws
+        s = poisson_stream(0.7, 5_000, np.random.default_rng(7))
         trace = run(s, BackhaulConfig.uniform(3), 8)
-        for node in trace.nodes:
-            # FCFS: order preserved, no overtaking
-            assert (np.diff(node.departures) >= 0).all()
-            # service starts exactly when both packet and server are free
-            prev_dep = np.concatenate(([0.0], node.departures[:-1]))
-            assert np.allclose(node.starts,
-                               np.maximum(node.arrivals, prev_dep))
-            # no idling while work is queued, busy while serving
-            assert (node.starts >= node.arrivals).all()
-            assert (node.departures > node.starts).all()
+        deliveries, drop_node = reference_chain(s.arrival_times, (1.0,) * 3,
+                                                (0.0,) * 3, 8)
+        np.testing.assert_allclose(trace.delivery_times, deliveries,
+                                   rtol=1e-12, atol=0.0)
+        assert (drop_node == 0).all() and (trace.drop_node == 0).all()
 
     def test_times_nondecreasing_along_path(self):
         s = poisson_stream(0.5, 20_000, np.random.default_rng(9))
         trace = run(s, BackhaulConfig.uniform(4, 1.0, 0.05), 10)
-        pos = {}
-        for node in trace.nodes:
-            for i, idx in enumerate(node.packet_index):
-                prev = pos.get(idx)
-                if prev is not None:
-                    assert node.arrivals[i] >= prev - 1e-12
-                pos[idx] = node.departures[i]
+        # FCFS keeps the order: no delivered packet overtakes another
+        assert (np.diff(trace.delivered_index) > 0).all()
+        assert (np.diff(trace.delivery_times) >= 0).all()
+        # and each one spends positive time in the chain
+        assert (trace.delivery_times
+                > s.arrival_times[trace.delivered_index]).all()
 
     def test_delivered_fraction_matches_survival(self):
         n = 200_000
@@ -104,8 +100,10 @@ class TestRun:
         eps = (0.1, 0.05, 0.2)
         trace = run(s, BackhaulConfig(3, (1.0,) * 3, eps), 14)
         expected = n
-        for node_idx, node in enumerate(trace.nodes):
-            count = len(node.arrivals)
+        for node_idx in range(3):
+            # packets reaching node k: delivered, or dropped at k or later
+            count = int(np.sum((trace.drop_node == 0)
+                               | (trace.drop_node > node_idx)))
             sigma = math.sqrt(max(expected * (1 - expected / n), 1.0))
             assert abs(count - expected) <= 3 * sigma + 1
             expected *= (1 - eps[node_idx])
@@ -120,10 +118,34 @@ class TestRun:
     def test_single_packet_sees_pure_service(self):
         s = ArrivalStream(np.array([1.0]), np.array([1.0]))
         trace = run(s, BackhaulConfig.uniform(3), 17)
-        total_service = sum(float(node.departures[0] - node.starts[0])
-                            for node in trace.nodes)
+        rng = np.random.default_rng(17)
+        total_service = sum(float(rng.exponential(1.0, size=1)[0])
+                            for _ in range(3))
         assert trace.delivery_times[0] - 1.0 == pytest.approx(total_service)
         assert mean_system_time(trace) == pytest.approx(total_service)
+
+
+class TestChainReference:
+    """``run`` against the event-driven chain of ``_chain_reference``."""
+
+    @pytest.mark.parametrize("n, rates, erasures", [
+        (3_000, (1.0, 2.5, 0.8), (0.0, 0.0, 0.0)),    # heterogeneous rates
+        (3_000, (1.0, 1.0, 1.0, 1.0), (0.1, 0.0, 0.3, 0.05)),
+        (3_000, (1.5, 0.9), (0.2, 0.4)),
+        (1, (1.0, 1.0, 1.0), (0.0, 0.0, 0.0)),        # one packet
+        (1, (1.0, 1.0), (0.5, 0.5)),
+        (0, (1.0, 1.0), (0.1, 0.1)),                  # empty stream
+    ])
+    def test_matches_event_driven_chain(self, n, rates, erasures):
+        s = poisson_stream(0.6, n, np.random.default_rng(61))
+        trace = run(s, BackhaulConfig(len(rates), rates, erasures), 62)
+        deliveries, drop_node = reference_chain(s.arrival_times, rates,
+                                                erasures, 62)
+        assert np.array_equal(trace.drop_node, drop_node)
+        assert np.array_equal(trace.delivered_index,
+                              np.flatnonzero(drop_node == 0))
+        np.testing.assert_allclose(trace.delivery_times, deliveries,
+                                   rtol=1e-12, atol=0.0)
 
 
 class TestMeanSystemTime:
@@ -332,48 +354,31 @@ class TestFeedReuse:
             bs.ra_departure_stream("ra-a10", 1_000, 3,
                                    bs.RaFeedSettings(a10_rate_per_s=600.0))
         assert len(calls) == 2
+        assert calls[1][2] <= bs.MAX_HORIZON_GROWTH * calls[0][2]
+
+    @pytest.mark.parametrize("n, growth", [
+        (2, 2 + 5 * math.sqrt(2)),     # n + 5 sqrt(n) over one departure
+        (20, bs.MAX_HORIZON_GROWTH),   # 42.4, capped
+    ])
+    def test_first_pass_without_departures_is_resized(self, monkeypatch, n,
+                                                      growth):
+        horizons = []
+        real = bs.ra_sim.run
+
+        def idle_first(cfg, rate, horizon, seed):
+            horizons.append(horizon)
+            return real(cfg, 0.0 if len(horizons) == 1 else rate, horizon,
+                        seed)
+
+        monkeypatch.setattr(bs.ra_sim, "run", idle_first)
+        access = bs.ra_departure_stream("ra-a1", n, 3, bs.RaFeedSettings())
+        assert len(access.departures_ms) == n
+        assert horizons[1] == pytest.approx(horizons[0] * growth, rel=1e-12)
 
     def test_sweep_rejects_unknown_mode(self):
         with pytest.raises(ValueError):
             sweep((0.5,), (2,), (0.0,), ("ra-a1", "two-step"), 1, 7,
                   n_packets=1_000)
-
-
-class TestFiniteBuffer:
-    def test_large_buffer_matches_infinite(self):
-        s = poisson_stream(0.5, 20_000, np.random.default_rng(51))
-        inf_trace = run(s, BackhaulConfig.uniform(2), 52)
-        big = run(s, BackhaulConfig.uniform(2, buffer_size=10_000), 52)
-        assert big.n_delivered == inf_trace.n_delivered
-        assert np.allclose(big.delivery_times, inf_trace.delivery_times)
-
-    def test_tiny_buffer_drops_and_shortens_delay(self):
-        s = poisson_stream(0.9, 100_000, np.random.default_rng(53))
-        inf_trace = run(s, BackhaulConfig.uniform(2), 54)
-        tiny = run(s, BackhaulConfig.uniform(2, buffer_size=2), 54)
-        assert tiny.n_delivered < inf_trace.n_delivered
-        assert (tiny.drop_node > 0).sum() == s.arrival_times.size - tiny.n_delivered
-        assert mean_system_time(tiny) < mean_system_time(inf_trace)
-
-    def test_single_slot_buffer_blocks_while_serving(self):
-        # two back-to-back arrivals, the second lands during service
-        s = ArrivalStream(np.array([1.0, 1.001]), np.array([1.0, 1.001]))
-        trace = run(s, BackhaulConfig.uniform(1, buffer_size=1), 55)
-        assert trace.n_delivered == 1
-        assert trace.drop_node[1] == 1
-
-
-class TestPropagationOffset:
-    def test_shifts_delay_and_age_by_constant(self):
-        s = poisson_stream(0.5, 50_000, np.random.default_rng(57))
-        trace = run(s, BackhaulConfig.uniform(3), 58)
-        base = average_aoi(trace)
-        shifted = bs.with_propagation_offset(trace, 0.25)
-        out = average_aoi(shifted)
-        assert out.mean_system_time == pytest.approx(
-            base.mean_system_time + 3 * 0.25, rel=1e-12)
-        assert out.time_average_aoi == pytest.approx(
-            base.time_average_aoi + 3 * 0.25, rel=1e-9)
 
 
 class TestPacketExport:

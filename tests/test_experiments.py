@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from leoiot import backhaul_sim as bs
 from leoiot import experiments as ex
 from leoiot.experiments import (ExperimentSpec, ResultRow, main, report,
                                 run_analytic, run_backhauling, run_offloading)
@@ -229,6 +230,83 @@ class TestCli:
         assert len(err) == 1
         assert err[0].startswith("error: ") and field in err[0]
         assert not out.exists()          # rejected before any work
+
+    @pytest.mark.parametrize("command", ["validate", "offload", "backhaul",
+                                         "analytic"])
+    @pytest.mark.parametrize("flags, text", [
+        (["--set", "nowhere.key=1"], "unknown section 'nowhere'"),
+        (["--set", "ground_ra.bogus=1"], "unknown key 'bogus'"),
+        (["--set", "traffic.users=abc"], "traffic.users"),
+        (["--set", "backhaul.buffer_size=3"], "unknown section 'backhaul'"),
+        (["--config", "{missing}"], "No such file"),
+        (["--config", "{stale}"], "unknown section(s) ['backhaul']"),
+    ])
+    def test_bad_config_fails_at_boundary(self, tmp_path, capsys, command,
+                                          flags, text):
+        stale = tmp_path / "stale.ini"
+        stale.write_text("[traffic]\nusers = 10\n\n[backhaul]\nhops = 2\n")
+        flags = [f.format(missing=tmp_path / "missing.ini", stale=stale)
+                 for f in flags]
+        out = tmp_path / "out"
+        code = main([command, *flags, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ") and text in err[0]
+        assert not out.exists()          # rejected before any work
+
+    def test_offload_needs_space_path(self, tmp_path, capsys):
+        code = main(["offload", "--preset", "backhauling",
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: space_ra")
+
+    def test_fig6_keeps_link_erasure(self, tmp_path):
+        main(["backhaul", "--figure", "fig6", "--link-erasure", "0.5",
+              "--mode", "no-ra", "--rho", "0.5", "--hops", "1",
+              "--replications", "1", "--packets", "2000",
+              "--out", str(tmp_path)])
+        rows = read_rows(tmp_path / "backhaul_rows.csv")
+        assert [r["link_erasure"] for r in rows] == ["0.5"]
+
+    @pytest.mark.parametrize("flags, cells", [
+        ([], {("no-ra", "4", e) for e in ("0", "0.01", "0.1")}),
+        (["--hops", "2", "--link-erasure", "0.2", "--mode", "ra-a1"],
+         {("ra-a1", "2", "0.2")}),
+    ])
+    def test_fig7_defaults_yield_to_flags(self, tmp_path, flags, cells):
+        main(["backhaul", "--figure", "fig7", "--rho", "0.5",
+              "--replications", "1", "--packets", "2000",
+              "--out", str(tmp_path), *flags])
+        rows = read_rows(tmp_path / "backhaul_rows.csv")
+        assert {(r["mode"], r["hops"], r["link_erasure"]) for r in rows} \
+            == cells
+
+    @pytest.mark.parametrize("seed, code", [("1", 2), ("3", 0)])
+    def test_short_ra_feed_horizon(self, tmp_path, capsys, monkeypatch,
+                                   seed, code):
+        horizons = []
+        real = bs.ra_sim.run
+
+        def recording(cfg, rate, horizon, rng):
+            horizons.append(horizon)
+            return real(cfg, rate, horizon, rng)
+
+        monkeypatch.setattr(bs.ra_sim, "run", recording)
+        got = main(["backhaul", "--figure", "custom", "--mode", "ra-a10",
+                    "--rho", "0.5", "--hops", "1", "--replications", "1",
+                    "--packets", "10", "--set", "ground_ra.rao_period=320",
+                    "--seed", seed, "--out", str(tmp_path)])
+        assert horizons[0] == 320.0      # the first pass holds one RAO
+        # 275 updates/s on 36 preambles every 320 ms is past the channel's
+        # collapse: on some seeds the feed is still short after two passes
+        assert got == code
+        err = capsys.readouterr().err.splitlines()
+        if code == 2:
+            assert len(horizons) == 2
+            assert len(err) == 1 and err[0].startswith("error: ra-a10 feed")
+        else:
+            assert len(read_rows(tmp_path / "backhaul_rows.csv")) == 1
 
     def test_analytic_rejects_bad_grid(self, tmp_path, capsys):
         code = main(["analytic", "--preset", "backhauling", "--hops", "0",

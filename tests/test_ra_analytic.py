@@ -3,19 +3,18 @@ import math
 
 import pytest
 
-from leoiot.ra_analytic import (AccessTiming, access_delay,
-                                attempt_failure_prob, attempt_success_prob,
-                                collision_prob, collision_prob_approx,
-                                expected_collided, expected_successes,
-                                expected_successes_approx, max_throughput,
-                                max_throughput_approx, min_access_delay,
-                                new_arrivals_pmf, power_ramping_erasure,
+from leoiot.ra_analytic import (access_delay, attempt_failure_prob,
+                                attempt_success_prob, collision_prob,
+                                collision_prob_approx, expected_collided,
+                                expected_successes, expected_successes_approx,
+                                max_throughput, max_throughput_approx,
+                                min_access_delay, new_arrivals_pmf,
                                 stability_margin, success_prob,
                                 success_prob_approx)
+from leoiot.scenario import RaConfig
 
-GROUND = AccessTiming()   # defaults are the terrestrial path constants
-SPACE = AccessTiming(t_preamble=5.6 * 4 + 2.0, t_rar=0.5 * 4,
-                     rar_window_ms=48.0, max_backoff=160.0)
+GROUND = RaConfig()   # defaults are the terrestrial path constants
+SPACE = RaConfig(repetitions=4, extended_prefix=2.0, max_backoff=160.0)
 
 
 def enumerate_contention(x: int, preambles: int):
@@ -180,15 +179,6 @@ class TestStability:
 
 
 class TestErasureModels:
-    def test_power_ramping_values(self):
-        assert power_ramping_erasure(1) == pytest.approx(1 - math.exp(-1))
-        assert power_ramping_erasure(2) == pytest.approx(1 - math.exp(-2))
-
-    def test_power_ramping_monotone_to_one(self):
-        vals = [power_ramping_erasure(a) for a in range(1, 30)]
-        assert all(b > a for a, b in zip(vals, vals[1:]))
-        assert vals[-1] == pytest.approx(1.0, abs=1e-12)
-
     def test_attempt_failure_lone_contender(self):
         assert attempt_failure_prob(1, 36, 0.1) == pytest.approx(0.1)
         assert attempt_failure_prob(1, 36, 0.0) == 0.0
@@ -214,7 +204,8 @@ class TestAccessDelay:
         assert min_access_delay(SPACE) == pytest.approx(42.4, abs=1e-9)
 
     def test_degenerate_zero_timing(self):
-        zero = AccessTiming(0, 0, 0, 0, 0, 0, 0, 0, 0)
+        zero = RaConfig(t_preamble_base=0.0, t_rar_base=0.0, t_msg3=0.0,
+                        t_msg4=0.0, t_proc1=0.0, t_proc2=0.0, t_proc3=0.0)
         assert min_access_delay(zero) == 0.0
 
     def test_first_attempt(self):

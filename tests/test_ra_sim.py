@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from leoiot import ra_sim
-from leoiot.ra_analytic import AccessTiming, min_access_delay
+from leoiot.ra_analytic import min_access_delay
 from leoiot.ra_sim import (AccessRecord, LatencyCdf, UpdateAttemptState,
                            backoff_and_retry, empirical_pmf,
                            generate_arrivals, latency_cdf, resolve_rao,
@@ -160,7 +160,7 @@ class TestRun:
     def test_success_latency_floor_and_retry_gaps(self):
         cfg = replace(GROUND, max_attempts=10)
         trace = run(cfg, 50.0, 6.4e5, 6)
-        floor = min_access_delay(AccessTiming.from_config(cfg))
+        floor = min_access_delay(cfg)
         lag = cfg.preamble_duration + cfg.t_proc1 + cfg.rar_window_ms
         saw_retry = False
         for r in trace.records:

@@ -1,21 +1,19 @@
-from dataclasses import replace
+import configparser
+from dataclasses import fields, replace
+from importlib import resources
 
 import pytest
 
-from leoiot.scenario import (BackhaulConfig, TrafficConfig,
+from leoiot.scenario import (RaConfig, ScenarioConfig, TrafficConfig,
                              apply_overrides, backhauling_preset,
                              config_hash, dump_config, load_config,
                              load_preset_file, offloading_preset,
-                             relayed_rates, split_rates, validate)
-import configparser
-import io
-
-from leoiot.scenario import config_from_dict
+                             split_rates, validate)
 
 
-def make_traffic(total_rate=50.0, kappa=0.5, core=True, users=1000):
+def make_traffic(total_rate=50.0, kappa=0.5, users=1000):
     return TrafficConfig(users=users, total_rate=total_rate,
-                         ground_ratio=kappa, ground_core_link=core)
+                         ground_ratio=kappa)
 
 
 class TestSplitRates:
@@ -38,42 +36,6 @@ class TestSplitRates:
         for kappa in (0.0, 0.125, 0.2, 0.5, 0.77, 1.0):
             earth, space = split_rates(make_traffic(123.4, kappa))
             assert earth + space == pytest.approx(123.4, abs=1e-12)
-
-
-class TestRelayedRates:
-    def test_backhauling_routing(self):
-        # no core link: the surviving ground traffic rides the space segment
-        earth, space = relayed_rates(make_traffic(50.0, 1.0, core=False),
-                                     pf_earth=0.1, pf_space=0.0)
-        assert earth == 0.0
-        assert space == pytest.approx(45.0)
-
-    def test_all_space_lossless(self):
-        earth, space = relayed_rates(make_traffic(80.0, 0.0, core=True),
-                                     pf_earth=0.0, pf_space=0.0)
-        assert earth == 0.0
-        assert space == pytest.approx(80.0)
-
-    def test_symmetric_split(self):
-        earth, space = relayed_rates(make_traffic(50.0, 0.5, core=True),
-                                     pf_earth=0.2, pf_space=0.2)
-        assert earth == pytest.approx(20.0)
-        assert space == pytest.approx(20.0)
-
-    def test_bounds(self):
-        for kappa in (0.0, 0.3, 1.0):
-            for core in (True, False):
-                for pf in (0.0, 0.4, 1.0):
-                    earth, space = relayed_rates(
-                        make_traffic(60.0, kappa, core=core), pf, pf)
-                    assert 0.0 <= earth <= 60.0
-                    assert 0.0 <= space <= 60.0
-
-    def test_core_indicator_zeroes_terms(self):
-        with_core = relayed_rates(make_traffic(50.0, 0.5, core=True), 0.0, 0.0)
-        without = relayed_rates(make_traffic(50.0, 0.5, core=False), 0.0, 0.0)
-        assert with_core == (25.0, 25.0)
-        assert without == (0.0, 50.0)
 
 
 class TestValidate:
@@ -101,11 +63,6 @@ class TestValidate:
                                         rao_period=100.0))
         assert any("rao_period" in p for p in validate(cfg))
 
-    def test_backhaul_shape_mismatch(self):
-        cfg = replace(backhauling_preset(),
-                      backhaul=BackhaulConfig(3, (1.0, 1.0), (0.0, 0.0, 0.0)))
-        assert any("one" in p and "per hop" in p for p in validate(cfg))
-
     def test_erasure_range(self):
         cfg = replace(backhauling_preset(),
                       ground_ra=replace(backhauling_preset().ground_ra,
@@ -117,8 +74,6 @@ class TestPresets:
     def test_offloading_column(self):
         cfg = offloading_preset()
         assert cfg.traffic.ground_ratio == 0.5
-        assert cfg.traffic.ground_core_link is True
-        assert cfg.backhaul is None
         assert cfg.space_ra is not None
         assert cfg.space_ra.repetitions == 4
         assert cfg.space_ra.extended_prefix == 2.0
@@ -129,8 +84,6 @@ class TestPresets:
     def test_backhauling_column(self):
         cfg = backhauling_preset()
         assert cfg.traffic.ground_ratio == 1.0
-        assert cfg.traffic.ground_core_link is False
-        assert cfg.backhaul is not None
         assert cfg.space_ra is None
         assert cfg.ground_ra.rao_period == 40.0
 
@@ -164,20 +117,30 @@ class TestConfigFiles:
         assert load_config(str(path)) == cfg
 
     def test_round_trip_backhauling(self, tmp_path):
-        cfg = replace(backhauling_preset(),
-                      backhaul=BackhaulConfig(3, (1.0, 2.0, 0.5),
-                                              (0.0, 0.01, 0.1)))
+        # no [space_ra] section: the path stays unconfigured
+        cfg = replace(backhauling_preset(), seed=9, horizon=1.25e5)
         path = tmp_path / "scenario.ini"
         path.write_text(dump_config(cfg))
         assert load_config(str(path)) == cfg
+        assert "space_ra" not in dump_config(cfg)
 
-    def test_scalar_backhaul_fields_broadcast(self):
-        parser = configparser.ConfigParser()
-        parser.read_string("[backhaul]\nhops = 4\nservice_rates = 1.0\n"
-                           "link_erasures = 0.1\n")
-        cfg = config_from_dict(parser)
-        assert cfg.backhaul.service_rates == (1.0,) * 4
-        assert cfg.backhaul.link_erasures == (0.1,) * 4
+    @pytest.mark.parametrize("text, match", [
+        # a stale section of a field that no run read
+        ("[backhaul]\nhops = 2\n", "unknown section"),
+        ("[run]\nseed = 1\nreplications = 5\n", "unknown key 'replications'"),
+        ("[traffic]\nground_core_link = true\n", "unknown key"),
+        ("[traffic]\nusers = many\n", "traffic.users"),
+        ("users = 5\n", "no section headers"),
+    ])
+    def test_bad_file_rejected(self, tmp_path, text, match):
+        path = tmp_path / "scenario.ini"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=match):
+            load_config(str(path))
+
+    def test_missing_file_rejected(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            load_config(str(tmp_path / "missing.ini"))
 
     def test_hash_stable_and_sensitive(self):
         a = config_hash(offloading_preset())
@@ -199,11 +162,6 @@ class TestOverrides:
         assert cfg.seed == 99
         assert cfg.horizon == 1e5
 
-    def test_backhaul_list_override(self):
-        cfg = apply_overrides(backhauling_preset(),
-                              ["backhaul.link_erasures=0.1 0.2"])
-        assert cfg.backhaul.link_erasures == (0.1, 0.2)
-
     def test_bad_override_rejected(self):
         with pytest.raises(ValueError):
             apply_overrides(offloading_preset(), ["nonsense"])
@@ -211,3 +169,68 @@ class TestOverrides:
             apply_overrides(offloading_preset(), ["nowhere.key=1"])
         with pytest.raises(ValueError):
             apply_overrides(backhauling_preset(), ["space_ra.repetitions=2"])
+
+    @pytest.mark.parametrize("item, match", [
+        ("ground_ra.bogus=1", "unknown key 'bogus'"),
+        ("traffic.users=abc", "traffic.users"),
+        ("ground_ra.max_attempts=2.5", "not an integer"),
+        ("horizon=long", "not a number"),
+        ("replications=3", "unknown key 'replications'"),
+        ("backhaul.buffer_size=3", "unknown section 'backhaul'"),
+    ])
+    def test_unknown_key_or_bad_value_rejected(self, item, match):
+        with pytest.raises(ValueError, match=match):
+            apply_overrides(offloading_preset(), [item])
+
+
+def _dumped_keys(config) -> dict:
+    parser = configparser.ConfigParser()
+    parser.read_string(dump_config(config))
+    return {name: set(parser[name]) for name in parser.sections()}
+
+
+class TestConfigSurface:
+    """Every config field takes the one configuration path: it is
+    dumped, read back and settable with ``--set``."""
+
+    def test_every_field_is_dumped(self):
+        dumped = _dumped_keys(offloading_preset())
+        sub = {"traffic": TrafficConfig, "ground_ra": RaConfig,
+               "space_ra": RaConfig}
+        assert set(dumped) == set(sub) | {"run"}
+        for section, cls in sub.items():
+            assert dumped[section] == {f.name for f in fields(cls)}
+        assert ({f.name for f in fields(ScenarioConfig)}
+                == set(sub) | dumped["run"])
+
+    def test_every_field_can_be_set_and_round_trips(self, tmp_path):
+        config = offloading_preset()
+        changes = []
+        for section, obj in (("traffic", config.traffic),
+                             ("ground_ra", config.ground_ra),
+                             ("space_ra", config.space_ra), ("run", config)):
+            for f in fields(obj):
+                value = getattr(obj, f.name)
+                if section == "run" and f.name in ("traffic", "ground_ra",
+                                                   "space_ra"):
+                    continue
+                new = value + 1 if isinstance(value, int) else value + 0.5
+                key = f.name if section == "run" else f"{section}.{f.name}"
+                changes.append((section, f.name, key, new))
+        changed = apply_overrides(config, [f"{key}={new!r}"
+                                           for _, _, key, new in changes])
+        for section, name, key, new in changes:
+            holder = changed if section == "run" else getattr(changed, section)
+            assert getattr(holder, name) == new, key
+        path = tmp_path / "every_field.ini"
+        path.write_text(dump_config(changed))
+        assert load_config(str(path)) == changed
+
+    @pytest.mark.parametrize("name", ["offloading", "backhauling"])
+    def test_packaged_presets_hold_exactly_the_dumped_keys(self, name):
+        text = resources.files("leoiot.presets").joinpath(
+            f"{name}.ini").read_text()
+        parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+        parser.read_string(text)
+        packaged = {s: set(parser[s]) for s in parser.sections()}
+        assert packaged == _dumped_keys(load_preset_file(name))
