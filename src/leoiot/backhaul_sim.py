@@ -11,7 +11,6 @@ and including the link that erased it.
 """
 from __future__ import annotations
 
-import csv
 import math
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
@@ -75,7 +74,6 @@ class NetworkTrace:
     drop_node: np.ndarray        # 1-based dropping node; 0 = delivered
     delivered_index: np.ndarray
     delivery_times: np.ndarray
-    offered_arrivals: np.ndarray | None = None
 
     @property
     def n_offered(self) -> int:
@@ -132,8 +130,7 @@ def run(stream: ArrivalStream, cfg: BackhaulConfig, seed) -> NetworkTrace:
             drop_node[alive[~survive]] = node + 1
             alive, times = alive[survive], times[survive]
     return NetworkTrace(cfg, stream.gen_times, drop_node,
-                        delivered_index=alive, delivery_times=times,
-                        offered_arrivals=stream.arrival_times)
+                        delivered_index=alive, delivery_times=times)
 
 
 def mean_system_time(trace: NetworkTrace) -> float:
@@ -177,40 +174,28 @@ def _sawtooth_stats(anchor_t: np.ndarray, anchor_age: np.ndarray,
     return area, float(np.sum(peaks)), int(len(peaks))
 
 
-def average_aoi(trace: NetworkTrace, horizon: float | None = None,
-                origin: str = "first_delivery",
+def average_aoi(trace: NetworkTrace,
                 warmup_fraction: float = 0.0) -> AoiSummary:
     """Exact time-average of the sawtooth age at the destination.
 
-    origin="first_delivery" starts the clock at the first delivery, whose
-    post-reset age is that update's system time; origin="zero" observes
-    the system from t=0 with zero initial age.  ``warmup_fraction`` drops
-    the leading share of the observation window first (steady-state
-    summaries).  ``horizon`` extends the window past the last delivery;
-    by default it ends there.
+    The clock starts at the first delivery, whose post-reset age is that
+    update's system time, and stops at the last fresh delivery.
+    ``warmup_fraction`` drops the leading share of that window first
+    (steady-state summaries).
     """
     if trace.n_delivered < 2:
         raise ValueError("need at least two deliveries for an age average")
-    if origin not in ("first_delivery", "zero"):
-        raise ValueError(f"unknown origin {origin!r}")
     gen, deliv = _fresh_deliveries(trace.gen_times[trace.delivered_index],
                                    trace.delivery_times)
-    end = float(deliv[-1]) if horizon is None else float(horizon)
-    if origin == "zero":
-        anchor_t = np.concatenate(([0.0], deliv))
-        anchor_age = np.concatenate(([0.0], deliv - gen))
-        t0 = 0.0
-    else:
-        anchor_t = deliv
-        anchor_age = deliv - gen
-        t0 = float(deliv[0])
-    start = t0 + warmup_fraction * (end - t0)
-    if origin == "first_delivery" and warmup_fraction > 0.0:
+    anchor_t, anchor_age = deliv, deliv - gen
+    start, end = float(deliv[0]), float(deliv[-1])
+    if warmup_fraction > 0.0:
         # restart cleanly at the first delivery past the warm-up
-        i0 = int(np.searchsorted(deliv, start))
+        cut = start + warmup_fraction * (end - start)
+        i0 = int(np.searchsorted(deliv, cut))
         if i0 >= len(deliv) - 1:
             raise ValueError("warm-up discards all deliveries")
-        anchor_t, anchor_age = deliv[i0:], (deliv - gen)[i0:]
+        anchor_t, anchor_age = anchor_t[i0:], anchor_age[i0:]
         start = float(deliv[i0])
     duration = end - start
     if duration <= 0:
@@ -223,24 +208,6 @@ def average_aoi(trace: NetworkTrace, horizon: float | None = None,
         peak_aoi_mean=peak_sum / peak_n if peak_n else float("nan"),
         n_delivered=trace.n_delivered,
     )
-
-
-def export_packets_csv(trace: NetworkTrace, path):
-    """Per-packet rows in the same columnar family as the access traces."""
-    delivered_at = {int(i): t for i, t in zip(trace.delivered_index,
-                                              trace.delivery_times)}
-    offered = (trace.offered_arrivals if trace.offered_arrivals is not None
-               else trace.gen_times)
-    with open(path, "w", newline="") as fh:
-        fh.write("# leoiot-trace v1 backhaul packets\n")
-        w = csv.writer(fh)
-        w.writerow(["packet", "gen_time", "queue_arrival", "delivery_time",
-                    "drop_node"])
-        for i, g in enumerate(trace.gen_times):
-            t = delivered_at.get(i)
-            w.writerow([i, f"{g:.6f}", f"{offered[i]:.6f}",
-                        "" if t is None else f"{t:.6f}",
-                        int(trace.drop_node[i])])
 
 
 # ---------------------------------------------------------------------------
@@ -369,9 +336,8 @@ def ra_departure_stream(mode: str, n_packets: int, seed,
             f"{mode} feed produced {trace.success_count} < {n_packets} "
             f"departures in {horizon:.6g} ms: {rate:g} updates/s on "
             f"{cfg.preambles} preambles every {cfg.rao_period:g} ms")
-    successes = [r for r in trace.records if r.outcome == ra_sim.SUCCESS]
-    dep_ms = np.array([r.departure_time for r in successes])
-    gen_ms = np.array([r.gen_time for r in successes])
+    ok = np.isfinite(trace.latency_ms)
+    dep_ms, gen_ms = trace.departure[ok], trace.gen_time[ok]
     first = np.argsort(dep_ms, kind="stable")[:n_packets]
     return AccessFeed(departures_ms=dep_ms[first], gen_times_ms=gen_ms[first],
                       success_prob=trace.success_probability)

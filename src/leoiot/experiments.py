@@ -194,7 +194,7 @@ def run_offloading(spec: ExperimentSpec):
                                    (cfg.seed, 4, a, path_name == "space",
                                     int(kappa * 100))),
                                users=cfg.traffic.users)
-            cdf = ra_sim.latency_cdf(trace.records)
+            cdf = ra_sim.latency_cdf(trace.latency_ms)
             fp = out / f"offload_cdf_{path_name}_k{int(kappa * 100)}_a{a}.csv"
             _write_csv(fp, ["latency_ms", "cdf"],
                        [[_fmt(x), _fmt(p)] for x, p in
@@ -202,7 +202,7 @@ def run_offloading(spec: ExperimentSpec):
                        "access latency CDF (plateau = success probability)")
             written.append(fp)
             summary_rows.append([path_name, kappa, a, trace.n_raos,
-                                 len(trace.records), _fmt(cdf.plateau)])
+                                 trace.n_records, _fmt(cdf.plateau)])
     sp = out / "offload_summary.csv"
     _write_csv(sp, ["path", "kappa", "attempts", "raos", "records",
                     "success_probability"], summary_rows, "offloading summary")

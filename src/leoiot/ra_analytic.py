@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .scenario import RaConfig
 
 
@@ -122,21 +124,20 @@ def min_access_delay(cfg: RaConfig) -> float:
             + cfg.t_proc2 + cfg.t_proc3 + cfg.t_msg3 + cfg.t_msg4)
 
 
-def access_delay(attempts: int, cfg: RaConfig, backoffs,
-                 t_extra: float = 0.0) -> float:
+def access_delay(attempts, cfg: RaConfig, backoff_sum, t_extra=0.0):
     """Handshake latency when success comes at attempt ``attempts``.
 
-    ``backoffs`` holds the realized backoff draws of the failed attempts
-    (length ``attempts - 1``); ``t_extra`` is the grant-queueing offset
-    inside the response window.
+    ``backoff_sum`` is the sum of the realized backoff draws of the failed
+    attempts, each in [0, max_backoff]; ``t_extra`` is the grant-queueing
+    offset inside the response window.  The arguments are scalars or
+    aligned arrays.
     """
-    if attempts < 1:
+    a, s = np.asarray(attempts), np.asarray(backoff_sum)
+    if np.any(a < 1):
         raise ValueError("attempts must be >= 1")
-    if len(backoffs) != attempts - 1:
-        raise ValueError("need one backoff per failed attempt")
-    for b in backoffs:
-        if not 0.0 <= b <= cfg.max_backoff:
-            raise ValueError(f"backoff {b} outside [0, {cfg.max_backoff}]")
+    if np.any((s < 0) | (s > (a - 1) * cfg.max_backoff)):
+        raise ValueError(f"backoff sum outside [0, (attempts - 1) x "
+                         f"{cfg.max_backoff}]")
     retry_overhead = cfg.preamble_duration + cfg.t_proc1 + cfg.rar_window_ms
     return (min_access_delay(cfg) + t_extra
-            + sum(backoffs) + (attempts - 1) * retry_overhead)
+            + backoff_sum + (attempts - 1) * retry_overhead)

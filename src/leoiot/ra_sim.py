@@ -1,41 +1,26 @@
-"""Event-driven simulation of the four-message random-access procedure.
+"""Simulation of the four-message random-access procedure on columns.
 
-Updates are independent contenders: each one repeatedly transmits a
-preamble in periodic RAOs until it is granted or exhausts its attempt
-budget.  The simulator walks the RAO grid sparsely (only occupied RAOs
-cost work), so both congested cells and near-idle feeds are cheap.
+Updates are independent contenders: each one transmits a preamble in
+periodic RAOs until it is granted or exhausts its attempt budget.  An
+update's state is one row of a few arrays (user, generation time, attempt
+count, backoff sum, grant offset, outcome), and the simulator takes one
+array step per occupied RAO, in RAO order, skipping idle ones, so both
+congested cells and near-idle feeds are cheap.  A retry always lands in a
+later RAO, so RAO order is the only sequential dependency.
 """
 from __future__ import annotations
 
-import csv
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .ra_analytic import access_delay
 from .scenario import RaConfig
 
-TRACE_SCHEMA_VERSION = "leoiot-trace v1"
-
-# per-attempt fates
-COLLIDED = "collided"
-ERASED = "erased"
-DEMOTED = "demoted"       # contention success, but no room in the grant window
-SUCCESS = "success"
-
-
-@dataclass
-class UpdateAttemptState:
-    """Mutable bookkeeping for one update working through the procedure."""
-
-    user: int
-    gen_time: float
-    attempt: int = 1
-    backoffs: list = field(default_factory=list)
-    fates: list = field(default_factory=list)
-    rao_times: list = field(default_factory=list)
+# update outcomes; an update left unresolved within the horizon is censored
+_CENSORED, _SUCCESS, _FAILED = 0, 1, 2
 
 
 @dataclass(frozen=True)
@@ -51,45 +36,45 @@ class RaoRecord:
     demoted: int = 0
 
 
-@dataclass(frozen=True)
-class AccessRecord:
-    user: int
-    gen_time: float
-    outcome: str            # "success" | "failure"
-    attempts: int
-    latency_ms: float              # inf on failure
-    departure_time: float | None   # None on failure
-    fates: tuple = ()
-    rao_times: tuple = ()
-
-
 @dataclass
 class RaTrace:
+    """Resolved updates as columns in generation order, and one record per
+    occupied RAO.  A failed update has ``latency_ms`` inf and ``departure``
+    nan; censored updates are only counted."""
+
     config: RaConfig
     horizon_ms: float
     n_raos: int
-    records: list
+    user: np.ndarray
+    gen_time: np.ndarray
+    attempts: np.ndarray
+    latency_ms: np.ndarray
+    departure: np.ndarray
     rao_records: list       # only RAOs with at least one transmission
-    departures: np.ndarray  # sorted grant-completion times of successes
     censored: int = 0       # updates unresolved within the horizon
 
     @property
+    def n_records(self) -> int:
+        return len(self.gen_time)
+
+    @property
     def success_count(self) -> int:
-        return int(len(self.departures))
+        return int(np.count_nonzero(np.isfinite(self.latency_ms)))
 
     @property
     def success_probability(self) -> float:
-        if not self.records:
+        if not self.n_records:
             return float("nan")
-        return self.success_count / len(self.records)
+        return self.success_count / self.n_records
 
 
 def generate_arrivals(rate_per_ms: float, horizon_ms: float, rng, users: int = 1):
-    """Poisson arrival times on [0, horizon) with uniform device labels."""
+    """Poisson arrival times on [0, horizon) with uniform device labels,
+    as ``(labels, times)`` arrays."""
     if rate_per_ms < 0:
         raise ValueError("rate must be >= 0")
     if rate_per_ms == 0.0:
-        return []
+        return np.empty(0, dtype=np.int64), np.empty(0)
     n_guess = rate_per_ms * horizon_ms
     block = max(int(n_guess + 6.0 * math.sqrt(n_guess + 1.0)), 64)
     times = []
@@ -103,67 +88,26 @@ def generate_arrivals(rate_per_ms: float, horizon_ms: float, rng, users: int = 1
             break
         t = cum[-1]
     times = np.concatenate(times)
-    owners = rng.integers(0, users, size=len(times))
-    return list(zip(owners.tolist(), times.tolist()))
+    return rng.integers(0, users, size=len(times)), times
 
 
-def resolve_rao(n_contenders: int, preambles: int, erasure_prob: float, rng):
-    """Resolve one RAO: preamble draws, collision marking, erasures.
-
-    Returns an array of per-contender fates (COLLIDED/ERASED/SUCCESS) in
-    contender order; grant scheduling happens separately.
-    """
-    fates = np.empty(n_contenders, dtype=object)
-    choices = rng.integers(0, preambles, size=n_contenders)
-    counts = np.bincount(choices, minlength=preambles)
-    coll = counts[choices] >= 2
-    fates[coll] = COLLIDED
-    unique_idx = np.flatnonzero(~coll)
-    erased = rng.random(len(unique_idx)) < erasure_prob
-    fates[unique_idx[erased]] = ERASED
-    fates[unique_idx[~erased]] = SUCCESS
-    return fates
-
-
-def schedule_grants(n_successes: int, cfg: RaConfig, rng):
-    """Place contention winners in the RA-response window in random order.
-
-    Returns ``(t_extras, granted_mask)`` where ``t_extras[i]`` is the
-    queueing offset (ms) of winner i inside the window and the mask marks
-    winners that fit the window capacity; the rest are demoted (no grant).
-    """
-    ranks = np.empty(n_successes, dtype=np.int64)
-    ranks[rng.permutation(n_successes)] = np.arange(n_successes)
-    granted = ranks < cfg.grant_capacity
-    t_extras = (ranks // cfg.grants_per_subframe) * float(cfg.repetitions)
-    return t_extras, granted
-
-
-def backoff_and_retry(state: UpdateAttemptState, detection_time: float,
-                      backoff: float, rao_period: float, n_raos: int):
-    """Advance a failed update to its retry RAO.
-
-    Returns the retry RAO index, or None when the retry would fall beyond
-    the simulated horizon (the update is then censored by the caller).
-    The caller draws ``backoff`` and has already verified attempt < max.
-    """
-    state.attempt += 1
-    state.backoffs.append(backoff)
-    retry_at = detection_time + backoff
-    k = max(int(math.ceil(retry_at / rao_period)) - 1, 0)
-    if k >= n_raos:
-        return None
-    return k
+def _rao_index(t, rao_period: float):
+    """Index of the first RAO at or after time ``t`` (RAO k sits at (k+1)T)."""
+    return np.maximum(np.ceil(t / rao_period).astype(np.int64) - 1, 0)
 
 
 def run(cfg: RaConfig, rate_per_s: float, horizon_ms: float, seed,
         users: int = 1000) -> RaTrace:
     """Simulate the full procedure for one path.
 
-    ``seed`` may be an int, a SeedSequence, or a Generator.  Success
-    latency follows the closed-form delay expression evaluated with the
-    realized backoffs and grant offsets, plus four one-way propagation
-    legs when ``cfg.max_prop_delay`` is set (space path).
+    ``seed`` may be an int, a SeedSequence, or a Generator.  Each occupied
+    RAO draws its contenders' preambles, one erasure uniform per unique
+    preamble, a permutation that ranks the winners in the response window,
+    then one backoff per loser.  Contenders are the fresh arrivals in
+    arrival order followed by the retries in the order they failed.
+    Success latency follows the closed-form delay expression evaluated
+    with the realized backoffs and grant offsets, plus four one-way
+    propagation legs when ``cfg.max_prop_delay`` is set (space path).
     """
     rng = np.random.default_rng(seed)
     t_rao = cfg.rao_period
@@ -171,95 +115,87 @@ def run(cfg: RaConfig, rate_per_s: float, horizon_ms: float, seed,
     if n_raos < 1:
         raise ValueError(f"horizon {horizon_ms} ms holds no RAO (period {t_rao} ms)")
     detect_lag = cfg.preamble_duration + cfg.t_proc1 + cfg.rar_window_ms
-    prop_total = 4.0 * cfg.max_prop_delay
 
-    arrivals = generate_arrivals(rate_per_s / 1000.0, horizon_ms, rng, users)
-    pending: dict = {}
-    heap: list = []
+    user, gen = generate_arrivals(rate_per_s / 1000.0, horizon_ms, rng, users)
+    n = len(gen)
+    attempts = np.ones(n, dtype=np.int64)
+    backoff_sum = np.zeros(n)
+    grant_offset = np.zeros(n)
+    outcome = np.full(n, _CENSORED, dtype=np.int8)
 
-    def push(k: int, state: UpdateAttemptState):
-        if k not in pending:
-            pending[k] = []
-            heapq.heappush(heap, k)
-        pending[k].append(state)
-
-    censored = 0
-    for user, t in arrivals:
-        k = max(int(math.ceil(t / t_rao)) - 1, 0)  # first RAO at or after t
-        if k >= n_raos:
-            censored += 1
-            continue
-        push(k, UpdateAttemptState(user=user, gen_time=t))
-
-    records: list = []
+    # fresh arrivals come in RAO order: those of one RAO are one slice
+    first = _rao_index(gen, t_rao)
+    n_in = int(np.searchsorted(first, n_raos))
+    edges = np.flatnonzero(np.diff(first[:n_in], prepend=-1)).tolist()
+    fresh = iter(zip(first[edges].tolist(), edges, edges[1:] + [n_in]))
+    nxt = next(fresh, None)
+    retries: dict = {}       # RAO index -> updates retrying there, in order
+    heap: list = []          # the keys of ``retries``
     rao_records: list = []
-    departures: list = []
 
-    while heap:
-        k = heapq.heappop(heap)
-        states = pending.pop(k)
+    while nxt is not None or heap:
+        k = heap[0] if nxt is None or (heap and heap[0] < nxt[0]) else nxt[0]
+        ids = []
+        if nxt is not None and nxt[0] == k:
+            ids = list(range(nxt[1], nxt[2]))
+            nxt = next(fresh, None)
+        if heap and heap[0] == k:
+            heapq.heappop(heap)
+            ids += retries.pop(k)
+        who = np.array(ids, dtype=np.int64)
         rao_time = (k + 1) * t_rao
-        x = len(states)
-        for st in states:
-            st.rao_times.append(rao_time)
-        fates = resolve_rao(x, cfg.preambles, cfg.erasure_prob, rng)
-        win_idx = np.flatnonzero(fates == SUCCESS)
-        t_extras, granted = schedule_grants(len(win_idx), cfg, rng)
-        fates[win_idx[~granted]] = DEMOTED
-        n_succ = len(win_idx)
+        x = len(who)
 
-        for j, t_extra in zip(win_idx[granted], t_extras[granted]):
-            st = states[j]
-            st.fates.append(SUCCESS)
-            latency = access_delay(st.attempt, cfg, st.backoffs,
-                                   float(t_extra)) + prop_total
-            departure = st.gen_time + latency
-            if departure > horizon_ms:
-                censored += 1
-                continue
-            records.append(AccessRecord(
-                user=st.user, gen_time=st.gen_time, outcome="success",
-                attempts=st.attempt, latency_ms=latency,
-                departure_time=departure, fates=tuple(st.fates),
-                rao_times=tuple(st.rao_times)))
-            departures.append(departure)
+        choices = rng.integers(0, cfg.preambles, size=x)
+        collided = np.bincount(choices, minlength=cfg.preambles)[choices] >= 2
+        unique = np.flatnonzero(~collided)
+        erased = rng.random(len(unique)) < cfg.erasure_prob
+        won = unique[~erased]
+        ranks = np.empty(len(won), dtype=np.int64)
+        ranks[rng.permutation(len(won))] = np.arange(len(won))
+        fits = ranks < cfg.grant_capacity
+        granted = who[won[fits]]
+        outcome[granted] = _SUCCESS
+        grant_offset[granted] = ((ranks[fits] // cfg.grants_per_subframe)
+                                 * float(cfg.repetitions))
 
-        failed = [j for j in range(x) if fates[j] != SUCCESS]
-        backoffs = rng.uniform(0.0, cfg.max_backoff, size=len(failed))
-        n_coll = n_eras = n_demo = 0
-        for j, b in zip(failed, backoffs):
-            st = states[j]
-            fate = fates[j]
-            st.fates.append(fate)
-            if fate == COLLIDED:
-                n_coll += 1
-            elif fate == ERASED:
-                n_eras += 1
-            else:
-                n_demo += 1
-            if st.attempt >= cfg.max_attempts:
-                records.append(AccessRecord(
-                    user=st.user, gen_time=st.gen_time, outcome="failure",
-                    attempts=st.attempt, latency_ms=float("inf"),
-                    departure_time=None, fates=tuple(st.fates),
-                    rao_times=tuple(st.rao_times)))
-                continue
-            k2 = backoff_and_retry(st, rao_time + detect_lag, float(b),
-                                   t_rao, n_raos)
-            if k2 is None:
-                censored += 1
-            else:
-                push(k2, st)
+        loser = np.ones(x, dtype=bool)
+        loser[won[fits]] = False
+        lost = who[loser]
+        backoff = rng.uniform(0.0, cfg.max_backoff, size=len(lost))
+        spent = attempts[lost] >= cfg.max_attempts
+        outcome[lost[spent]] = _FAILED
+        again, backoff = lost[~spent], backoff[~spent]
+        attempts[again] += 1
+        backoff_sum[again] += backoff
+        k_retry = _rao_index(rao_time + detect_lag + backoff, t_rao)
+        for i, kr in zip(again.tolist(), k_retry.tolist()):
+            if kr >= n_raos:
+                continue            # beyond the horizon: censored
+            if kr not in retries:
+                retries[kr] = []
+                heapq.heappush(heap, kr)
+            retries[kr].append(i)
 
         rao_records.append(RaoRecord(
-            index=k, time=rao_time, transmissions=x,
-            successes=n_succ, collided=n_coll, erased=n_eras, demoted=n_demo))
+            index=k, time=rao_time, transmissions=x, successes=len(won),
+            collided=int(np.count_nonzero(collided)),
+            erased=int(np.count_nonzero(erased)),
+            demoted=len(won) - int(np.count_nonzero(fits))))
 
-    records.sort(key=lambda r: (r.gen_time, r.user))
+    ok = outcome == _SUCCESS
+    latency = np.full(n, np.inf)
+    latency[ok] = (access_delay(attempts[ok], cfg, backoff_sum[ok],
+                                grant_offset[ok]) + 4.0 * cfg.max_prop_delay)
+    departure = np.full(n, np.nan)
+    departure[ok] = gen[ok] + latency[ok]
+    outcome[departure > horizon_ms] = _CENSORED
+    done = outcome != _CENSORED
     return RaTrace(config=cfg, horizon_ms=horizon_ms, n_raos=n_raos,
-                   records=records, rao_records=rao_records,
-                   departures=np.sort(np.asarray(departures)),
-                   censored=censored)
+                   user=user[done], gen_time=gen[done],
+                   attempts=attempts[done], latency_ms=latency[done],
+                   departure=departure[done], rao_records=rao_records,
+                   censored=n - int(np.count_nonzero(done)))
 
 
 # ---------------------------------------------------------------------------
@@ -315,38 +251,11 @@ class LatencyCdf:
         return float(self.probabilities[i - 1]) if i else 0.0
 
 
-def latency_cdf(records) -> LatencyCdf:
-    n = len(records)
-    lats = np.sort(np.array([r.latency_ms for r in records
-                             if r.outcome == "success"]))
+def latency_cdf(latency_ms) -> LatencyCdf:
+    """CDF of a trace's ``latency_ms`` column; inf marks a failure."""
+    latency_ms = np.asarray(latency_ms, dtype=float)
+    n = len(latency_ms)
+    lats = np.sort(latency_ms[np.isfinite(latency_ms)])
     probs = np.arange(1, len(lats) + 1) / n if n else np.empty(0)
     return LatencyCdf(latencies=lats, probabilities=np.asarray(probs, dtype=float),
                       n_records=n)
-
-
-# ---------------------------------------------------------------------------
-# Columnar export
-# ---------------------------------------------------------------------------
-
-def export_access_csv(trace: RaTrace, path):
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# {TRACE_SCHEMA_VERSION} access records\n")
-        w = csv.writer(fh)
-        w.writerow(["user", "gen_time", "outcome", "attempts",
-                    "latency_ms", "departure_time"])
-        for r in trace.records:
-            w.writerow([r.user, f"{r.gen_time:.6f}", r.outcome, r.attempts,
-                        f"{r.latency_ms:.6f}",
-                        "" if r.departure_time is None
-                        else f"{r.departure_time:.6f}"])
-
-
-def export_rao_csv(trace: RaTrace, path):
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# {TRACE_SCHEMA_VERSION} rao records\n")
-        w = csv.writer(fh)
-        w.writerow(["rao_index", "time", "transmissions", "successes",
-                    "collided", "erased", "demoted"])
-        for r in trace.rao_records:
-            w.writerow([r.index, f"{r.time:.3f}", r.transmissions,
-                        r.successes, r.collided, r.erased, r.demoted])

@@ -39,10 +39,6 @@ class TrafficConfig:
     total_rate: float = 50.0          # updates per second, all devices combined
     ground_ratio: float = 0.5         # fraction of traffic on the terrestrial path
 
-    @property
-    def per_user_rate(self) -> float:
-        return self.total_rate / self.users
-
 
 @dataclass(frozen=True)
 class RaConfig:

@@ -165,27 +165,20 @@ class TestMeanSystemTime:
 
 class TestAverageAoi:
     def test_toy_sawtooth_from_first_delivery(self):
-        # deliveries (gen 0, t 1) and (gen 2, t 3) observed to t = 4:
-        # age 1 at t=1 rising to 3, reset to 1 at t=3, rising to 2 at t=4;
-        # area = 4 + 1.5 over a window of 3.
-        trace = manual_trace([0.0, 2.0], [1.0, 3.0])
-        s = average_aoi(trace, horizon=4.0, origin="first_delivery")
+        # deliveries (gen 0, t 1), (gen 2, t 3) and (gen 3, t 4): age 1 at
+        # t=1 rising to 3, reset to 1 at t=3, rising to 2 at t=4, where the
+        # window ends; area = 4 + 1.5 over a window of 3, peaks 3 and 2.
+        trace = manual_trace([0.0, 2.0, 3.0], [1.0, 3.0, 4.0])
+        s = average_aoi(trace)
         assert s.time_average_aoi == pytest.approx(5.5 / 3.0, rel=1e-12)
-        assert s.peak_aoi_mean == pytest.approx(3.0)
-
-    def test_toy_sawtooth_from_zero(self):
-        # same trace observed from t=0 with zero initial age adds the
-        # 0..1 ramp: area 6 over a window of 4.
-        trace = manual_trace([0.0, 2.0], [1.0, 3.0])
-        s = average_aoi(trace, horizon=4.0, origin="zero")
-        assert s.time_average_aoi == pytest.approx(1.5, rel=1e-12)
+        assert s.peak_aoi_mean == pytest.approx(2.5)
 
     def test_stale_delivery_never_raises_age(self):
         # second delivery carries an older generation time: no reset
         fifo = manual_trace([0.0, 5.0], [10.0, 11.0])
         stale = manual_trace([0.0, 5.0, 2.0], [10.0, 11.0, 12.0])
-        a = average_aoi(fifo, horizon=20.0)
-        b = average_aoi(stale, horizon=20.0)
+        a = average_aoi(fifo)
+        b = average_aoi(stale)
         assert b.time_average_aoi == pytest.approx(a.time_average_aoi)
 
     def test_single_queue_matches_exact_age(self):
@@ -213,10 +206,6 @@ class TestAverageAoi:
     def test_requires_two_deliveries(self):
         with pytest.raises(ValueError):
             average_aoi(manual_trace([0.0], [1.0]))
-
-    def test_unknown_origin(self):
-        with pytest.raises(ValueError):
-            average_aoi(manual_trace([0, 1], [1, 2]), origin="nonsense")
 
 
 class TestSweep:
@@ -380,18 +369,3 @@ class TestFeedReuse:
             sweep((0.5,), (2,), (0.0,), ("ra-a1", "two-step"), 1, 7,
                   n_packets=1_000)
 
-
-class TestPacketExport:
-    def test_rows_and_schema(self, tmp_path):
-        s = poisson_stream(0.5, 500, np.random.default_rng(59))
-        trace = run(s, BackhaulConfig.uniform(2, 1.0, 0.2), 60)
-        path = tmp_path / "packets.csv"
-        bs.export_packets_csv(trace, path)
-        lines = path.read_text().splitlines()
-        assert lines[0].startswith("# leoiot-trace v1")
-        assert len(lines) == 2 + trace.n_offered
-        header = lines[1].split(",")
-        assert header == ["packet", "gen_time", "queue_arrival",
-                          "delivery_time", "drop_node"]
-        delivered = sum(1 for l in lines[2:] if l.split(",")[3] != "")
-        assert delivered == trace.n_delivered

@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from leoiot.ra_analytic import (access_delay, attempt_failure_prob,
@@ -209,27 +210,40 @@ class TestAccessDelay:
         assert min_access_delay(zero) == 0.0
 
     def test_first_attempt(self):
-        assert access_delay(1, GROUND, []) == min_access_delay(GROUND)
+        assert access_delay(1, GROUND, 0.0) == min_access_delay(GROUND)
 
     def test_one_retry_ground(self):
         # 22.1 + 100 + 5.6 + 2 + 12
-        assert access_delay(2, GROUND, [100.0]) == pytest.approx(141.7)
+        assert access_delay(2, GROUND, 100.0) == pytest.approx(141.7)
 
     def test_two_zero_backoffs(self):
-        assert access_delay(3, GROUND, [0.0, 0.0]) == pytest.approx(
+        assert access_delay(3, GROUND, 0.0) == pytest.approx(
             min_access_delay(GROUND) + 2 * (5.6 + 2 + 12))
 
     def test_monotone_in_attempts(self):
-        delays = [access_delay(a, GROUND, [0.0] * (a - 1)) for a in range(1, 8)]
+        delays = [access_delay(a, GROUND, 0.0) for a in range(1, 8)]
         assert all(b > a for a, b in zip(delays, delays[1:]))
 
     def test_grant_offset_adds(self):
-        assert access_delay(1, GROUND, [], t_extra=11.0) == pytest.approx(33.1)
+        assert access_delay(1, GROUND, 0.0, t_extra=11.0) == pytest.approx(33.1)
 
     def test_backoff_validation(self):
         with pytest.raises(ValueError):
-            access_delay(2, GROUND, [GROUND.max_backoff + 1.0])
+            access_delay(2, GROUND, GROUND.max_backoff + 1.0)
         with pytest.raises(ValueError):
-            access_delay(2, GROUND, [-1.0])
+            access_delay(2, GROUND, -1.0)
         with pytest.raises(ValueError):
-            access_delay(2, GROUND, [])
+            access_delay(1, GROUND, 5.0)     # a backoff with no failed attempt
+        with pytest.raises(ValueError):
+            access_delay(0, GROUND, 0.0)
+
+    def test_arrays_match_scalars(self):
+        attempts = np.array([1, 2, 3, 10])
+        backoffs = np.array([0.0, 100.0, 17.25, 2000.0])
+        offsets = np.array([0.0, 11.0, 3.0, 5.0])
+        delays = access_delay(attempts, GROUND, backoffs, offsets)
+        assert delays.tolist() == [
+            access_delay(int(a), GROUND, float(b), float(t))
+            for a, b, t in zip(attempts, backoffs, offsets)]
+        with pytest.raises(ValueError):
+            access_delay(attempts, GROUND, backoffs + 400.0, offsets)

@@ -1,15 +1,15 @@
+import json
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
-from leoiot import ra_sim
+import _ra_reference as ref
+from _ra_reference import (UpdateAttemptState, backoff_and_retry,
+                           reference_run, resolve_rao, schedule_grants)
 from leoiot.ra_analytic import min_access_delay
-from leoiot.ra_sim import (AccessRecord, LatencyCdf, UpdateAttemptState,
-                           backoff_and_retry, empirical_pmf,
-                           generate_arrivals, latency_cdf, resolve_rao,
-                           run, schedule_grants)
+from leoiot.ra_sim import empirical_pmf, generate_arrivals, latency_cdf, run
 from leoiot.scenario import backhauling_preset, offloading_preset
 
 GROUND = offloading_preset().ground_ra          # T_rao=320, A=1, eps=0.1
@@ -20,24 +20,25 @@ LIGHT = backhauling_preset().ground_ra          # T_rao=40
 class TestGenerateArrivals:
     def test_zero_rate(self):
         rng = np.random.default_rng(0)
-        assert generate_arrivals(0.0, 1e6, rng) == []
+        users, times = generate_arrivals(0.0, 1e6, rng)
+        assert len(users) == len(times) == 0
 
     def test_count_statistics(self):
         rng = np.random.default_rng(1)
-        arrivals = generate_arrivals(0.05, 1e6, rng, users=1000)
+        labels, times = generate_arrivals(0.05, 1e6, rng, users=1000)
         mean = 50_000
-        assert abs(len(arrivals) - mean) <= 3 * math.sqrt(mean)
-        times = np.array([t for _, t in arrivals])
+        assert len(labels) == len(times)
+        assert abs(len(times) - mean) <= 3 * math.sqrt(mean)
         assert (np.diff(times) >= 0).all()
         assert times[-1] < 1e6
-        users = {u for u, _ in arrivals}
+        users = set(labels.tolist())
         assert users <= set(range(1000))
         assert len(users) > 900       # essentially all devices show up
 
     def test_deterministic(self):
         a = generate_arrivals(0.01, 1e5, np.random.default_rng(7))
         b = generate_arrivals(0.01, 1e5, np.random.default_rng(7))
-        assert a == b
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -47,12 +48,12 @@ class TestGenerateArrivals:
 class TestResolveRao:
     def test_lone_contender_lossless(self):
         fates = resolve_rao(1, 36, 0.0, np.random.default_rng(0))
-        assert list(fates) == [ra_sim.SUCCESS]
+        assert list(fates) == [ref.SUCCESS]
 
     def test_single_preamble_always_collides(self):
         for seed in range(5):
             fates = resolve_rao(2, 1, 0.0, np.random.default_rng(seed))
-            assert list(fates) == [ra_sim.COLLIDED, ra_sim.COLLIDED]
+            assert list(fates) == [ref.COLLIDED, ref.COLLIDED]
 
     def test_mean_successes_at_capacity(self):
         rng = np.random.default_rng(42)
@@ -60,7 +61,7 @@ class TestResolveRao:
         total = 0
         for _ in range(reps):
             fates = resolve_rao(36, 36, 0.0, rng)
-            total += int(np.sum(fates == ra_sim.SUCCESS))
+            total += int(np.sum(fates == ref.SUCCESS))
         mean = total / reps
         assert mean == pytest.approx(13.43, abs=0.1)
 
@@ -70,8 +71,8 @@ class TestResolveRao:
         succ = eras = 0
         for _ in range(reps):
             fates = resolve_rao(1, 36, 0.25, rng)
-            succ += int(fates[0] == ra_sim.SUCCESS)
-            eras += int(fates[0] == ra_sim.ERASED)
+            succ += int(fates[0] == ref.SUCCESS)
+            eras += int(fates[0] == ref.ERASED)
         assert succ / reps == pytest.approx(0.75, abs=0.01)
         assert eras / reps == pytest.approx(0.25, abs=0.01)
 
@@ -132,11 +133,10 @@ class TestRun:
     def test_isolated_updates_hit_minimum_latency(self):
         cfg = replace(GROUND, erasure_prob=0.0)
         trace = run(cfg, 0.01, 3.2e6, 42)
-        succ = [r for r in trace.records if r.outcome == "success"]
-        assert len(succ) > 10
-        for r in succ:
-            assert r.latency_ms == pytest.approx(22.1, abs=1e-9)
-            assert r.departure_time == pytest.approx(r.gen_time + 22.1)
+        ok = np.isfinite(trace.latency_ms)
+        assert ok.sum() > 10
+        assert trace.latency_ms[ok] == pytest.approx(22.1, abs=1e-9)
+        assert trace.departure[ok] == pytest.approx(trace.gen_time[ok] + 22.1)
 
     def test_horizon_too_short(self):
         with pytest.raises(ValueError):
@@ -145,9 +145,11 @@ class TestRun:
     def test_determinism(self):
         a = run(GROUND, 50.0, 3.2e5, 123)
         b = run(GROUND, 50.0, 3.2e5, 123)
-        assert a.records == b.records
+        for col in ("user", "gen_time", "attempts", "latency_ms"):
+            assert np.array_equal(getattr(a, col), getattr(b, col))
+        assert np.array_equal(a.departure, b.departure, equal_nan=True)
         assert a.rao_records == b.rao_records
-        assert np.array_equal(a.departures, b.departures)
+        assert a.censored == b.censored
 
     def test_rao_conservation_and_bounds(self):
         trace = run(replace(GROUND, max_attempts=10), 50.0, 6.4e5, 5)
@@ -158,8 +160,10 @@ class TestRun:
             assert r.demoted <= r.successes
 
     def test_success_latency_floor_and_retry_gaps(self):
+        # per-attempt RAO times live only in the reference, which ``run``
+        # matches bit for bit (TestReference)
         cfg = replace(GROUND, max_attempts=10)
-        trace = run(cfg, 50.0, 6.4e5, 6)
+        trace = reference_run(cfg, 50.0, 6.4e5, 6)
         floor = min_access_delay(cfg)
         lag = cfg.preamble_duration + cfg.t_proc1 + cfg.rar_window_ms
         saw_retry = False
@@ -174,12 +178,14 @@ class TestRun:
 
     def test_departures_match_success_records(self):
         trace = run(GROUND, 50.0, 3.2e5, 9)
-        succ = sorted(r.departure_time for r in trace.records
-                      if r.outcome == "success")
+        ok = np.isfinite(trace.latency_ms)
+        succ = np.sort(trace.departure[ok])
         assert len(succ) == trace.success_count
-        assert np.allclose(trace.departures, succ)
-        assert trace.departures[0] >= 0.0
-        assert trace.departures[-1] <= trace.horizon_ms
+        assert np.array_equal(np.isnan(trace.departure), ~ok)
+        assert np.allclose(succ, np.sort(trace.gen_time[ok]
+                                         + trace.latency_ms[ok]))
+        assert succ[0] >= 0.0
+        assert succ[-1] <= trace.horizon_ms
 
     def test_single_attempt_success_fraction_matches_prediction(self):
         # semi-analytic oracle: a tagged update sees Poisson(lam_rao) rivals,
@@ -193,19 +199,17 @@ class TestRun:
     def test_space_latency_includes_propagation(self):
         cfg = replace(SPACE, erasure_prob=0.0)
         trace = run(cfg, 0.01, 4.8e6, 3)
-        succ = [r for r in trace.records if r.outcome == "success"]
-        assert succ
+        assert trace.success_count
         # 42.4 ms handshake plus four 4 ms legs
-        assert min(r.latency_ms for r in succ) == pytest.approx(58.4, abs=1e-9)
+        assert trace.latency_ms.min() == pytest.approx(58.4, abs=1e-9)
 
     def test_failures_marked_infinite(self):
         trace = run(replace(GROUND, max_attempts=1), 50.0, 3.2e5, 8)
-        failures = [r for r in trace.records if r.outcome == "failure"]
-        assert failures
-        for r in failures:
-            assert math.isinf(r.latency_ms)
-            assert r.departure_time is None
-            assert r.attempts == 1
+        failed = ~np.isfinite(trace.latency_ms)
+        assert failed.any()
+        assert np.isinf(trace.latency_ms[failed]).all()
+        assert np.isnan(trace.departure[failed]).all()
+        assert (trace.attempts[failed] == 1).all()
 
 
 class TestEmpiricalPmf:
@@ -239,44 +243,91 @@ class TestEmpiricalPmf:
 
 class TestLatencyCdf:
     def test_all_failures_flat_zero(self):
-        records = [AccessRecord(0, 0.0, "failure", 1, float("inf"),
-                                None)] * 5
-        cdf = latency_cdf(records)
+        cdf = latency_cdf(np.full(5, np.inf))
         assert cdf.plateau == 0.0
         assert len(cdf.latencies) == 0
         assert cdf.value_at(1e9) == 0.0
 
     def test_single_success_steps_to_one(self):
-        records = [AccessRecord(0, 0.0, "success", 1, 22.1, 22.1)]
-        cdf = latency_cdf(records)
+        cdf = latency_cdf(np.array([22.1]))
         assert cdf.value_at(22.0) == 0.0
         assert cdf.value_at(22.1) == 1.0
         assert cdf.plateau == 1.0
 
     def test_plateau_bounded_by_erasure_survival(self):
         trace = run(GROUND, 50.0, 3.2e6, 13)
-        cdf = latency_cdf(trace.records)
+        cdf = latency_cdf(trace.latency_ms)
         assert cdf.plateau <= 1 - GROUND.erasure_prob
         # CDF is a nondecreasing step function
         assert (np.diff(cdf.probabilities) >= 0).all()
 
 
-class TestExport:
-    def test_access_csv(self, tmp_path):
-        trace = run(GROUND, 50.0, 3.2e5, 2)
-        path = tmp_path / "access.csv"
-        ra_sim.export_access_csv(trace, path)
-        lines = path.read_text().splitlines()
-        assert lines[0].startswith("# leoiot-trace v1")
-        assert lines[1].split(",") == ["user", "gen_time", "outcome",
-                                       "attempts", "latency_ms",
-                                       "departure_time"]
-        assert len(lines) == 2 + len(trace.records)
 
-    def test_rao_csv(self, tmp_path):
-        trace = run(GROUND, 50.0, 3.2e5, 2)
-        path = tmp_path / "rao.csv"
-        ra_sim.export_rao_csv(trace, path)
-        lines = path.read_text().splitlines()
-        assert lines[0].startswith("# leoiot-trace v1")
-        assert len(lines) == 2 + len(trace.rao_records)
+def _reference_columns(trace):
+    rec = trace.records
+    return {
+        "user": np.array([r.user for r in rec], dtype=np.int64),
+        "gen_time": np.array([r.gen_time for r in rec], dtype=float),
+        "attempts": np.array([r.attempts for r in rec], dtype=np.int64),
+        "latency_ms": np.array([r.latency_ms for r in rec], dtype=float),
+        "departure": np.array([np.nan if r.departure_time is None
+                               else r.departure_time for r in rec],
+                              dtype=float),
+    }
+
+
+DEMOTING = replace(GROUND, preambles=48, rar_window=4)   # 12 grants per RAO
+
+
+class TestReference:
+    """``run`` against the event-driven reference: same draws, same bits."""
+
+    @pytest.mark.parametrize("cfg, attempts, rate, horizon, seed", [
+        (GROUND, 1, 50.0, 3.2e5, 1),
+        (GROUND, 3, 50.0, 3.2e5, 2),
+        (GROUND, 10, 50.0, 3.2e5, 3),
+        (LIGHT, 10, 275.0, 4.0e4, 4),            # the congested feed
+        (LIGHT, 1, 0.25, 4.0e6, 5),              # the sparse feed
+        (DEMOTING, 10, 200.0, 1.6e5, 6),         # window overflow
+        (SPACE, 1, 25.0, 4.8e5, 7),              # repetitions, propagation
+        (SPACE, 10, 60.0, 4.8e5, 8),
+        (replace(GROUND, erasure_prob=0.0), 10, 50.0, 3.2e5, 9),
+        (GROUND, 10, 0.0, 3.2e5, 10),            # no traffic
+        (GROUND, 10, 50.0, 335.0, 22),           # about one RAO
+    ])
+    def test_bit_identical(self, cfg, attempts, rate, horizon, seed):
+        cfg = replace(cfg, max_attempts=attempts)
+        trace = run(cfg, rate, horizon, seed)
+        oracle = reference_run(cfg, rate, horizon, seed)
+        for name, column in _reference_columns(oracle).items():
+            got = getattr(trace, name)
+            assert got.dtype == column.dtype, name
+            assert np.array_equal(got, column, equal_nan=True), name
+        assert trace.rao_records == oracle.rao_records
+        assert trace.censored == oracle.censored
+        assert trace.n_raos == oracle.n_raos
+        assert np.array_equal(np.sort(trace.departure[np.isfinite(
+            trace.latency_ms)]), oracle.departures)
+
+    def test_grid_reaches_every_branch(self):
+        # the grid above sees demotions, retries and final failures, and
+        # all three ways to be censored: arriving after the last RAO,
+        # retrying past it, and a grant completing past the horizon
+        demoting = replace(DEMOTING, max_attempts=10)
+        assert sum(r.demoted for r in run(demoting, 200.0, 1.6e5, 6)
+                   .rao_records) > 0
+        short = run(replace(GROUND, max_attempts=10), 50.0, 335.0, 22)
+        (rao,) = short.rao_records
+        granted = rao.successes - rao.demoted
+        assert short.success_count < granted
+        assert short.censored > rao.transmissions - short.success_count
+        three = run(replace(GROUND, max_attempts=3), 50.0, 3.2e5, 2)
+        assert (three.attempts == 3).any() and (three.attempts == 2).any()
+        assert np.isinf(three.latency_ms[three.attempts == 3]).any()
+
+    def test_counters_are_python_ints(self):
+        # the trace's counters and RAO records go to JSON as they are
+        trace = run(replace(GROUND, max_attempts=10), 50.0, 3.2e5, 12)
+        assert type(trace.success_count) is int
+        assert type(trace.censored) is int
+        json.dumps([asdict(r) for r in trace.rao_records])
