@@ -3,12 +3,10 @@ simulation cross-validated against closed-form delay and age analysis."""
 
 __version__ = "0.1.0"
 
-from .scenario import (RaConfig, ScenarioConfig, TrafficConfig,
-                       backhauling_preset, load_config, offloading_preset,
+from .scenario import (RaConfig, ScenarioConfig, TrafficConfig, load_config,
                        split_rates, validate)
 
 __all__ = [
-    "RaConfig", "ScenarioConfig", "TrafficConfig",
-    "backhauling_preset", "load_config", "offloading_preset",
+    "RaConfig", "ScenarioConfig", "TrafficConfig", "load_config",
     "split_rates", "validate", "__version__",
 ]

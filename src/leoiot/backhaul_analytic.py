@@ -53,6 +53,11 @@ class TandemModel:
     def service_sum_excl_last(self) -> float:
         return (self.hops - 1) / self.service_rate
 
+    @property
+    def service_sum_by_interarrival(self) -> float:
+        """Sum of the mean service times x the mean interarrival time."""
+        return self.hops / (self.service_rate * self.arrival_rate)
+
 
 def effective_rate(lam: float, erasures, node: int) -> float:
     """Poisson arrival rate at 1-based ``node`` after upstream link losses.
@@ -149,8 +154,7 @@ def expected_wy(model: TandemModel) -> float:
 
 def expected_ty(model: TandemModel) -> float:
     """E[TY] = E[WY] + sum of mean service times x mean interarrival time."""
-    return expected_wy(model) + model.hops / (model.service_rate
-                                              * model.arrival_rate)
+    return expected_wy(model) + model.service_sum_by_interarrival
 
 
 def average_aoi_lossless(lam: float, e_ty: float) -> float:
@@ -192,9 +196,10 @@ def aoi_decomposition(model: TandemModel) -> AoiDecomposition:
         raise InstabilityError("no update ever survives the chain; age diverges")
     lam = model.arrival_rate
     eff = _thinned_effective_model(model)
+    e_wy = expected_wy(eff)
     return AoiDecomposition(
-        e_wy=expected_wy(eff),
-        e_ty=expected_ty(eff),
+        e_wy=e_wy,
+        e_ty=e_wy + eff.service_sum_by_interarrival,
         e_ty_prev=(model.hops / eff.alpha) * (1.0 / lam),
         e_y=1.0 / lam,
         e_y2=2.0 / lam ** 2,

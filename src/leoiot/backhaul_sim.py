@@ -16,11 +16,13 @@ import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
+from typing import ClassVar
 
 import numpy as np
 
 from . import ra_sim
-from .scenario import RaConfig, backhauling_preset
+from .ra_analytic import single_attempt_success
+from .scenario import RaConfig
 
 # leading share of each cell's observation window left out of its age average
 WARMUP_FRACTION = 0.05
@@ -151,27 +153,19 @@ def _fresh_deliveries(gen: np.ndarray, deliv: np.ndarray):
     return gen[keep], deliv[keep]
 
 
-def _sawtooth_stats(anchor_t: np.ndarray, anchor_age: np.ndarray,
-                    start: float, end: float):
-    """Integrate a sawtooth described by reset anchors over [start, end].
+def _sawtooth_stats(anchor_t: np.ndarray, anchor_age: np.ndarray):
+    """Integrate a sawtooth described by reset anchors from the first
+    anchor to the last.
 
     The age equals ``anchor_age[j] + (t - anchor_t[j])`` between anchor j
-    and anchor j+1.  ``start`` must be >= anchor_t[0].  Returns
-    (area, peak_sum, peak_count); peaks are the pre-reset ages of anchors
-    strictly inside the window.
+    and anchor j+1.  Returns (area, peak_sum, peak_count); peaks are the
+    pre-reset ages of every anchor but the first.
     """
-    j0 = int(np.searchsorted(anchor_t, start, side="right")) - 1
-    jend = int(np.searchsorted(anchor_t, end, side="right"))
-    t = anchor_t[j0:jend].copy()
-    a = anchor_age[j0:jend].copy()
-    a[0] += start - t[0]          # age already accrued at the window start
-    t[0] = start
-    seg = np.empty(len(t))
-    seg[:-1] = np.diff(t)
-    seg[-1] = end - t[-1]
-    area = float(np.sum(a * seg + 0.5 * seg ** 2))
-    peaks = a[:-1] + seg[:-1]     # age just before each in-window reset
-    return area, float(np.sum(peaks)), int(len(peaks))
+    # the last anchor closes the window with a segment of length zero
+    seg = np.diff(anchor_t, append=anchor_t[-1])
+    area = float(np.sum(anchor_age * seg + 0.5 * seg ** 2))
+    peaks = anchor_age[:-1] + seg[:-1]
+    return area, float(np.sum(peaks)), len(peaks)
 
 
 def average_aoi(trace: NetworkTrace,
@@ -200,7 +194,7 @@ def average_aoi(trace: NetworkTrace,
     duration = end - start
     if duration <= 0:
         raise ValueError("empty observation window")
-    area, peak_sum, peak_n = _sawtooth_stats(anchor_t, anchor_age, start, end)
+    area, peak_sum, peak_n = _sawtooth_stats(anchor_t, anchor_age)
     return AoiSummary(
         time_average_aoi=area / duration,
         mean_system_time=mean_system_time(trace),
@@ -244,20 +238,17 @@ class RaFeedSettings:
     feed per mode and replication and every load of that replication
     rescales the same feed (common random numbers across loads).
 
-    ``a1_rate_per_s`` keeps the one-attempt feed far below the channel
-    capacity so its ms-scale handshake stays negligible on the unit
-    timescale; ``a10_rate_per_s`` drives the ten-attempt feed into heavy
-    contention.  Both are plain offered rates for ``ra_sim.run``.
+    ``config`` is the access channel of the scenario (its ``ground_ra``);
+    each feed overrides only its attempt budget.  The offered rates are
+    fixed: ``a1_rate_per_s`` keeps the one-attempt feed far below the
+    channel capacity so its ms-scale handshake stays negligible on the
+    unit timescale; ``a10_rate_per_s`` drives the ten-attempt feed into
+    heavy contention.  Both are plain offered rates for ``ra_sim.run``.
     """
 
-    config: RaConfig = None
-    a1_rate_per_s: float = 0.25
-    a10_rate_per_s: float = 275.0
-
-    def __post_init__(self):
-        if self.config is None:
-            object.__setattr__(self, "config",
-                               backhauling_preset().ground_ra)
+    config: RaConfig
+    a1_rate_per_s: ClassVar[float] = 0.25
+    a10_rate_per_s: ClassVar[float] = 275.0
 
 
 @dataclass(frozen=True)
@@ -305,9 +296,10 @@ def _net_seed(master_seed: int, mode: str, rho: float, hops: int,
          int(round(link_erasure * 1e6)), replication))
 
 
-def ra_departure_stream(mode: str, n_packets: int, seed,
+def ra_departure_stream(key, master_seed: int, n_packets: int,
                         feed: RaFeedSettings) -> AccessFeed:
-    """Simulate the access stage until it has ``n_packets`` departures.
+    """Simulate the access feed of ``key = (mode, replication)`` until it
+    has ``n_packets`` departures.
 
     The horizon is sized from the expected delivered rate, and is at
     least one RAO period; if that pass falls short, one more pass runs
@@ -316,13 +308,14 @@ def ra_departure_stream(mode: str, n_packets: int, seed,
     times longer.  The result is load-free: ``rescale_feed`` puts it on
     the chain's clock.
     """
+    mode, replication = key
+    seed = _access_seed(master_seed, mode, replication)
     attempts = 1 if mode == "ra-a1" else 10
     rate = feed.a1_rate_per_s if mode == "ra-a1" else feed.a10_rate_per_s
     cfg = replace(feed.config, max_attempts=attempts)
     # expected delivered rate per ms, used only to size the horizon
-    lam_rao = rate / 1000.0 * cfg.rao_period
-    per_attempt = math.exp(-lam_rao / cfg.preambles) * (1.0 - cfg.erasure_prob)
-    guess = rate / 1000.0 * (per_attempt if attempts == 1 else 0.85)
+    guess = rate / 1000.0 * (single_attempt_success(cfg, rate)
+                             if attempts == 1 else 0.85)
     horizon = max(n_packets / guess * 1.3, cfg.rao_period)
     trace = ra_sim.run(cfg, rate, horizon, np.random.default_rng(seed))
     if trace.success_count < n_packets:
@@ -358,13 +351,11 @@ def rescale_feed(access: AccessFeed, rho: float) -> ArrivalStream:
 
 def run_point(mode: str, rho: float, hops: int, link_erasure: float,
               replication: int, master_seed: int, n_packets: int,
-              feed: RaFeedSettings | None = None,
               access: AccessFeed | None = None) -> SweepRow:
     """One sweep cell: build the arrival stream, run the chain, summarize.
 
-    ``access`` is the cell's access feed when the caller has simulated it
-    already (``sweep`` shares one per mode and replication); without it an
-    ra cell simulates its own from the same seed.
+    An ra cell rescales ``access``, the feed of its mode and replication
+    that ``sweep`` simulated once for every load.
     """
     ra_p = None
     if mode == "no-ra":
@@ -373,8 +364,7 @@ def run_point(mode: str, rho: float, hops: int, link_erasure: float,
         stream = poisson_stream(rho, n_packets, rng)
     elif mode in ("ra-a1", "ra-a10"):
         if access is None:
-            access = _access_feed((mode, replication), master_seed, n_packets,
-                                  feed or RaFeedSettings())
+            raise ValueError(f"a {mode} cell needs its access feed")
         stream = rescale_feed(access, rho)
         ra_p = access.success_prob
     else:
@@ -398,14 +388,6 @@ def run_point(mode: str, rho: float, hops: int, link_erasure: float,
 _POOL_FEEDS: dict = {}
 
 
-def _access_feed(key, master_seed: int, n_packets: int,
-                 feed: RaFeedSettings) -> AccessFeed:
-    mode, replication = key
-    return ra_departure_stream(mode, n_packets,
-                               _access_seed(master_seed, mode, replication),
-                               feed)
-
-
 def _install_feeds(feeds: dict):
     _POOL_FEEDS.update(feeds)
 
@@ -420,19 +402,20 @@ def sweep(rhos, hops_list, erasures, modes, replications: int,
     """Cross product of the grid, deterministically seeded per cell.
 
     Each access feed is simulated once per (mode, replication), before
-    the cells fan out, and rescaled to every load.  The result order and
-    content depend only on the grid and the master seed, never on the
-    worker count.
+    the cells fan out, and rescaled to every load; ``feed`` is needed
+    when ``modes`` holds an ra mode.  The result order and content depend
+    only on the grid and the master seed, never on the worker count.
     """
     unknown = [m for m in modes if m not in MODES]
     if unknown:
         raise ValueError(f"unknown mode(s) {unknown}")
-    feed = feed or RaFeedSettings()
     keys = list(dict.fromkeys((m, rep) for m in modes if m != "no-ra"
                               for rep in range(replications)))
-    simulate = partial(_access_feed, master_seed=master_seed,
+    if keys and feed is None:
+        raise ValueError("ra modes need the access feed settings")
+    simulate = partial(ra_departure_stream, master_seed=master_seed,
                        n_packets=n_packets, feed=feed)
-    tasks = [(m, rho, n, e, rep, master_seed, n_packets, feed)
+    tasks = [(m, rho, n, e, rep, master_seed, n_packets)
              for m in modes for rho in rhos for n in hops_list
              for e in erasures for rep in range(replications)]
     if workers > 1:

@@ -16,7 +16,6 @@ import math
 import os
 import statistics
 import sys
-import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -25,6 +24,7 @@ import numpy as np
 from . import __version__
 from . import backhaul_analytic as ba
 from . import backhaul_sim as bs
+from . import ra_analytic as ra
 from . import ra_sim
 from .scenario import (ScenarioConfig, apply_overrides, config_hash,
                        load_config, split_rates, validate)
@@ -48,6 +48,8 @@ SPEC_FLAGS = {"rho": "rhos", "hops": "hops", "link_erasure": "erasures",
 TOLERANCES = {"mean_system_time": 0.02, "mean_aoi": 0.10}
 # smallest sweep cell whose age average keeps deliveries past the warm-up
 MIN_PACKETS = 10
+# RAO period of the lightly loaded channel behind the offloading pmfs, ms
+PMF_RAO_PERIOD = 160.0
 
 
 @dataclass(frozen=True)
@@ -76,7 +78,6 @@ class ResultRow:
     rho: float
     hops: int
     link_erasure: float
-    replication: int | None
     metric: str
     value: float
     stderr: float | None      # None for analytic rows
@@ -103,11 +104,22 @@ def sweep_problems(spec: ExperimentSpec) -> list:
     return out
 
 
-def offload_problems(config: ScenarioConfig) -> list:
-    """Config problems that stop the offloading pipeline; empty means usable."""
+def offload_problems(spec: ExperimentSpec) -> list:
+    """Config and attempt-budget problems that stop the offloading
+    pipeline; empty means usable."""
+    config = spec.config
     out = validate(config)
+    periods = [PMF_RAO_PERIOD, config.ground_ra.rao_period]
     if config.space_ra is None:
         out.append("space_ra: offloading needs the space path configured")
+    else:
+        periods.append(config.space_ra.rao_period)
+    attempts = [a for a in spec.attempts if a < 1]
+    if attempts:
+        out.append(f"attempts {attempts}: every attempt budget must be >= 1")
+    if 0 < config.horizon < max(periods):
+        out.append(f"horizon: {config.horizon} ms holds no RAO of a channel "
+                   f"with period {max(periods)} ms")
     return out
 
 
@@ -154,21 +166,21 @@ def run_offloading(spec: ExperimentSpec):
     Returns the list of written files.
     """
     cfg = spec.config
-    problems = offload_problems(cfg)
+    problems = offload_problems(spec)
     if problems:
         raise ValueError("invalid scenario: " + "; ".join(problems))
     out = spec.out_dir
     out.mkdir(parents=True, exist_ok=True)
     written = []
-    seed_root = np.random.SeedSequence(cfg.seed)
 
     # pmf of per-RAO outcomes at light load, both attempt budgets
-    pmf_cfg = replace(cfg.ground_ra, rao_period=160.0, max_backoff=160.0)
-    lam_earth, lam_space = split_rates(cfg.traffic)
+    pmf_cfg = replace(cfg.ground_ra, rao_period=PMF_RAO_PERIOD,
+                      max_backoff=PMF_RAO_PERIOD)
+    lam_earth, _ = split_rates(cfg.traffic)
     for a in spec.attempts:
         trace = ra_sim.run(replace(pmf_cfg, max_attempts=a), lam_earth,
-                           cfg.horizon, np.random.SeedSequence((cfg.seed, 3, a)),
-                           users=cfg.traffic.users)
+                           cfg.horizon,
+                           np.random.SeedSequence((cfg.seed, 3, a)))
         pmf = ra_sim.empirical_pmf(trace)
         path = out / f"offload_pmf_a{a}.csv"
         _write_csv(path, ["count", "p_total", "p_collided", "p_successful"],
@@ -192,8 +204,7 @@ def run_offloading(spec: ExperimentSpec):
                                cfg.horizon,
                                np.random.SeedSequence(
                                    (cfg.seed, 4, a, path_name == "space",
-                                    int(kappa * 100))),
-                               users=cfg.traffic.users)
+                                    int(kappa * 100))))
             cdf = ra_sim.latency_cdf(trace.latency_ms)
             fp = out / f"offload_cdf_{path_name}_k{int(kappa * 100)}_a{a}.csv"
             _write_csv(fp, ["latency_ms", "cdf"],
@@ -226,9 +237,9 @@ def _analytic_rows(spec: ExperimentSpec):
             for eps in spec.erasures:
                 tbar, aoi = ba.chain_metrics(hops, rho, eps)
                 rows.append(ResultRow(spec.figure, "analytic", rho, hops, eps,
-                                      None, "mean_system_time", tbar, None))
+                                      "mean_system_time", tbar, None))
                 rows.append(ResultRow(spec.figure, "analytic", rho, hops, eps,
-                                      None, "mean_aoi", aoi, None))
+                                      "mean_aoi", aoi, None))
     return rows
 
 
@@ -307,8 +318,8 @@ def _aggregate(spec: ExperimentSpec, rows):
             mean = statistics.fmean(vals)
             se = (statistics.stdev(vals) / math.sqrt(len(vals))
                   if len(vals) > 1 else float("nan"))
-            out.append(ResultRow(spec.figure, mode, rho, hops, eps, None,
-                                 metric, mean, se))
+            out.append(ResultRow(spec.figure, mode, rho, hops, eps, metric,
+                                 mean, se))
     return out
 
 
@@ -321,8 +332,7 @@ def report(result_rows, spec: ExperimentSpec):
     """
     lines = [f"leoiot report - figure={spec.figure} seed={spec.config.seed} "
              f"replications={spec.replications} "
-             f"config={config_hash(spec.config)}",
-             f"generated: {time.strftime('%Y-%m-%d %H:%M:%S')}"]
+             f"config={config_hash(spec.config)}"]
     unstable = [rho for rho in spec.rhos if not 0.0 < rho < 1.0]
     if unstable:
         lines.append(f"flagged: no analytic overlay for rho in {unstable} "
@@ -374,8 +384,10 @@ def report(result_rows, spec: ExperimentSpec):
 
 def run_analytic(spec: ExperimentSpec):
     """Closed-form quantities for the configured scenario, no simulation."""
-    from . import ra_analytic as ra
     cfg = spec.config
+    problems = validate(cfg) + sweep_problems(spec)
+    if problems:
+        raise ValueError("invalid scenario: " + "; ".join(problems))
     out = spec.out_dir
     out.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -384,7 +396,7 @@ def run_analytic(spec: ExperimentSpec):
     if cfg.space_ra is not None:
         paths.append(("space", cfg.space_ra, lam_space))
     for name, ra_cfg, rate in paths:
-        lam_rao = rate / 1000.0 * ra_cfg.rao_period
+        lam_rao = ra.arrivals_per_rao(rate, ra_cfg.rao_period)
         rows += [
             [name, "lam_rao", _fmt(lam_rao)],
             [name, "max_throughput_per_s",
@@ -393,19 +405,10 @@ def run_analytic(spec: ExperimentSpec):
              _fmt(ra.stability_margin(lam_rao, ra_cfg.preambles))],
             [name, "min_access_delay_ms", _fmt(ra.min_access_delay(ra_cfg))],
             [name, "single_attempt_success",
-             _fmt((1.0 - ra_cfg.erasure_prob)
-                  * math.exp(-lam_rao / ra_cfg.preambles))],
+             _fmt(ra.single_attempt_success(ra_cfg, rate))],
         ]
-    for rho in spec.rhos:
-        if not 0.0 < rho < 1.0:
-            continue
-        for hops in spec.hops:
-            for eps in spec.erasures:
-                tbar, aoi = ba.chain_metrics(hops, rho, eps)
-                rows.append([f"chain rho={rho} N={hops} eps={eps}",
-                             "mean_system_time", _fmt(tbar)])
-                rows.append([f"chain rho={rho} N={hops} eps={eps}",
-                             "mean_aoi", _fmt(aoi)])
+    rows += [[f"chain rho={r.rho} N={r.hops} eps={r.link_erasure}", r.metric,
+              _fmt(r.value)] for r in _analytic_rows(spec)]
     path = out / "analytic.csv"
     _write_csv(path, ["subject", "metric", "value"], rows, "closed forms")
     _write_metadata(out, spec)
@@ -512,7 +515,7 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "offload":
-        if _rejected(offload_problems(spec.config)):
+        if _rejected(offload_problems(spec)):
             return 2
         files = run_offloading(spec)
         for f in files:
@@ -535,7 +538,7 @@ def main(argv=None) -> int:
         return 0
 
     # analytic
-    if _rejected(sweep_problems(spec)):
+    if _rejected(validate(spec.config) + sweep_problems(spec)):
         return 2
     files = run_analytic(spec)
     for f in files:

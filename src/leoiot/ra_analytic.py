@@ -18,6 +18,12 @@ from .scenario import RaConfig
 # Contention in one RAO: x contenders over R orthogonal preambles
 # ---------------------------------------------------------------------------
 
+def arrivals_per_rao(rate_per_s: float, rao_period_ms: float) -> float:
+    """lambda_RAO: expected fresh contenders per RAO on a path offered
+    ``rate_per_s`` updates per second."""
+    return rate_per_s / 1000.0 * rao_period_ms
+
+
 def new_arrivals_pmf(lam_rao: float, x: int) -> float:
     """Poisson pmf of the number of fresh contenders in one RAO.
 
@@ -106,6 +112,14 @@ def attempt_success_prob(x: int, preambles: int, erasure: float) -> float:
     if not 0.0 <= erasure < 1.0:
         raise ValueError("erasure must be in [0, 1)")
     return success_prob(x, preambles) * (1.0 - erasure)
+
+
+def single_attempt_success(cfg: RaConfig, rate_per_s: float) -> float:
+    """Success of a single attempt under Poisson arrivals,
+    (1 - eps) exp(-lambda_RAO / R): no other fresh contender picks the
+    same preamble, and the preamble is not erased."""
+    lam_rao = arrivals_per_rao(rate_per_s, cfg.rao_period)
+    return (1.0 - cfg.erasure_prob) * math.exp(-lam_rao / cfg.preambles)
 
 
 # ---------------------------------------------------------------------------

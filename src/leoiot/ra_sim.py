@@ -2,7 +2,7 @@
 
 Updates are independent contenders: each one transmits a preamble in
 periodic RAOs until it is granted or exhausts its attempt budget.  An
-update's state is one row of a few arrays (user, generation time, attempt
+update's state is one row of a few arrays (generation time, attempt
 count, backoff sum, grant offset, outcome), and the simulator takes one
 array step per occupied RAO, in RAO order, skipping idle ones, so both
 congested cells and near-idle feeds are cheap.  A retry always lands in a
@@ -28,7 +28,6 @@ class RaoRecord:
     """Contention outcome of one RAO (grant demotions tracked separately)."""
 
     index: int
-    time: float
     transmissions: int
     successes: int          # unique preamble and not erased
     collided: int
@@ -45,7 +44,6 @@ class RaTrace:
     config: RaConfig
     horizon_ms: float
     n_raos: int
-    user: np.ndarray
     gen_time: np.ndarray
     attempts: np.ndarray
     latency_ms: np.ndarray
@@ -68,13 +66,14 @@ class RaTrace:
         return self.success_count / self.n_records
 
 
-def generate_arrivals(rate_per_ms: float, horizon_ms: float, rng, users: int = 1):
-    """Poisson arrival times on [0, horizon) with uniform device labels,
-    as ``(labels, times)`` arrays."""
+def generate_arrivals(rate_per_ms: float, horizon_ms: float, rng):
+    """Arrival times on [0, horizon) of the aggregate Poisson stream of
+    updates, in increasing order.  The stream is not split into devices:
+    every update is an independent contender."""
     if rate_per_ms < 0:
         raise ValueError("rate must be >= 0")
     if rate_per_ms == 0.0:
-        return np.empty(0, dtype=np.int64), np.empty(0)
+        return np.empty(0)
     n_guess = rate_per_ms * horizon_ms
     block = max(int(n_guess + 6.0 * math.sqrt(n_guess + 1.0)), 64)
     times = []
@@ -87,8 +86,7 @@ def generate_arrivals(rate_per_ms: float, horizon_ms: float, rng, users: int = 1
         if len(inside) < block:
             break
         t = cum[-1]
-    times = np.concatenate(times)
-    return rng.integers(0, users, size=len(times)), times
+    return np.concatenate(times)
 
 
 def _rao_index(t, rao_period: float):
@@ -96,8 +94,7 @@ def _rao_index(t, rao_period: float):
     return np.maximum(np.ceil(t / rao_period).astype(np.int64) - 1, 0)
 
 
-def run(cfg: RaConfig, rate_per_s: float, horizon_ms: float, seed,
-        users: int = 1000) -> RaTrace:
+def run(cfg: RaConfig, rate_per_s: float, horizon_ms: float, seed) -> RaTrace:
     """Simulate the full procedure for one path.
 
     ``seed`` may be an int, a SeedSequence, or a Generator.  Each occupied
@@ -116,7 +113,7 @@ def run(cfg: RaConfig, rate_per_s: float, horizon_ms: float, seed,
         raise ValueError(f"horizon {horizon_ms} ms holds no RAO (period {t_rao} ms)")
     detect_lag = cfg.preamble_duration + cfg.t_proc1 + cfg.rar_window_ms
 
-    user, gen = generate_arrivals(rate_per_s / 1000.0, horizon_ms, rng, users)
+    gen = generate_arrivals(rate_per_s / 1000.0, horizon_ms, rng)
     n = len(gen)
     attempts = np.ones(n, dtype=np.int64)
     backoff_sum = np.zeros(n)
@@ -178,7 +175,7 @@ def run(cfg: RaConfig, rate_per_s: float, horizon_ms: float, seed,
             retries[kr].append(i)
 
         rao_records.append(RaoRecord(
-            index=k, time=rao_time, transmissions=x, successes=len(won),
+            index=k, transmissions=x, successes=len(won),
             collided=int(np.count_nonzero(collided)),
             erased=int(np.count_nonzero(erased)),
             demoted=len(won) - int(np.count_nonzero(fits))))
@@ -192,9 +189,9 @@ def run(cfg: RaConfig, rate_per_s: float, horizon_ms: float, seed,
     outcome[departure > horizon_ms] = _CENSORED
     done = outcome != _CENSORED
     return RaTrace(config=cfg, horizon_ms=horizon_ms, n_raos=n_raos,
-                   user=user[done], gen_time=gen[done],
-                   attempts=attempts[done], latency_ms=latency[done],
-                   departure=departure[done], rao_records=rao_records,
+                   gen_time=gen[done], attempts=attempts[done],
+                   latency_ms=latency[done], departure=departure[done],
+                   rao_records=rao_records,
                    censored=n - int(np.count_nonzero(done)))
 
 

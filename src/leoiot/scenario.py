@@ -10,7 +10,9 @@ top-level ``seed`` and ``horizon``).  ``load_config`` reads that format
 and rejects unknown sections and keys, ``dump_config`` writes every field
 back, and ``apply_overrides`` (the CLI ``--set section.key=value``; the
 ``[run]`` keys may also go bare, as ``--set horizon=4e5``) can set every
-field.
+field.  The two evaluation columns, ``offloading`` and ``backhauling``,
+exist only as the packaged INI files under ``leoiot/presets``;
+``load_config`` resolves either bare name to its file.
 
 The relay chain is not part of the scenario: its unit-rate servers are
 fixed, and its load, hop count and link erasure come from the sweep grid
@@ -33,9 +35,9 @@ VALID_RAO_PERIODS = tuple(40 * 2 ** k for k in range(8))  # 40 .. 5120 ms
 
 @dataclass(frozen=True)
 class TrafficConfig:
-    """Update generation: U homogeneous devices with an aggregate Poisson rate."""
+    """Update generation: one aggregate Poisson stream of status updates,
+    split between the terrestrial and the space path."""
 
-    users: int = 1000
     total_rate: float = 50.0          # updates per second, all devices combined
     ground_ratio: float = 0.5         # fraction of traffic on the terrestrial path
 
@@ -131,8 +133,6 @@ def validate(config: ScenarioConfig) -> list:
     """Collect invariant violations; an empty list means the config is usable."""
     out: list = []
     t = config.traffic
-    if t.users < 1:
-        out.append(f"traffic.users: {t.users} must be >= 1")
     if t.total_rate <= 0:
         out.append(f"traffic.total_rate: {t.total_rate} must be > 0")
     if not 0.0 <= t.ground_ratio <= 1.0:
@@ -146,31 +146,8 @@ def validate(config: ScenarioConfig) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Presets (the two evaluation columns) and the INI config format
+# The INI config format
 # ---------------------------------------------------------------------------
-
-def offloading_preset() -> ScenarioConfig:
-    """Congested urban cell offloading half its traffic to one space gNB."""
-    return ScenarioConfig(
-        traffic=TrafficConfig(users=1000, total_rate=50.0, ground_ratio=0.5),
-        ground_ra=RaConfig(rao_period=320.0, max_backoff=320.0, max_attempts=1),
-        space_ra=RaConfig(rao_period=160.0, max_backoff=160.0, max_attempts=1,
-                          repetitions=4, extended_prefix=2.0, max_prop_delay=4.0),
-        seed=1, horizon=3.2e6,
-    )
-
-
-def backhauling_preset() -> ScenarioConfig:
-    """Remote gNB reaching the core over a chain of relay satellites."""
-    return ScenarioConfig(
-        traffic=TrafficConfig(users=1000, total_rate=50.0, ground_ratio=1.0),
-        ground_ra=RaConfig(rao_period=40.0, max_backoff=160.0, max_attempts=1),
-        space_ra=None,
-        seed=1, horizon=4.0e5,
-    )
-
-
-PRESETS = {"offloading": offloading_preset, "backhauling": backhauling_preset}
 
 # INI section -> the dataclass whose int and float fields are its keys;
 # [run] holds the top-level scalars of ScenarioConfig
@@ -191,7 +168,7 @@ def _typed(section: str, items) -> dict:
     for key, raw in items:
         kind = keys.get(key)
         if kind is None:
-            raise ValueError(f"unknown key {key!r} in [{section}]; known: "
+            raise ValueError(f"{section}.{key}: unknown key {key!r}; known: "
                              f"{', '.join(keys)}")
         try:
             out[key] = kind(raw)
@@ -227,17 +204,13 @@ def _parse(text: str, source: str) -> ScenarioConfig:
 
 
 def load_config(path_or_preset: str) -> ScenarioConfig:
-    """Load an INI scenario file; bare preset names resolve to the built-ins."""
-    if path_or_preset in PRESETS:
-        return PRESETS[path_or_preset]()
+    """Load an INI scenario file; the bare preset names ``offloading`` and
+    ``backhauling`` resolve to the packaged ``leoiot/presets/<name>.ini``."""
+    if path_or_preset in ("offloading", "backhauling"):
+        preset = resources.files("leoiot.presets") / f"{path_or_preset}.ini"
+        return _parse(preset.read_text(), preset.name)
     with open(path_or_preset) as fh:
         return _parse(fh.read(), path_or_preset)
-
-
-def load_preset_file(name: str) -> ScenarioConfig:
-    """Parse the packaged INI preset (same content as the builder functions)."""
-    text = resources.files("leoiot.presets").joinpath(f"{name}.ini").read_text()
-    return _parse(text, f"{name}.ini")
 
 
 def _section_objects(config: ScenarioConfig) -> dict:

@@ -29,7 +29,6 @@ SUCCESS = "success"
 class UpdateAttemptState:
     """Mutable bookkeeping for one update working through the procedure."""
 
-    user: int
     gen_time: float
     attempt: int = 1
     backoffs: list = field(default_factory=list)
@@ -39,7 +38,6 @@ class UpdateAttemptState:
 
 @dataclass(frozen=True)
 class AccessRecord:
-    user: int
     gen_time: float
     outcome: str            # "success" | "failure"
     attempts: int
@@ -72,8 +70,8 @@ def access_delay(attempts: int, cfg, backoffs, t_extra: float = 0.0) -> float:
             + sum(backoffs) + (attempts - 1) * retry_overhead)
 
 
-def generate_arrivals(rate_per_ms: float, horizon_ms: float, rng, users: int = 1):
-    """Poisson arrival times on [0, horizon) as (device label, time) pairs."""
+def generate_arrivals(rate_per_ms: float, horizon_ms: float, rng):
+    """Poisson arrival times on [0, horizon), as a list."""
     if rate_per_ms < 0:
         raise ValueError("rate must be >= 0")
     if rate_per_ms == 0.0:
@@ -90,9 +88,7 @@ def generate_arrivals(rate_per_ms: float, horizon_ms: float, rng, users: int = 1
         if len(inside) < block:
             break
         t = cum[-1]
-    times = np.concatenate(times)
-    owners = rng.integers(0, users, size=len(times))
-    return list(zip(owners.tolist(), times.tolist()))
+    return np.concatenate(times).tolist()
 
 
 def resolve_rao(n_contenders: int, preambles: int, erasure_prob: float, rng):
@@ -144,8 +140,8 @@ def backoff_and_retry(state: UpdateAttemptState, detection_time: float,
     return k
 
 
-def reference_run(cfg, rate_per_s: float, horizon_ms: float, seed,
-                  users: int = 1000) -> ReferenceTrace:
+def reference_run(cfg, rate_per_s: float, horizon_ms: float,
+                  seed) -> ReferenceTrace:
     """Simulate the full procedure for one path, one object per update."""
     rng = np.random.default_rng(seed)
     t_rao = cfg.rao_period
@@ -155,7 +151,7 @@ def reference_run(cfg, rate_per_s: float, horizon_ms: float, seed,
     detect_lag = cfg.preamble_duration + cfg.t_proc1 + cfg.rar_window_ms
     prop_total = 4.0 * cfg.max_prop_delay
 
-    arrivals = generate_arrivals(rate_per_s / 1000.0, horizon_ms, rng, users)
+    arrivals = generate_arrivals(rate_per_s / 1000.0, horizon_ms, rng)
     pending: dict = {}
     heap: list = []
 
@@ -166,12 +162,12 @@ def reference_run(cfg, rate_per_s: float, horizon_ms: float, seed,
         pending[k].append(state)
 
     censored = 0
-    for user, t in arrivals:
+    for t in arrivals:
         k = max(int(math.ceil(t / t_rao)) - 1, 0)  # first RAO at or after t
         if k >= n_raos:
             censored += 1
             continue
-        push(k, UpdateAttemptState(user=user, gen_time=t))
+        push(k, UpdateAttemptState(gen_time=t))
 
     records: list = []
     rao_records: list = []
@@ -200,7 +196,7 @@ def reference_run(cfg, rate_per_s: float, horizon_ms: float, seed,
                 censored += 1
                 continue
             records.append(AccessRecord(
-                user=st.user, gen_time=st.gen_time, outcome="success",
+                gen_time=st.gen_time, outcome="success",
                 attempts=st.attempt, latency_ms=latency,
                 departure_time=departure, fates=tuple(st.fates),
                 rao_times=tuple(st.rao_times)))
@@ -221,7 +217,7 @@ def reference_run(cfg, rate_per_s: float, horizon_ms: float, seed,
                 n_demo += 1
             if st.attempt >= cfg.max_attempts:
                 records.append(AccessRecord(
-                    user=st.user, gen_time=st.gen_time, outcome="failure",
+                    gen_time=st.gen_time, outcome="failure",
                     attempts=st.attempt, latency_ms=float("inf"),
                     departure_time=None, fates=tuple(st.fates),
                     rao_times=tuple(st.rao_times)))
@@ -234,10 +230,10 @@ def reference_run(cfg, rate_per_s: float, horizon_ms: float, seed,
                 push(k2, st)
 
         rao_records.append(RaoRecord(
-            index=k, time=rao_time, transmissions=x,
+            index=k, transmissions=x,
             successes=n_succ, collided=n_coll, erased=n_eras, demoted=n_demo))
 
-    records.sort(key=lambda r: (r.gen_time, r.user))
+    records.sort(key=lambda r: r.gen_time)
     return ReferenceTrace(n_raos=n_raos, records=records,
                           rao_records=rao_records,
                           departures=np.sort(np.asarray(departures)),

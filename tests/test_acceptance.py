@@ -20,7 +20,7 @@ from leoiot.backhaul_analytic import (TandemModel, average_aoi_lossless,
                                       expected_ty, mean_network_delay)
 from leoiot.backhaul_sim import BackhaulConfig
 from leoiot.experiments import ExperimentSpec, run_backhauling
-from leoiot.scenario import backhauling_preset, offloading_preset
+from leoiot.scenario import load_config
 
 MASTER_SEED = 20250809
 
@@ -86,7 +86,7 @@ def test_criterion_2_throughput_peak():
 
 def test_criterion_3_semi_analytic_match():
     t0 = time.monotonic()
-    off = offloading_preset()
+    off = load_config("offloading")
     lam_earth = off.traffic.ground_ratio * off.traffic.total_rate
     lam_space = (1 - off.traffic.ground_ratio) * off.traffic.total_rate
     checks = []
@@ -121,7 +121,7 @@ def test_criterion_3_semi_analytic_match():
 
 def test_criterion_4_congested_success_probability():
     t0 = time.monotonic()
-    cfg = replace(offloading_preset().ground_ra, max_attempts=10)
+    cfg = replace(load_config("offloading").ground_ra, max_attempts=10)
     probs = []
     for rep in range(10):
         trace = ra_sim.run(cfg, 50.0, 4.0e6,
@@ -238,8 +238,9 @@ def test_criterion_7_erasure_orderings():
 
 def test_criterion_8_mode_curves():
     rhos = tuple(round(0.05 * k, 2) for k in range(1, 20))
+    feed = bs.RaFeedSettings(load_config("backhauling").ground_ra)
     rows = bs.sweep(rhos, (2,), (0.0,), ("no-ra", "ra-a1", "ra-a10"), 1,
-                    MASTER_SEED, n_packets=120_000, workers=8)
+                    MASTER_SEED, n_packets=120_000, feed=feed, workers=8)
     curve = {m: [r.mean_system_time for r in rows if r.mode == m]
              for m in ("no-ra", "ra-a1", "ra-a10")}
     t10 = curve["ra-a10"]
@@ -264,7 +265,7 @@ def test_criterion_8_mode_curves():
 
 def test_criterion_9_reproducibility(tmp_path):
     spec = ExperimentSpec(
-        config=replace(backhauling_preset(), seed=MASTER_SEED),
+        config=replace(load_config("backhauling"), seed=MASTER_SEED),
         figure="custom", rhos=(0.3, 0.8), hops=(2,), erasures=(0.0, 0.1),
         modes=("no-ra", "ra-a10"), replications=1, packets=20_000,
         out_dir=tmp_path / "w1", workers=1)
@@ -279,13 +280,13 @@ def test_criterion_9_reproducibility(tmp_path):
                == (tmp_path / "again" / f).read_bytes() for f in files)
 
     # representative single-run traces: identical columns on rerun
-    cfg = offloading_preset().ground_ra
+    cfg = load_config("offloading").ground_ra
     t1 = ra_sim.run(cfg, 50.0, 3.2e5, MASTER_SEED)
     t2 = ra_sim.run(cfg, 50.0, 3.2e5, MASTER_SEED)
     traces_same = (all(np.array_equal(getattr(t1, c), getattr(t2, c),
                                       equal_nan=True)
-                       for c in ("user", "gen_time", "attempts",
-                                 "latency_ms", "departure"))
+                       for c in ("gen_time", "attempts", "latency_ms",
+                                 "departure"))
                    and t1.rao_records == t2.rao_records
                    and t1.censored == t2.censored)
     verdict(9, same and traces_same,

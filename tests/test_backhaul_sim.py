@@ -10,6 +10,15 @@ from leoiot.backhaul_analytic import TandemModel, average_aoi_lossless, \
 from leoiot.backhaul_sim import (ArrivalStream, BackhaulConfig, NetworkTrace,
                                  average_aoi, mean_system_time,
                                  poisson_stream, run, run_point, sweep)
+from leoiot.scenario import load_config
+
+FEED = bs.RaFeedSettings(load_config("backhauling").ground_ra)
+
+
+def ra_point(mode, rho, hops, master_seed, n_packets):
+    """A sweep cell of replication 0 with the feed that ``sweep`` builds."""
+    access = bs.ra_departure_stream((mode, 0), master_seed, n_packets, FEED)
+    return run_point(mode, rho, hops, 0.0, 0, master_seed, n_packets, access)
 
 
 def mm1_aoi_exact(rho, mu=1.0):
@@ -229,14 +238,14 @@ class TestSweep:
     def test_worker_count_does_not_change_results(self):
         kwargs = dict(rhos=(0.4, 0.7), hops_list=(2,), erasures=(0.0, 0.1),
                       modes=("no-ra", "ra-a10"), replications=2, master_seed=31,
-                      n_packets=20_000)
+                      n_packets=20_000, feed=FEED)
         serial = sweep(**kwargs, workers=1)
         parallel = sweep(**kwargs, workers=4)
         assert serial == parallel
 
     def test_ra_feed_modes(self):
-        row1 = run_point("ra-a1", 0.5, 2, 0.0, 0, 7, 20_000)
-        row10 = run_point("ra-a10", 0.5, 2, 0.0, 0, 7, 20_000)
+        row1 = ra_point("ra-a1", 0.5, 2, 7, 20_000)
+        row10 = ra_point("ra-a10", 0.5, 2, 7, 20_000)
         assert 0.85 <= row1.ra_success_prob <= 0.93     # about 1 - erasure
         assert row10.ra_success_prob > 0.95             # retries recover most
         # the congested ten-attempt feed adds rescaled handshake latency
@@ -245,7 +254,7 @@ class TestSweep:
 
     def test_a10_dominates_no_ra_at_low_load(self):
         base = run_point("no-ra", 0.1, 2, 0.0, 0, 7, 20_000)
-        ra10 = run_point("ra-a10", 0.1, 2, 0.0, 0, 7, 20_000)
+        ra10 = ra_point("ra-a10", 0.1, 2, 7, 20_000)
         assert ra10.mean_aoi > 3 * base.mean_aoi
         assert ra10.mean_system_time > 3 * base.mean_system_time
 
@@ -263,6 +272,12 @@ class TestSweep:
         with pytest.raises(ValueError):
             run_point("two-step", 0.5, 2, 0.0, 0, 7, 1000)
 
+    def test_ra_cell_needs_its_feed(self):
+        with pytest.raises(ValueError, match="access feed"):
+            run_point("ra-a1", 0.5, 2, 0.0, 0, 7, 1000)
+        with pytest.raises(ValueError, match="access feed"):
+            sweep((0.5,), (2,), (0.0,), ("ra-a1",), 1, 7, n_packets=1_000)
+
 
 class TestFeedReuse:
     def test_one_access_run_per_mode_and_replication(self, monkeypatch):
@@ -275,7 +290,7 @@ class TestFeedReuse:
 
         monkeypatch.setattr(bs.ra_sim, "run", counting)
         rows = sweep((0.3, 0.6), (1, 2), (0.0,), ("ra-a1", "ra-a10"), 2, 11,
-                     n_packets=2_000)
+                     n_packets=2_000, feed=FEED)
         assert len(rows) == 16
         assert len(calls) == 4
 
@@ -289,7 +304,7 @@ class TestFeedReuse:
 
         monkeypatch.setattr(bs, "run", capturing)
         rows = sweep((0.3, 0.7), (2,), (0.0,), ("ra-a10",), 1, 13,
-                     n_packets=2_000)
+                     n_packets=2_000, feed=FEED)
         lo, hi = streams
         assert np.allclose(lo.arrival_times * 0.3, hi.arrival_times * 0.7,
                            rtol=1e-12, atol=0.0)
@@ -302,12 +317,11 @@ class TestFeedReuse:
 
     def test_standalone_point_matches_sweep_row(self):
         rows = sweep((0.3, 0.6), (2,), (0.0,), ("ra-a1",), 1, 17,
-                     n_packets=2_000)
-        assert run_point("ra-a1", 0.6, 2, 0.0, 0, 17, 2_000) == rows[1]
+                     n_packets=2_000, feed=FEED)
+        assert ra_point("ra-a1", 0.6, 2, 17, 2_000) == rows[1]
 
     def test_feed_is_in_departure_order(self):
-        access = bs.ra_departure_stream("ra-a10", 2_000, 19,
-                                        bs.RaFeedSettings())
+        access = bs.ra_departure_stream(("ra-a10", 0), 19, 2_000, FEED)
         assert len(access.departures_ms) == len(access.gen_times_ms) == 2_000
         assert (np.diff(access.departures_ms) >= 0).all()
         assert (access.gen_times_ms < access.departures_ms).all()
@@ -324,8 +338,8 @@ class TestFeedReuse:
         monkeypatch.setattr(bs.ra_sim, "run", counting)
         # near the ten-attempt channel's capacity the 0.85 success guess
         # undersizes the horizon
-        access = bs.ra_departure_stream(
-            "ra-a10", 1_000, 3, bs.RaFeedSettings(a10_rate_per_s=350.0))
+        monkeypatch.setattr(bs.RaFeedSettings, "a10_rate_per_s", 350.0)
+        access = bs.ra_departure_stream(("ra-a10", 0), 3, 1_000, FEED)
         assert len(access.departures_ms) == 1_000
         assert len(calls) == 2 and calls[0] < 1_000 <= calls[1]
 
@@ -339,9 +353,9 @@ class TestFeedReuse:
 
         monkeypatch.setattr(bs.ra_sim, "run", counting)
         # an overloaded channel: departures do not grow with the horizon
+        monkeypatch.setattr(bs.RaFeedSettings, "a10_rate_per_s", 600.0)
         with pytest.raises(RuntimeError, match="departures"):
-            bs.ra_departure_stream("ra-a10", 1_000, 3,
-                                   bs.RaFeedSettings(a10_rate_per_s=600.0))
+            bs.ra_departure_stream(("ra-a10", 0), 3, 1_000, FEED)
         assert len(calls) == 2
         assert calls[1][2] <= bs.MAX_HORIZON_GROWTH * calls[0][2]
 
@@ -360,7 +374,7 @@ class TestFeedReuse:
                         seed)
 
         monkeypatch.setattr(bs.ra_sim, "run", idle_first)
-        access = bs.ra_departure_stream("ra-a1", n, 3, bs.RaFeedSettings())
+        access = bs.ra_departure_stream(("ra-a1", 0), 3, n, FEED)
         assert len(access.departures_ms) == n
         assert horizons[1] == pytest.approx(horizons[0] * growth, rel=1e-12)
 

@@ -1,4 +1,5 @@
-"""The benchmark's traced fig6-slice pass still runs on the current engine.
+"""The benchmark's traced offload and fig6-slice passes still run on the
+current engine.
 
 Its tracer reads ``ra_sim.run``'s signature, the trace's counters and RAO
 records, and writes them to JSON, so a change of types there (say numpy
@@ -9,12 +10,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_traced_fig6_slice_is_correct():
+@pytest.mark.parametrize("workload", ["offload", "fig6-slice"])
+def test_traced_pass_is_correct(workload):
     done = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "fig6-slice",
+        [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", "1", "--seconds", "0", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr[-2000:]

@@ -9,7 +9,7 @@ from leoiot import backhaul_sim as bs
 from leoiot import experiments as ex
 from leoiot.experiments import (ExperimentSpec, ResultRow, main, report,
                                 run_analytic, run_backhauling, run_offloading)
-from leoiot.scenario import backhauling_preset, offloading_preset
+from leoiot.scenario import load_config
 
 
 def read_rows(path):
@@ -19,13 +19,13 @@ def read_rows(path):
 
 
 def offload_spec(tmp_path, horizon=4.0e5):
-    cfg = replace(offloading_preset(), horizon=horizon)
+    cfg = replace(load_config("offloading"), horizon=horizon)
     return ExperimentSpec(config=cfg, figure="fig4", out_dir=tmp_path,
                           attempts=(1, 10))
 
 
 def backhaul_spec(tmp_path, **kw):
-    cfg = backhauling_preset()
+    cfg = load_config("backhauling")
     defaults = dict(config=cfg, figure="fig6", rhos=(0.3, 0.5),
                     hops=(2,), erasures=(0.0,), modes=("no-ra",),
                     replications=2, packets=20_000, workers=1,
@@ -43,7 +43,7 @@ class TestOffloading:
         # four curves per attempt budget: ground k=1, ground/space k=0.5
         assert sum(1 for n in names if n.startswith("offload_cdf")) == 6
         meta = json.loads((tmp_path / "metadata.json").read_text())
-        assert meta["seed"] == offloading_preset().seed
+        assert meta["seed"] == load_config("offloading").seed
         assert "config_sha256_16" in meta
 
     def test_pmf_files_are_distributions(self, tmp_path):
@@ -57,7 +57,7 @@ class TestOffloading:
     def test_single_attempt_plateau_bounded(self, tmp_path):
         run_offloading(offload_spec(tmp_path))
         rows = read_rows(tmp_path / "offload_summary.csv")
-        eps = offloading_preset().ground_ra.erasure_prob
+        eps = load_config("offloading").ground_ra.erasure_prob
         for r in rows:
             if r["attempts"] == "1":
                 assert float(r["success_probability"]) <= 1 - eps + 1e-12
@@ -73,7 +73,8 @@ class TestOffloading:
 
     def test_requires_space_path(self, tmp_path):
         spec = replace(offload_spec(tmp_path),
-                       config=replace(offloading_preset(), space_ra=None))
+                       config=replace(load_config("offloading"),
+                                      space_ra=None))
         with pytest.raises(ValueError):
             run_offloading(spec)
 
@@ -123,16 +124,21 @@ class TestBackhauling:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_rerun_is_byte_identical(self, tmp_path):
+        # every file the run writes, the report and the metadata included
         a, b = tmp_path / "a", tmp_path / "b"
         run_backhauling(backhaul_spec(a))
         run_backhauling(backhaul_spec(b))
-        assert ((a / "backhaul_rows.csv").read_bytes()
-                == (b / "backhaul_rows.csv").read_bytes())
+        names = sorted(f.name for f in a.iterdir())
+        assert names == sorted(f.name for f in b.iterdir())
+        assert {"report.txt", "metadata.json"} <= set(names)
+        for name in names:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
     def test_different_seed_changes_rows(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         run_backhauling(backhaul_spec(a))
-        spec = backhaul_spec(b, config=replace(backhauling_preset(), seed=2))
+        spec = backhaul_spec(b, config=replace(load_config("backhauling"),
+                                               seed=2))
         run_backhauling(spec)
         assert ((a / "backhaul_rows.csv").read_bytes()
                 != (b / "backhaul_rows.csv").read_bytes())
@@ -147,9 +153,9 @@ class TestReport:
     def test_tolerance_failure_flips_exit(self, tmp_path):
         spec = backhaul_spec(tmp_path)
         rows = [
-            ResultRow("fig6", "analytic", 0.5, 2, 0.0, None,
+            ResultRow("fig6", "analytic", 0.5, 2, 0.0,
                       "mean_system_time", 4.0, None),
-            ResultRow("fig6", "no-ra", 0.5, 2, 0.0, None,
+            ResultRow("fig6", "no-ra", 0.5, 2, 0.0,
                       "mean_system_time", 4.5, 0.01),
         ]
         text, ok = report(rows, spec)
@@ -159,9 +165,9 @@ class TestReport:
     def test_within_tolerance_passes(self, tmp_path):
         spec = backhaul_spec(tmp_path)
         rows = [
-            ResultRow("fig6", "analytic", 0.5, 2, 0.0, None,
+            ResultRow("fig6", "analytic", 0.5, 2, 0.0,
                       "mean_system_time", 4.0, None),
-            ResultRow("fig6", "no-ra", 0.5, 2, 0.0, None,
+            ResultRow("fig6", "no-ra", 0.5, 2, 0.0,
                       "mean_system_time", 4.05, 0.01),
         ]
         text, ok = report(rows, spec)
@@ -240,6 +246,7 @@ class TestCli:
         (["--set", "backhaul.buffer_size=3"], "unknown section 'backhaul'"),
         (["--config", "{missing}"], "No such file"),
         (["--config", "{stale}"], "unknown section(s) ['backhaul']"),
+        (["--set", "traffic.total_rate=abc"], "not a number"),
     ])
     def test_bad_config_fails_at_boundary(self, tmp_path, capsys, command,
                                           flags, text):
@@ -282,7 +289,7 @@ class TestCli:
         assert {(r["mode"], r["hops"], r["link_erasure"]) for r in rows} \
             == cells
 
-    @pytest.mark.parametrize("seed, code", [("1", 2), ("3", 0)])
+    @pytest.mark.parametrize("seed, code", [("4", 2), ("3", 0)])
     def test_short_ra_feed_horizon(self, tmp_path, capsys, monkeypatch,
                                    seed, code):
         horizons = []
@@ -307,6 +314,31 @@ class TestCli:
             assert len(err) == 1 and err[0].startswith("error: ra-a10 feed")
         else:
             assert len(read_rows(tmp_path / "backhaul_rows.csv")) == 1
+
+    @pytest.mark.parametrize("argv, field", [
+        (["analytic", "--set", "ground_ra.rao_period=0"],
+         "ground_ra.rao_period"),
+        (["analytic", "--set", "traffic.total_rate=-5"], "traffic.total_rate"),
+        # a config that ``leoiot validate`` rejects
+        (["analytic", "--preset", "offloading",
+          "--set", "ground_ra.preambles=1"], "ground_ra.preambles"),
+        (["offload", "--attempts", "0"], "attempts"),
+        (["offload", "--attempts", "-3"], "attempts"),
+        # shorter than the 320 ms RAO period of the terrestrial path
+        (["offload", "--set", "horizon=100"], "horizon"),
+    ])
+    def test_unusable_run_rejected(self, tmp_path, capsys, argv, field):
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {field}")
+        assert not out.exists()          # rejected before any work
+
+    def test_library_analytic_rejects_bad_config(self, tmp_path):
+        config = replace(load_config("backhauling"), horizon=0.0)
+        with pytest.raises(ValueError, match="horizon"):
+            run_analytic(backhaul_spec(tmp_path, config=config))
 
     def test_analytic_rejects_bad_grid(self, tmp_path, capsys):
         code = main(["analytic", "--preset", "backhauling", "--hops", "0",

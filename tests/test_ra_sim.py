@@ -10,35 +10,30 @@ from _ra_reference import (UpdateAttemptState, backoff_and_retry,
                            reference_run, resolve_rao, schedule_grants)
 from leoiot.ra_analytic import min_access_delay
 from leoiot.ra_sim import empirical_pmf, generate_arrivals, latency_cdf, run
-from leoiot.scenario import backhauling_preset, offloading_preset
+from leoiot.scenario import load_config
 
-GROUND = offloading_preset().ground_ra          # T_rao=320, A=1, eps=0.1
-SPACE = offloading_preset().space_ra            # T_rao=160, 4 repetitions
-LIGHT = backhauling_preset().ground_ra          # T_rao=40
+GROUND = load_config("offloading").ground_ra    # T_rao=320, A=1, eps=0.1
+SPACE = load_config("offloading").space_ra      # T_rao=160, 4 repetitions
+LIGHT = load_config("backhauling").ground_ra    # T_rao=40
 
 
 class TestGenerateArrivals:
     def test_zero_rate(self):
         rng = np.random.default_rng(0)
-        users, times = generate_arrivals(0.0, 1e6, rng)
-        assert len(users) == len(times) == 0
+        assert len(generate_arrivals(0.0, 1e6, rng)) == 0
 
     def test_count_statistics(self):
         rng = np.random.default_rng(1)
-        labels, times = generate_arrivals(0.05, 1e6, rng, users=1000)
+        times = generate_arrivals(0.05, 1e6, rng)
         mean = 50_000
-        assert len(labels) == len(times)
         assert abs(len(times) - mean) <= 3 * math.sqrt(mean)
         assert (np.diff(times) >= 0).all()
         assert times[-1] < 1e6
-        users = set(labels.tolist())
-        assert users <= set(range(1000))
-        assert len(users) > 900       # essentially all devices show up
 
     def test_deterministic(self):
         a = generate_arrivals(0.01, 1e5, np.random.default_rng(7))
         b = generate_arrivals(0.01, 1e5, np.random.default_rng(7))
-        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+        assert np.array_equal(a, b)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -104,7 +99,7 @@ class TestScheduleGrants:
 
 class TestBackoffAndRetry:
     def test_zero_backoff_next_rao(self):
-        st = UpdateAttemptState(user=0, gen_time=100.0)
+        st = UpdateAttemptState(gen_time=100.0)
         k = backoff_and_retry(st, detection_time=339.6, backoff=0.0,
                               rao_period=320.0, n_raos=100)
         assert k == 1            # first RAO at or after 339.6 is 640 ms
@@ -112,7 +107,7 @@ class TestBackoffAndRetry:
         assert st.backoffs == [0.0]
 
     def test_beyond_horizon_censors(self):
-        st = UpdateAttemptState(user=0, gen_time=0.0)
+        st = UpdateAttemptState(gen_time=0.0)
         k = backoff_and_retry(st, detection_time=320.0 * 99, backoff=400.0,
                               rao_period=320.0, n_raos=100)
         assert k is None
@@ -121,7 +116,7 @@ class TestBackoffAndRetry:
         # retry lands within [detection, detection + backoff + one period]
         rng = np.random.default_rng(11)
         for _ in range(200):
-            st = UpdateAttemptState(user=0, gen_time=0.0)
+            st = UpdateAttemptState(gen_time=0.0)
             det = float(rng.uniform(0, 5000))
             b = float(rng.uniform(0, 160))
             k = backoff_and_retry(st, det, b, 320.0, 10_000)
@@ -145,7 +140,7 @@ class TestRun:
     def test_determinism(self):
         a = run(GROUND, 50.0, 3.2e5, 123)
         b = run(GROUND, 50.0, 3.2e5, 123)
-        for col in ("user", "gen_time", "attempts", "latency_ms"):
+        for col in ("gen_time", "attempts", "latency_ms"):
             assert np.array_equal(getattr(a, col), getattr(b, col))
         assert np.array_equal(a.departure, b.departure, equal_nan=True)
         assert a.rao_records == b.rao_records
@@ -266,7 +261,6 @@ class TestLatencyCdf:
 def _reference_columns(trace):
     rec = trace.records
     return {
-        "user": np.array([r.user for r in rec], dtype=np.int64),
         "gen_time": np.array([r.gen_time for r in rec], dtype=float),
         "attempts": np.array([r.attempts for r in rec], dtype=np.int64),
         "latency_ms": np.array([r.latency_ms for r in rec], dtype=float),
@@ -276,7 +270,8 @@ def _reference_columns(trace):
     }
 
 
-DEMOTING = replace(GROUND, preambles=48, rar_window=4)   # 12 grants per RAO
+# 6 grants per RAO: the first RAOs hold more winners than that on any seed
+DEMOTING = replace(GROUND, preambles=48, rar_window=2)
 
 
 class TestReference:

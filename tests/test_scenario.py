@@ -5,15 +5,12 @@ from importlib import resources
 import pytest
 
 from leoiot.scenario import (RaConfig, ScenarioConfig, TrafficConfig,
-                             apply_overrides, backhauling_preset,
-                             config_hash, dump_config, load_config,
-                             load_preset_file, offloading_preset,
-                             split_rates, validate)
+                             apply_overrides, config_hash, dump_config,
+                             load_config, split_rates, validate)
 
 
-def make_traffic(total_rate=50.0, kappa=0.5, users=1000):
-    return TrafficConfig(users=users, total_rate=total_rate,
-                         ground_ratio=kappa)
+def make_traffic(total_rate=50.0, kappa=0.5):
+    return TrafficConfig(total_rate=total_rate, ground_ratio=kappa)
 
 
 class TestSplitRates:
@@ -40,39 +37,39 @@ class TestSplitRates:
 
 class TestValidate:
     def test_presets_are_clean(self):
-        assert validate(offloading_preset()) == []
-        assert validate(backhauling_preset()) == []
+        assert validate(load_config("offloading")) == []
+        assert validate(load_config("backhauling")) == []
 
     def test_bad_preamble_count(self):
-        cfg = replace(offloading_preset(),
-                      ground_ra=replace(offloading_preset().ground_ra,
+        cfg = replace(load_config("offloading"),
+                      ground_ra=replace(load_config("offloading").ground_ra,
                                         preambles=13))
         problems = validate(cfg)
         assert any("preambles" in p for p in problems)
 
     def test_bad_kappa(self):
-        cfg = replace(offloading_preset(),
-                      traffic=replace(offloading_preset().traffic,
+        cfg = replace(load_config("offloading"),
+                      traffic=replace(load_config("offloading").traffic,
                                       ground_ratio=1.2))
         problems = validate(cfg)
         assert any("ground_ratio" in p for p in problems)
 
     def test_bad_rao_period(self):
-        cfg = replace(backhauling_preset(),
-                      ground_ra=replace(backhauling_preset().ground_ra,
+        cfg = replace(load_config("backhauling"),
+                      ground_ra=replace(load_config("backhauling").ground_ra,
                                         rao_period=100.0))
         assert any("rao_period" in p for p in validate(cfg))
 
     def test_erasure_range(self):
-        cfg = replace(backhauling_preset(),
-                      ground_ra=replace(backhauling_preset().ground_ra,
+        cfg = replace(load_config("backhauling"),
+                      ground_ra=replace(load_config("backhauling").ground_ra,
                                         erasure_prob=1.0))
         assert any("erasure_prob" in p for p in validate(cfg))
 
 
 class TestPresets:
     def test_offloading_column(self):
-        cfg = offloading_preset()
+        cfg = load_config("offloading")
         assert cfg.traffic.ground_ratio == 0.5
         assert cfg.space_ra is not None
         assert cfg.space_ra.repetitions == 4
@@ -82,13 +79,13 @@ class TestPresets:
         assert cfg.space_ra.rao_period == 160.0
 
     def test_backhauling_column(self):
-        cfg = backhauling_preset()
+        cfg = load_config("backhauling")
         assert cfg.traffic.ground_ratio == 1.0
         assert cfg.space_ra is None
         assert cfg.ground_ra.rao_period == 40.0
 
     def test_grant_capacity_is_36_on_both_paths(self):
-        off = offloading_preset()
+        off = load_config("offloading")
         assert off.ground_ra.grant_capacity == 36
         assert off.space_ra.grant_capacity == 36
         # the window stretches with repetitions but holds the same grants
@@ -96,29 +93,26 @@ class TestPresets:
         assert off.ground_ra.rar_window_ms == 12.0
 
     def test_derived_durations(self):
-        sp = offloading_preset().space_ra
+        sp = load_config("offloading").space_ra
         assert sp.preamble_duration == pytest.approx(5.6 * 4 + 2.0)
         assert sp.rar_duration == pytest.approx(2.0)
 
-    def test_preset_files_match_builders(self):
-        assert load_preset_file("offloading") == offloading_preset()
-        assert load_preset_file("backhauling") == backhauling_preset()
-
     def test_load_config_resolves_preset_names(self):
-        assert load_config("offloading") == offloading_preset()
-        assert load_config("backhauling") == backhauling_preset()
+        for name in ("offloading", "backhauling"):
+            path = resources.files("leoiot.presets") / f"{name}.ini"
+            assert load_config(name) == load_config(str(path))
 
 
 class TestConfigFiles:
     def test_round_trip(self, tmp_path):
-        cfg = offloading_preset()
+        cfg = load_config("offloading")
         path = tmp_path / "scenario.ini"
         path.write_text(dump_config(cfg))
         assert load_config(str(path)) == cfg
 
     def test_round_trip_backhauling(self, tmp_path):
         # no [space_ra] section: the path stays unconfigured
-        cfg = replace(backhauling_preset(), seed=9, horizon=1.25e5)
+        cfg = replace(load_config("backhauling"), seed=9, horizon=1.25e5)
         path = tmp_path / "scenario.ini"
         path.write_text(dump_config(cfg))
         assert load_config(str(path)) == cfg
@@ -129,7 +123,11 @@ class TestConfigFiles:
         ("[backhaul]\nhops = 2\n", "unknown section"),
         ("[run]\nseed = 1\nreplications = 5\n", "unknown key 'replications'"),
         ("[traffic]\nground_core_link = true\n", "unknown key"),
+        # the device count no run read is a stale key
         ("[traffic]\nusers = many\n", "traffic.users"),
+        ("[traffic]\nusers = 1000\n", "unknown key 'users'"),
+        ("[traffic]\ntotal_rate = many\n",
+         "traffic.total_rate: 'many' is not"),
         ("users = 5\n", "no section headers"),
     ])
     def test_bad_file_rejected(self, tmp_path, text, match):
@@ -143,36 +141,40 @@ class TestConfigFiles:
             load_config(str(tmp_path / "missing.ini"))
 
     def test_hash_stable_and_sensitive(self):
-        a = config_hash(offloading_preset())
-        b = config_hash(offloading_preset())
-        c = config_hash(backhauling_preset())
+        a = config_hash(load_config("offloading"))
+        b = config_hash(load_config("offloading"))
+        c = config_hash(load_config("backhauling"))
         assert a == b
         assert a != c
 
 
 class TestOverrides:
     def test_nested_override(self):
-        cfg = apply_overrides(offloading_preset(),
+        cfg = apply_overrides(load_config("offloading"),
                               ["traffic.total_rate=250", "ground_ra.max_attempts=10"])
         assert cfg.traffic.total_rate == 250.0
         assert cfg.ground_ra.max_attempts == 10
 
     def test_top_level_override(self):
-        cfg = apply_overrides(offloading_preset(), ["seed=99", "horizon=1e5"])
+        cfg = apply_overrides(load_config("offloading"),
+                              ["seed=99", "horizon=1e5"])
         assert cfg.seed == 99
         assert cfg.horizon == 1e5
 
     def test_bad_override_rejected(self):
         with pytest.raises(ValueError):
-            apply_overrides(offloading_preset(), ["nonsense"])
+            apply_overrides(load_config("offloading"), ["nonsense"])
         with pytest.raises(ValueError):
-            apply_overrides(offloading_preset(), ["nowhere.key=1"])
+            apply_overrides(load_config("offloading"), ["nowhere.key=1"])
         with pytest.raises(ValueError):
-            apply_overrides(backhauling_preset(), ["space_ra.repetitions=2"])
+            apply_overrides(load_config("backhauling"),
+                            ["space_ra.repetitions=2"])
 
     @pytest.mark.parametrize("item, match", [
         ("ground_ra.bogus=1", "unknown key 'bogus'"),
         ("traffic.users=abc", "traffic.users"),
+        ("traffic.users=1000", "unknown key 'users'"),
+        ("traffic.total_rate=abc", "traffic.total_rate: 'abc' is not"),
         ("ground_ra.max_attempts=2.5", "not an integer"),
         ("horizon=long", "not a number"),
         ("replications=3", "unknown key 'replications'"),
@@ -180,7 +182,7 @@ class TestOverrides:
     ])
     def test_unknown_key_or_bad_value_rejected(self, item, match):
         with pytest.raises(ValueError, match=match):
-            apply_overrides(offloading_preset(), [item])
+            apply_overrides(load_config("offloading"), [item])
 
 
 def _dumped_keys(config) -> dict:
@@ -194,7 +196,7 @@ class TestConfigSurface:
     dumped, read back and settable with ``--set``."""
 
     def test_every_field_is_dumped(self):
-        dumped = _dumped_keys(offloading_preset())
+        dumped = _dumped_keys(load_config("offloading"))
         sub = {"traffic": TrafficConfig, "ground_ra": RaConfig,
                "space_ra": RaConfig}
         assert set(dumped) == set(sub) | {"run"}
@@ -204,7 +206,7 @@ class TestConfigSurface:
                 == set(sub) | dumped["run"])
 
     def test_every_field_can_be_set_and_round_trips(self, tmp_path):
-        config = offloading_preset()
+        config = load_config("offloading")
         changes = []
         for section, obj in (("traffic", config.traffic),
                              ("ground_ra", config.ground_ra),
@@ -233,4 +235,4 @@ class TestConfigSurface:
         parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
         parser.read_string(text)
         packaged = {s: set(parser[s]) for s in parser.sections()}
-        assert packaged == _dumped_keys(load_preset_file(name))
+        assert packaged == _dumped_keys(load_config(name))
