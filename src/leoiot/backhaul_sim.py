@@ -1,8 +1,9 @@
-"""Monte Carlo simulation of the N-hop FCFS relay chain with per-link
+"""Monte Carlo simulation of the N-hop FCFS relay chain with link
 erasures, fed by a Poisson source or by the access-procedure departure
 process, plus exact sawtooth integration of the age of information.
 
-Each node is a single exponential server with an infinite buffer.  The
+Each node is a single unit-rate exponential server with an infinite
+buffer, and every link erases with the same probability.  The
 per-packet times come from the FCFS waiting-time recursion evaluated as a
 vectorized running-minimum scan, which reproduces the event-driven sample
 path exactly: a packet starts service when both it and the server are
@@ -30,18 +31,12 @@ WARMUP_FRACTION = 0.05
 
 @dataclass(frozen=True)
 class BackhaulConfig:
-    """Chain of relay nodes, each one exponential server with an infinite
-    buffer; the last server is the feeder link."""
+    """Chain of ``hops`` relay nodes, each one unit-rate exponential server
+    with an infinite buffer whose outgoing link erases a packet with
+    probability ``link_erasure``; the last server is the feeder link."""
 
-    hops: int = 2
-    service_rates: tuple = (1.0, 1.0)     # per node, abstract units
-    link_erasures: tuple = (0.0, 0.0)     # per outgoing link, one per node
-
-    @staticmethod
-    def uniform(hops: int, service_rate: float = 1.0,
-                link_erasure: float = 0.0):
-        return BackhaulConfig(hops, (service_rate,) * hops,
-                              (link_erasure,) * hops)
+    hops: int
+    link_erasure: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -96,7 +91,6 @@ class AoiSummary:
     mean_system_time: float
     delivered_fraction: float
     peak_aoi_mean: float
-    n_delivered: int
 
 
 def _fcfs_waits(arrivals: np.ndarray, services: np.ndarray) -> np.ndarray:
@@ -123,12 +117,11 @@ def run(stream: ArrivalStream, cfg: BackhaulConfig, seed) -> NetworkTrace:
     times = stream.arrival_times
     for node in range(cfg.hops):
         k = len(times)
-        services = rng.exponential(1.0 / cfg.service_rates[node], size=k)
+        services = rng.exponential(1.0, size=k)
         if k:
             times = times + _fcfs_waits(times, services) + services
-        eps = cfg.link_erasures[node]
-        if eps > 0.0 and k:
-            survive = rng.random(k) >= eps
+        if cfg.link_erasure > 0.0 and k:
+            survive = rng.random(k) >= cfg.link_erasure
             drop_node[alive[~survive]] = node + 1
             alive, times = alive[survive], times[survive]
     return NetworkTrace(cfg, stream.gen_times, drop_node,
@@ -200,7 +193,6 @@ def average_aoi(trace: NetworkTrace,
         mean_system_time=mean_system_time(trace),
         delivered_fraction=trace.delivered_fraction,
         peak_aoi_mean=peak_sum / peak_n if peak_n else float("nan"),
-        n_delivered=trace.n_delivered,
     )
 
 
@@ -369,9 +361,9 @@ def run_point(mode: str, rho: float, hops: int, link_erasure: float,
         ra_p = access.success_prob
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    cfg = BackhaulConfig.uniform(hops, 1.0, link_erasure)
-    trace = run(stream, cfg, _net_seed(master_seed, mode, rho, hops,
-                                       link_erasure, replication))
+    trace = run(stream, BackhaulConfig(hops, link_erasure),
+                _net_seed(master_seed, mode, rho, hops, link_erasure,
+                          replication))
     summary = average_aoi(trace, warmup_fraction=WARMUP_FRACTION)
     return SweepRow(
         mode=mode, rho=rho, hops=hops, link_erasure=link_erasure,

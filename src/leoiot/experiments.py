@@ -26,8 +26,8 @@ from . import backhaul_analytic as ba
 from . import backhaul_sim as bs
 from . import ra_analytic as ra
 from . import ra_sim
-from .scenario import (ScenarioConfig, apply_overrides, config_hash,
-                       load_config, split_rates, validate)
+from .scenario import (PRESETS, ScenarioConfig, apply_overrides,
+                       config_hash, load_config, split_rates, validate)
 
 OUTPUT_ENV_VAR = "LEOIOT_OUT"
 DEFAULT_RHO_GRID = tuple(round(0.05 * k, 2) for k in range(1, 20))
@@ -83,6 +83,25 @@ class ResultRow:
     stderr: float | None      # None for analytic rows
 
 
+class SpecError(ValueError):
+    """A spec no run can use; ``problems`` holds one line per problem."""
+
+    def __init__(self, problems):
+        super().__init__("invalid scenario: " + "; ".join(problems))
+        self.problems = problems
+
+
+def _check(problems):
+    if problems:
+        raise SpecError(problems)
+
+
+def _repeated(name: str, values) -> list:
+    """A grid value given twice would pose as a second replication."""
+    twice = list(dict.fromkeys(v for v in values if values.count(v) > 1))
+    return [f"{name} {twice}: each value may appear once"] if twice else []
+
+
 def sweep_problems(spec: ExperimentSpec) -> list:
     """Collect sweep-grid values no run can use; empty means usable."""
     out = []
@@ -95,6 +114,9 @@ def sweep_problems(spec: ExperimentSpec) -> list:
     erasures = [e for e in spec.erasures if not 0.0 <= e < 1.0]
     if erasures:
         out.append(f"link erasure {erasures}: every erasure must lie in [0, 1)")
+    out += (_repeated("rho", spec.rhos) + _repeated("hops", spec.hops)
+            + _repeated("link erasure", spec.erasures)
+            + _repeated("mode", spec.modes))
     if spec.packets < MIN_PACKETS:
         out.append(f"packets {spec.packets}: must be >= {MIN_PACKETS}")
     if spec.replications < 1:
@@ -117,6 +139,7 @@ def offload_problems(spec: ExperimentSpec) -> list:
     attempts = [a for a in spec.attempts if a < 1]
     if attempts:
         out.append(f"attempts {attempts}: every attempt budget must be >= 1")
+    out += _repeated("attempts", spec.attempts)
     if 0 < config.horizon < max(periods):
         out.append(f"horizon: {config.horizon} ms holds no RAO of a channel "
                    f"with period {max(periods)} ms")
@@ -166,9 +189,7 @@ def run_offloading(spec: ExperimentSpec):
     Returns the list of written files.
     """
     cfg = spec.config
-    problems = offload_problems(spec)
-    if problems:
-        raise ValueError("invalid scenario: " + "; ".join(problems))
+    _check(offload_problems(spec))
     out = spec.out_dir
     out.mkdir(parents=True, exist_ok=True)
     written = []
@@ -251,9 +272,7 @@ def run_backhauling(spec: ExperimentSpec):
     Returns (files, report_ok).
     """
     cfg = spec.config
-    problems = validate(cfg) + sweep_problems(spec)
-    if problems:
-        raise ValueError("invalid scenario: " + "; ".join(problems))
+    _check(validate(cfg) + sweep_problems(spec))
     out = spec.out_dir
     out.mkdir(parents=True, exist_ok=True)
     feed = bs.RaFeedSettings(config=cfg.ground_ra)
@@ -385,9 +404,7 @@ def report(result_rows, spec: ExperimentSpec):
 def run_analytic(spec: ExperimentSpec):
     """Closed-form quantities for the configured scenario, no simulation."""
     cfg = spec.config
-    problems = validate(cfg) + sweep_problems(spec)
-    if problems:
-        raise ValueError("invalid scenario: " + "; ".join(problems))
+    _check(validate(cfg) + sweep_problems(spec))
     out = spec.out_dir
     out.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -420,9 +437,10 @@ def run_analytic(spec: ExperimentSpec):
 # ---------------------------------------------------------------------------
 
 def _add_common(p):
-    p.add_argument("--preset", default=None,
-                   help="offloading | backhauling (or use --config)")
-    p.add_argument("--config", default=None, help="scenario INI file")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--preset", choices=PRESETS, default=None,
+                        help="a packaged scenario")
+    source.add_argument("--config", default=None, help="scenario INI file")
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                    dest="overrides",
                    help="override a config key by dotted path, e.g. "
@@ -456,11 +474,11 @@ def _load_spec(args, figure: str) -> ExperimentSpec:
     return spec
 
 
-def _rejected(problems) -> bool:
-    """Print one ``error:`` line per problem; True if there were any."""
+def _rejected(problems) -> int:
+    """Print one ``error:`` line per problem; return the exit status 2."""
     for p in problems:
         print(f"error: {p}", file=sys.stderr)
-    return bool(problems)
+    return 2
 
 
 def main(argv=None) -> int:
@@ -502,8 +520,7 @@ def main(argv=None) -> int:
     try:
         spec = _load_spec(args, figure)
     except (OSError, ValueError) as exc:
-        _rejected([exc])
-        return 2
+        return _rejected([exc])
 
     if args.command == "validate":
         problems = validate(spec.config)
@@ -514,35 +531,21 @@ def main(argv=None) -> int:
         print("configuration valid")
         return 0
 
-    if args.command == "offload":
-        if _rejected(offload_problems(spec)):
-            return 2
-        files = run_offloading(spec)
-        for f in files:
-            print(f"wrote {f}")
-        return 0
-
-    if args.command == "backhaul":
-        if _rejected(validate(spec.config) + sweep_problems(spec)):
-            return 2
-        try:
+    try:
+        if args.command == "backhaul":
             files, ok = run_backhauling(spec)
-        except bs.FeedError as exc:
-            _rejected([exc])
-            return 2
-        for f in files:
-            print(f"wrote {f}")
-        if not ok:
-            print("tolerance failures detected", file=sys.stderr)
-            return 1
-        return 0
-
-    # analytic
-    if _rejected(validate(spec.config) + sweep_problems(spec)):
-        return 2
-    files = run_analytic(spec)
+        else:
+            run = run_offloading if args.command == "offload" else run_analytic
+            files, ok = run(spec), True
+    except SpecError as exc:
+        return _rejected(exc.problems)
+    except bs.FeedError as exc:
+        return _rejected([exc])
     for f in files:
         print(f"wrote {f}")
+    if not ok:
+        print("tolerance failures detected", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -1,9 +1,10 @@
 """Closed-form random-access results: contention statistics, throughput
-limits, per-attempt failure probabilities and access-delay expressions.
+limits, single-attempt success and access-delay expressions.
 
-The exact binomial forms ``(1 - 1/R)^(x-1)`` are the primary implementation;
-the classical exponential approximations are exposed separately with an
-``_approx`` suffix and are never substituted silently.
+The contention moments use the exact binomial form ``(1 - 1/R)^(x-1)``.
+The one exponential approximation, ``max_throughput_approx`` (the R/e
+limit), stands beside its exact form so the two can be compared; it
+is never substituted silently.
 """
 from __future__ import annotations
 
@@ -24,30 +25,11 @@ def arrivals_per_rao(rate_per_s: float, rao_period_ms: float) -> float:
     return rate_per_s / 1000.0 * rao_period_ms
 
 
-def new_arrivals_pmf(lam_rao: float, x: int) -> float:
-    """Poisson pmf of the number of fresh contenders in one RAO.
-
-    ``lam_rao`` is the expected number of new arrivals per RAO, i.e. the
-    per-path rate times the RAO period.
-    """
-    if lam_rao < 0:
-        raise ValueError("lam_rao must be >= 0")
-    if x < 0:
-        return 0.0
-    if lam_rao == 0.0:
-        return 1.0 if x == 0 else 0.0
-    return math.exp(x * math.log(lam_rao) - lam_rao - math.lgamma(x + 1))
-
-
 def expected_successes(x: int, preambles: int) -> float:
     """Expected number of contenders that pick a preamble nobody else picked."""
     if x <= 1:
         return float(max(x, 0))
     return x * (1.0 - 1.0 / preambles) ** (x - 1)
-
-
-def expected_successes_approx(x: int, preambles: int) -> float:
-    return x * math.exp(-x / preambles)
 
 
 def expected_collided(x: int, preambles: int) -> float:
@@ -60,21 +42,6 @@ def collision_prob(x: int, preambles: int) -> float:
     if x < 1:
         raise ValueError("needs at least the tagged contender")
     return 1.0 - (1.0 - 1.0 / preambles) ** (x - 1)
-
-
-def collision_prob_approx(x: int, preambles: int) -> float:
-    return 1.0 - math.exp(-x / preambles)
-
-
-def success_prob(x: int, preambles: int) -> float:
-    """Probability that a tagged contender picked a unique preamble."""
-    if x < 1:
-        raise ValueError("needs at least the tagged contender")
-    return (1.0 - 1.0 / preambles) ** (x - 1)
-
-
-def success_prob_approx(x: int, preambles: int) -> float:
-    return math.exp(-x / preambles)
 
 
 def max_throughput(preambles: int, rao_period_ms: float) -> float:
@@ -97,22 +64,8 @@ def stability_margin(lam_rao: float, preambles: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Erasures and per-attempt outcome probabilities
+# Single-attempt success on an erasure channel
 # ---------------------------------------------------------------------------
-
-def attempt_failure_prob(x: int, preambles: int, erasure: float) -> float:
-    """Failure of one attempt: collision, or erasure of a collision-free preamble."""
-    if not 0.0 <= erasure < 1.0:
-        raise ValueError("erasure must be in [0, 1)")
-    pc = collision_prob(x, preambles)
-    return pc + (1.0 - pc) * erasure
-
-
-def attempt_success_prob(x: int, preambles: int, erasure: float) -> float:
-    if not 0.0 <= erasure < 1.0:
-        raise ValueError("erasure must be in [0, 1)")
-    return success_prob(x, preambles) * (1.0 - erasure)
-
 
 def single_attempt_success(cfg: RaConfig, rate_per_s: float) -> float:
     """Success of a single attempt under Poisson arrivals,

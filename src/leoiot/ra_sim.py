@@ -41,8 +41,6 @@ class RaTrace:
     occupied RAO.  A failed update has ``latency_ms`` inf and ``departure``
     nan; censored updates are only counted."""
 
-    config: RaConfig
-    horizon_ms: float
     n_raos: int
     gen_time: np.ndarray
     attempts: np.ndarray
@@ -188,8 +186,7 @@ def run(cfg: RaConfig, rate_per_s: float, horizon_ms: float, seed) -> RaTrace:
     departure[ok] = gen[ok] + latency[ok]
     outcome[departure > horizon_ms] = _CENSORED
     done = outcome != _CENSORED
-    return RaTrace(config=cfg, horizon_ms=horizon_ms, n_raos=n_raos,
-                   gen_time=gen[done], attempts=attempts[done],
+    return RaTrace(n_raos=n_raos, gen_time=gen[done], attempts=attempts[done],
                    latency_ms=latency[done], departure=departure[done],
                    rao_records=rao_records,
                    censored=n - int(np.count_nonzero(done)))
@@ -237,15 +234,10 @@ class LatencyCdf:
 
     latencies: np.ndarray
     probabilities: np.ndarray
-    n_records: int
 
     @property
     def plateau(self) -> float:
         return float(self.probabilities[-1]) if len(self.probabilities) else 0.0
-
-    def value_at(self, t: float) -> float:
-        i = int(np.searchsorted(self.latencies, t, side="right"))
-        return float(self.probabilities[i - 1]) if i else 0.0
 
 
 def latency_cdf(latency_ms) -> LatencyCdf:
@@ -254,5 +246,5 @@ def latency_cdf(latency_ms) -> LatencyCdf:
     n = len(latency_ms)
     lats = np.sort(latency_ms[np.isfinite(latency_ms)])
     probs = np.arange(1, len(lats) + 1) / n if n else np.empty(0)
-    return LatencyCdf(latencies=lats, probabilities=np.asarray(probs, dtype=float),
-                      n_records=n)
+    return LatencyCdf(latencies=lats,
+                      probabilities=np.asarray(probs, dtype=float))

@@ -29,6 +29,8 @@ import io
 from dataclasses import dataclass, field, fields, replace
 from importlib import resources
 
+# the packaged evaluation columns, leoiot/presets/<name>.ini
+PRESETS = ("offloading", "backhauling")
 VALID_PREAMBLE_COUNTS = (12, 24, 36, 48)
 VALID_RAO_PERIODS = tuple(40 * 2 ** k for k in range(8))  # 40 .. 5120 ms
 
@@ -206,7 +208,7 @@ def _parse(text: str, source: str) -> ScenarioConfig:
 def load_config(path_or_preset: str) -> ScenarioConfig:
     """Load an INI scenario file; the bare preset names ``offloading`` and
     ``backhauling`` resolve to the packaged ``leoiot/presets/<name>.ini``."""
-    if path_or_preset in ("offloading", "backhauling"):
+    if path_or_preset in PRESETS:
         preset = resources.files("leoiot.presets") / f"{path_or_preset}.ini"
         return _parse(preset.read_text(), preset.name)
     with open(path_or_preset) as fh:

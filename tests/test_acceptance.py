@@ -156,7 +156,7 @@ def test_criterion_5_tandem_delay_grid():
                     np.random.SeedSequence((MASTER_SEED, 5, hops,
                                             int(rho * 100), rep)))
                 stream = bs.poisson_stream(rho, n, rng)
-                trace = bs.run(stream, BackhaulConfig.uniform(hops),
+                trace = bs.run(stream, BackhaulConfig(hops),
                                np.random.SeedSequence((MASTER_SEED, 55, hops,
                                                        int(rho * 100), rep)))
                 assert trace.n_delivered >= 100_000
@@ -181,7 +181,7 @@ def test_criterion_6_aoi_oracle():
         rng = np.random.default_rng(
             np.random.SeedSequence((MASTER_SEED, 6, int(rho * 100))))
         stream = bs.poisson_stream(rho, 400_000, rng)
-        trace = bs.run(stream, BackhaulConfig.uniform(1),
+        trace = bs.run(stream, BackhaulConfig(1),
                        np.random.SeedSequence((MASTER_SEED, 66,
                                                int(rho * 100))))
         sim = bs.average_aoi(trace).time_average_aoi
@@ -203,7 +203,7 @@ def _erasure_point(rho, eps, n=250_000):
         np.random.SeedSequence((MASTER_SEED, 7, int(rho * 100),
                                 int(eps * 100))))
     stream = bs.poisson_stream(rho, n, rng)
-    trace = bs.run(stream, BackhaulConfig.uniform(4, 1.0, eps),
+    trace = bs.run(stream, BackhaulConfig(4, eps),
                    np.random.SeedSequence((MASTER_SEED, 77, int(rho * 100),
                                            int(eps * 100))))
     return bs.average_aoi(trace, warmup_fraction=0.05), trace

@@ -2,17 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 from scipy.special import gammaincc
 
 from _gamma_reference import upper_incomplete_gamma
 from leoiot.backhaul_analytic import (InstabilityError, TandemModel,
                                       average_aoi_lossless,
                                       average_aoi_with_errors,
-                                      effective_rate, end_to_end_success,
-                                      expected_ty, expected_wy,
-                                      mean_delivered_delay,
-                                      mean_network_delay, system_time_pdf)
+                                      end_to_end_success, expected_ty,
+                                      expected_wy, mean_delivered_delay,
+                                      mean_network_delay)
 
 
 def mm1_aoi_exact(rho: float, mu: float = 1.0) -> float:
@@ -70,79 +68,15 @@ class TestGammaReference:
         assert produced == pytest.approx(reference, rel=1e-10)
 
 
-class TestEffectiveRate:
-    def test_two_lossy_links(self):
-        assert effective_rate(1.0, [0.1, 0.1, 0.1], 3) == pytest.approx(0.81)
-
-    def test_lossless_identity(self):
-        for n in (1, 2, 4):
-            assert effective_rate(0.7, [0.0, 0.0, 0.0], n) == 0.7
-
-    def test_product_chain(self):
-        assert effective_rate(0.5, [0.01] * 5, 6) == pytest.approx(0.47549,
-                                                                   abs=1e-5)
-
-    def test_first_node_unthinned(self):
-        assert effective_rate(0.9, [0.5, 0.5], 1) == 0.9
-
-    def test_multiplicative_decomposition(self):
-        eps = [0.05, 0.1, 0.2, 0.0, 0.3]
-        for m in range(1, 6):
-            for n in range(m, 7):
-                left = effective_rate(1.3, eps, n)
-                right = effective_rate(1.3, eps, m)
-                for e in eps[m - 1:n - 1]:
-                    right *= (1 - e)
-                assert left == pytest.approx(right, rel=1e-12)
-
-    def test_bad_node_index(self):
-        with pytest.raises(ValueError):
-            effective_rate(1.0, [0.1], 3)
-
-
 class TestEndToEndSuccess:
     def test_lossless(self):
-        assert end_to_end_success([0.0, 0.0]) == 1.0
+        assert end_to_end_success(2, 0.0) == 1.0
 
     def test_two_links(self):
-        assert end_to_end_success([0.1, 0.1]) == pytest.approx(0.81)
+        assert end_to_end_success(2, 0.1) == pytest.approx(0.81)
 
     def test_six_links(self):
-        assert end_to_end_success([0.01] * 6) == pytest.approx(0.94148,
-                                                               abs=1e-5)
-
-
-class TestSystemTimePdf:
-    def test_single_hop_is_exponential(self):
-        alpha = 0.7
-        for t in (0.0, 0.3, 1.0, 5.0):
-            assert system_time_pdf(t, 1, alpha) == pytest.approx(
-                alpha * math.exp(-alpha * t), rel=1e-12)
-
-    def test_integrates_to_one(self):
-        alpha = 0.5
-        total, err = quad(lambda t: system_time_pdf(t, 4, alpha), 0, 50 / alpha)
-        assert total == pytest.approx(1.0, abs=1e-6)
-
-    def test_mean_matches_network_delay(self):
-        hops, lam, mu = 3, 0.4, 1.0
-        alpha = mu - lam
-        mean, _ = quad(lambda t: t * system_time_pdf(t, hops, alpha),
-                       0, 200 / alpha, limit=200)
-        assert mean == pytest.approx(mean_network_delay(hops, lam, mu),
-                                     rel=1e-6)
-
-    @pytest.mark.parametrize("hops", [1, 2, 4, 6])
-    def test_mode_location(self, hops):
-        alpha = 0.6
-        grid = np.linspace(0, 30, 30_001)
-        dens = system_time_pdf(grid, hops, alpha)
-        assert grid[int(np.argmax(dens))] == pytest.approx(
-            (hops - 1) / alpha, abs=2e-3)
-
-    def test_vector_input(self):
-        out = system_time_pdf(np.array([0.0, 1.0, 2.0]), 2, 1.0)
-        assert out.shape == (3,)
+        assert end_to_end_success(6, 0.01) == pytest.approx(0.94148, abs=1e-5)
 
 
 class TestMeanNetworkDelay:
@@ -178,8 +112,8 @@ class TestMeanDeliveredDelay:
                 mean_network_delay(hops, 0.6, 1.0), rel=1e-12)
 
     def test_thinned_node_sum(self):
-        model = TandemModel(3, 0.5, 1.0, (0.1, 0.2, 0.0))
-        expected = (1 / (1 - 0.5) + 1 / (1 - 0.45) + 1 / (1 - 0.36))
+        model = TandemModel(3, 0.5, 1.0, 0.1)
+        expected = (1 / (1 - 0.5) + 1 / (1 - 0.45) + 1 / (1 - 0.405))
         assert mean_delivered_delay(model) == pytest.approx(expected,
                                                             rel=1e-12)
 
@@ -188,7 +122,7 @@ class TestMeanDeliveredDelay:
         gen_d, out_d = simulate_tandem_lossy(n, 4, 0.9, 1.0, 0.1, 29)
         skip = len(gen_d) // 10
         sim = float(np.mean((out_d - gen_d)[skip:]))
-        model = TandemModel(4, 0.9, 1.0, (0.1,) * 4)
+        model = TandemModel(4, 0.9, 1.0, 0.1)
         assert mean_delivered_delay(model) == pytest.approx(sim, rel=0.03)
 
 
@@ -235,7 +169,7 @@ class TestExpectedWY:
         with pytest.raises(ValueError):
             TandemModel(0, 0.5, 1.0)
         with pytest.raises(ValueError):
-            TandemModel(2, 0.5, 1.0, (0.1,))
+            TandemModel(2, 0.5, 1.0, -0.1)
 
 
 class TestExpectedTY:
@@ -279,15 +213,14 @@ class TestAverageAoiLossless:
 
 class TestAverageAoiWithErrors:
     def test_reduces_to_lossless(self):
-        model = TandemModel(2, 0.5, 1.0, (0.0, 0.0))
+        model = TandemModel(2, 0.5, 1.0, 0.0)
         lossless = average_aoi_lossless(0.5, expected_ty(model))
         assert average_aoi_with_errors(model) == pytest.approx(lossless,
                                                                rel=1e-12)
 
     def test_continuity_in_erasure(self):
-        base = average_aoi_with_errors(TandemModel(2, 0.5, 1.0, (0.0, 0.0)))
-        nearby = average_aoi_with_errors(TandemModel(2, 0.5, 1.0,
-                                                     (1e-9, 1e-9)))
+        base = average_aoi_with_errors(TandemModel(2, 0.5, 1.0, 0.0))
+        nearby = average_aoi_with_errors(TandemModel(2, 0.5, 1.0, 1e-9))
         assert nearby == pytest.approx(base, rel=1e-6)
 
     def test_matches_simulation(self):
@@ -299,44 +232,21 @@ class TestAverageAoiWithErrors:
         gaps = np.diff(out_d)
         area = float(np.sum(ages[:-1] * gaps + 0.5 * gaps ** 2))
         sim = area / float(out_d[-1] - out_d[0])
-        model = TandemModel(2, 0.5, 1.0, (eps, eps))
+        model = TandemModel(2, 0.5, 1.0, eps)
         assert average_aoi_with_errors(model) == pytest.approx(sim, rel=0.05)
 
     def test_losses_help_at_high_load(self):
         for hops in (2, 4):
-            lossy = average_aoi_with_errors(
-                TandemModel(hops, 0.9, 1.0, (0.1,) * hops))
-            clean = average_aoi_with_errors(
-                TandemModel(hops, 0.9, 1.0, (0.0,) * hops))
+            lossy = average_aoi_with_errors(TandemModel(hops, 0.9, 1.0, 0.1))
+            clean = average_aoi_with_errors(TandemModel(hops, 0.9, 1.0, 0.0))
             assert lossy < clean
 
     def test_losses_hurt_at_low_load(self):
         for hops in (2, 4):
-            lossy = average_aoi_with_errors(
-                TandemModel(hops, 0.1, 1.0, (0.1,) * hops))
-            clean = average_aoi_with_errors(
-                TandemModel(hops, 0.1, 1.0, (0.0,) * hops))
+            lossy = average_aoi_with_errors(TandemModel(hops, 0.1, 1.0, 0.1))
+            clean = average_aoi_with_errors(TandemModel(hops, 0.1, 1.0, 0.0))
             assert clean <= lossy
 
     def test_total_loss_rejected(self):
         with pytest.raises(ValueError):
-            TandemModel(1, 0.5, 1.0, (1.0,))
-
-
-class TestAoiDecomposition:
-    def test_poisson_moments(self):
-        from leoiot.backhaul_analytic import aoi_decomposition
-        d = aoi_decomposition(TandemModel(2, 0.5, 1.0, (0.1, 0.1)))
-        assert d.e_y == pytest.approx(2.0)
-        assert d.e_y2 == pytest.approx(8.0)
-        assert d.p_s == pytest.approx(0.81)
-        assert 0.0 < d.e_wy < d.e_ty
-
-    def test_lossless_moments_match_plain_model(self):
-        from leoiot.backhaul_analytic import aoi_decomposition
-        model = TandemModel(3, 0.4, 1.0)
-        d = aoi_decomposition(model)
-        assert d.e_wy == pytest.approx(expected_wy(model), rel=1e-12)
-        assert d.e_ty == pytest.approx(expected_ty(model), rel=1e-12)
-        assert d.e_ty_prev == pytest.approx(
-            mean_network_delay(3, 0.4, 1.0) / 0.4, rel=1e-12)
+            TandemModel(1, 0.5, 1.0, 1.0)

@@ -1,9 +1,10 @@
-"""The benchmark's traced offload and fig6-slice passes still run on the
+"""The benchmark's traced passes of all three workloads still run on the
 current engine.
 
 Its tracer reads ``ra_sim.run``'s signature, the trace's counters and RAO
-records, and writes them to JSON, so a change of types there (say numpy
-integers in ``RaoRecord``) breaks ``--trace 1`` but no unit test.
+records, and the chain's ``config.hops`` and ``drop_node``, and writes
+them to JSON, so a change of types or shapes there (say numpy integers in
+``RaoRecord``) breaks ``--trace 1`` but no unit test.
 """
 import json
 import subprocess
@@ -15,7 +16,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload", ["offload", "fig6-slice"])
+@pytest.mark.parametrize("workload", ["offload", "fig6-slice", "fig7-long"])
 def test_traced_pass_is_correct(workload):
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,

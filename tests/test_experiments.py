@@ -9,7 +9,7 @@ from leoiot import backhaul_sim as bs
 from leoiot import experiments as ex
 from leoiot.experiments import (ExperimentSpec, ResultRow, main, report,
                                 run_analytic, run_backhauling, run_offloading)
-from leoiot.scenario import load_config
+from leoiot.scenario import dump_config, load_config
 
 
 def read_rows(path):
@@ -226,6 +226,11 @@ class TestCli:
         (["--link-erasure", "1.0"], "erasure"),
         (["--replications", "0"], "replications"),
         (["--workers", "0"], "workers"),
+        # a repeated grid value would pose as a second replication
+        (["--rho", "0.5", "0.5"], "rho"),
+        (["--hops", "2", "2"], "hops"),
+        (["--link-erasure", "0.1", "0.1"], "erasure"),
+        (["--mode", "no-ra", "no-ra"], "mode"),
     ])
     def test_backhaul_rejects_bad_sweep(self, tmp_path, capsys, flags, field):
         out = tmp_path / "out"
@@ -326,6 +331,7 @@ class TestCli:
         (["offload", "--attempts", "-3"], "attempts"),
         # shorter than the 320 ms RAO period of the terrestrial path
         (["offload", "--set", "horizon=100"], "horizon"),
+        (["offload", "--attempts", "1", "1"], "attempts"),
     ])
     def test_unusable_run_rejected(self, tmp_path, capsys, argv, field):
         out = tmp_path / "out"
@@ -361,6 +367,32 @@ class TestCli:
                      "--rho", "0.5", "--hops", "2"])
         assert code == 0
         assert (tmp_path / "envdir" / "analytic.csv").exists()
+
+    def test_config_file_feeds_metadata(self, tmp_path):
+        ini = tmp_path / "my.ini"
+        ini.write_text(dump_config(replace(load_config("offloading"),
+                                           seed=99)))
+        assert main(["analytic", "--config", str(ini),
+                     "--out", str(tmp_path / "out")]) == 0
+        meta = json.loads((tmp_path / "out" / "metadata.json").read_text())
+        assert meta["seed"] == 99
+
+    @pytest.mark.parametrize("flags, text", [
+        # one scenario source: a preset would silently win over the file
+        (["--preset", "offloading", "--config", "{ini}"], "not allowed"),
+        # a preset is a packaged name, a file goes through --config
+        (["--preset", "{ini}"], "invalid choice"),
+    ])
+    def test_scenario_source_flags(self, tmp_path, capsys, flags, text):
+        ini = tmp_path / "my.ini"
+        ini.write_text(dump_config(load_config("offloading")))
+        flags = [f.format(ini=ini) for f in flags]
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["analytic", *flags, "--out", str(out)])
+        assert exc.value.code == 2
+        assert text in capsys.readouterr().err
+        assert not out.exists()
 
     def test_seed_flag_feeds_metadata(self, tmp_path):
         main(["analytic", "--preset", "backhauling", "--rho", "0.5",

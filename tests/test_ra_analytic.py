@@ -4,14 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from leoiot.ra_analytic import (access_delay, attempt_failure_prob,
-                                attempt_success_prob, collision_prob,
-                                collision_prob_approx, expected_collided,
-                                expected_successes, expected_successes_approx,
+from leoiot.ra_analytic import (access_delay, collision_prob,
+                                expected_collided, expected_successes,
                                 max_throughput, max_throughput_approx,
-                                min_access_delay, new_arrivals_pmf,
-                                stability_margin, success_prob,
-                                success_prob_approx)
+                                min_access_delay, single_attempt_success,
+                                stability_margin)
 from leoiot.scenario import RaConfig
 
 GROUND = RaConfig()   # defaults are the terrestrial path constants
@@ -36,29 +33,6 @@ def enumerate_contention(x: int, preambles: int):
             tagged_collisions += 1
     return (total_s / n_outcomes, total_c / n_outcomes,
             tagged_collisions / n_outcomes)
-
-
-class TestArrivalPmf:
-    def test_empty_process(self):
-        assert new_arrivals_pmf(0.0, 0) == 1.0
-        assert new_arrivals_pmf(0.0, 3) == 0.0
-
-    def test_hand_value(self):
-        assert new_arrivals_pmf(2.0, 1) == pytest.approx(2 * math.exp(-2),
-                                                         rel=1e-12)
-
-    def test_against_factorial_oracle(self):
-        lam = 16.0
-        oracle = lam ** 16 * math.exp(-lam) / math.factorial(16)
-        assert new_arrivals_pmf(lam, 16) == pytest.approx(oracle, rel=1e-12)
-
-    def test_normalization(self):
-        total = sum(new_arrivals_pmf(16.0, x) for x in range(400))
-        assert total == pytest.approx(1.0, abs=1e-12)
-
-    def test_rejects_negative_rate(self):
-        with pytest.raises(ValueError):
-            new_arrivals_pmf(-1.0, 0)
 
 
 class TestContentionMoments:
@@ -89,7 +63,6 @@ class TestContentionMoments:
         assert expected_successes(x, preambles) == pytest.approx(s, abs=1e-12)
         assert expected_collided(x, preambles) == pytest.approx(c, abs=1e-12)
         assert collision_prob(x, preambles) == pytest.approx(pc, abs=1e-12)
-        assert success_prob(x, preambles) == pytest.approx(1 - pc, abs=1e-12)
 
     def test_conservation(self):
         for preambles in (12, 24, 36, 48):
@@ -116,20 +89,16 @@ class TestContentionMoments:
 class TestProbabilities:
     def test_collision_prob_extremes(self):
         assert collision_prob(1, 36) == 0.0
-        assert success_prob(1, 12) == 1.0
+        assert collision_prob(2, 1) == 1.0
 
     def test_collision_prob_value(self):
         exact = 1 - (35 / 36) ** 36
         assert collision_prob(37, 36) == pytest.approx(exact, rel=1e-12)
-        assert collision_prob_approx(37, 36) == pytest.approx(exact, rel=0.03)
-
-    def test_success_prob_value(self):
-        assert success_prob(36, 36) == pytest.approx((35 / 36) ** 35, rel=1e-12)
-        assert success_prob(3, 2) == pytest.approx(0.25, abs=1e-12)
 
     def test_complement(self):
+        # by symmetry a tagged contender succeeds with E[successes] / x
         for x in (1, 2, 7, 36, 100):
-            assert (collision_prob(x, 36) + success_prob(x, 36)
+            assert (collision_prob(x, 36) + expected_successes(x, 36) / x
                     == pytest.approx(1.0, abs=1e-12))
 
     def test_requires_a_contender(self):
@@ -137,10 +106,10 @@ class TestProbabilities:
             collision_prob(0, 36)
 
     def test_approximations_are_separate(self):
-        # the exponential forms are close but never identical for x > 1
-        assert success_prob_approx(36, 36) != success_prob(36, 36)
-        assert expected_successes_approx(36, 36) == pytest.approx(
-            36 * math.exp(-1.0), rel=1e-12)
+        # the R/e limit is close to the exact peak but never identical
+        assert max_throughput_approx(36, 40.0) != max_throughput(36, 40.0)
+        assert max_throughput_approx(36, 40.0) == pytest.approx(
+            36 * 1000.0 / (math.e * 40.0), rel=1e-12)
 
 
 class TestThroughput:
@@ -180,19 +149,19 @@ class TestStability:
 
 
 class TestErasureModels:
+    """One attempt under Poisson arrivals fails by a collision or, on a
+    collision-free preamble, by an erasure."""
+
     def test_attempt_failure_lone_contender(self):
-        assert attempt_failure_prob(1, 36, 0.1) == pytest.approx(0.1)
-        assert attempt_failure_prob(1, 36, 0.0) == 0.0
+        # with no rival traffic only the erasure can fail the attempt
+        assert 1 - single_attempt_success(GROUND, 0.0) == pytest.approx(0.1)
+        lossless = RaConfig(erasure_prob=0.0)
+        assert 1 - single_attempt_success(lossless, 0.0) == 0.0
 
     def test_attempt_failure_mixing(self):
-        assert attempt_failure_prob(2, 2, 0.1) == pytest.approx(0.55)
-
-    def test_failure_success_complement(self):
-        for x in (1, 3, 36):
-            for eps in (0.0, 0.1, 0.5):
-                total = (attempt_failure_prob(x, 36, eps)
-                         + attempt_success_prob(x, 36, eps))
-                assert total == pytest.approx(1.0, abs=1e-12)
+        # 36 ln 2 fresh rivals per RAO collide with probability one half
+        rate = 36 * math.log(2.0) * 1000.0 / GROUND.rao_period
+        assert 1 - single_attempt_success(GROUND, rate) == pytest.approx(0.55)
 
 
 class TestAccessDelay:
