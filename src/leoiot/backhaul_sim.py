@@ -9,6 +9,11 @@ vectorized running-minimum scan, which reproduces the event-driven sample
 path exactly: a packet starts service when both it and the server are
 ready, and a dropped packet still consumes service at every node up to
 and including the link that erased it.
+
+The chain and the age integrator work in a few buffers of the stream's
+length, allocated once per cell and reused at every node, instead of
+fresh temporaries per operation; the elementwise operations and their
+order are those of the plain expressions, so results are unchanged.
 """
 from __future__ import annotations
 
@@ -59,9 +64,11 @@ class ArrivalStream:
 
 
 def poisson_stream(rate: float, n_packets: int, rng) -> ArrivalStream:
-    gaps = rng.exponential(1.0 / rate, size=n_packets)
-    times = np.cumsum(gaps)
-    return ArrivalStream(arrival_times=times, gen_times=times.copy())
+    """Poisson arrivals at ``rate``; each packet is generated as it
+    arrives, so one array serves as both time vectors."""
+    times = rng.exponential(1.0 / rate, size=n_packets)
+    np.cumsum(times, out=times)
+    return ArrivalStream(arrival_times=times, gen_times=times)
 
 
 @dataclass
@@ -93,15 +100,33 @@ class AoiSummary:
     peak_aoi_mean: float
 
 
-def _fcfs_waits(arrivals: np.ndarray, services: np.ndarray) -> np.ndarray:
+def _fcfs_waits(arrivals: np.ndarray, services: np.ndarray,
+                out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """Waiting times of an FCFS single server via the Lindley recursion
-    W_i = max(0, W_{i-1} + S_{i-1} - Y_i), computed as a prefix scan."""
-    n = len(arrivals)
-    x = np.empty(n)
-    x[0] = 0.0
-    x[1:] = services[:-1] - np.diff(arrivals)
-    v = np.cumsum(x)
-    return v - np.minimum.accumulate(v)
+    W_i = max(0, W_{i-1} + S_{i-1} - Y_i), computed as a prefix scan into
+    ``out``; ``scratch`` holds the running minimum."""
+    out[0] = 0.0
+    np.subtract(arrivals[1:], arrivals[:-1], out=out[1:])
+    np.subtract(services[:-1], out[1:], out=out[1:])
+    np.cumsum(out, out=out)
+    np.minimum.accumulate(out, out=scratch)
+    return np.subtract(out, scratch, out=out)
+
+
+# elements moved per step when survivors are compacted in place
+_COMPACT_CHUNK = 1 << 14
+
+
+def _compact(a: np.ndarray, keep: np.ndarray) -> int:
+    """Move ``a[keep]`` to the front of ``a`` in order, a chunk at a time
+    so no full-length temporary is made; returns the number kept."""
+    n_kept = 0
+    for start in range(0, len(a), _COMPACT_CHUNK):
+        stop = start + _COMPACT_CHUNK
+        part = a[start:stop][keep[start:stop]]
+        a[n_kept:n_kept + len(part)] = part
+        n_kept += len(part)
+    return n_kept
 
 
 def run(stream: ArrivalStream, cfg: BackhaulConfig, seed) -> NetworkTrace:
@@ -109,23 +134,35 @@ def run(stream: ArrivalStream, cfg: BackhaulConfig, seed) -> NetworkTrace:
 
     Per node the random draws are the service times of the packets that
     reach it, in arrival order, then (on a lossy link) one uniform per
-    served packet deciding whether the link erases it.
+    served packet deciding whether the link erases it.  The surviving
+    packets' times and indices are kept in the leading part of reused
+    buffers; the stream's arrays are only read.
     """
     rng = np.random.default_rng(seed)
-    drop_node = np.zeros(len(stream), dtype=np.int64)
-    alive = np.arange(len(stream))
+    n = len(stream)
+    lossy = cfg.link_erasure > 0.0
+    drop_node = np.zeros(n, dtype=np.int64)
+    alive = np.arange(n)
+    services, waits, scratch, departures = (np.empty(n) for _ in range(4))
+    mask = np.empty(n, dtype=bool) if lossy else None
     times = stream.arrival_times
+    k = n
     for node in range(cfg.hops):
-        k = len(times)
-        services = rng.exponential(1.0, size=k)
+        s = rng.standard_exponential(out=services[:k])
         if k:
-            times = times + _fcfs_waits(times, services) + services
-        if cfg.link_erasure > 0.0 and k:
-            survive = rng.random(k) >= cfg.link_erasure
-            drop_node[alive[~survive]] = node + 1
-            alive, times = alive[survive], times[survive]
+            w = _fcfs_waits(times, s, waits[:k], scratch[:k])
+            times = np.add(times, w, out=departures[:k])
+            np.add(times, s, out=times)
+        if lossy and k:
+            erased = np.less(rng.random(out=scratch[:k]), cfg.link_erasure,
+                             out=mask[:k])
+            drop_node[alive[:k][erased]] = node + 1
+            kept = np.logical_not(erased, out=erased)
+            _compact(alive[:k], kept)
+            k = _compact(times, kept)
+            times = departures[:k]
     return NetworkTrace(cfg, stream.gen_times, drop_node,
-                        delivered_index=alive, delivery_times=times)
+                        delivered_index=alive[:k], delivery_times=times)
 
 
 def mean_system_time(trace: NetworkTrace) -> float:
@@ -139,10 +176,13 @@ def mean_system_time(trace: NetworkTrace) -> float:
 def _fresh_deliveries(gen: np.ndarray, deliv: np.ndarray):
     """Drop stale deliveries: an update older than the freshest one already
     delivered never resets the age (cannot happen under per-node FCFS, but
-    the integrator stays correct for reordered inputs)."""
+    the integrator stays correct for reordered inputs).  When every
+    delivery is fresh, that is when ``gen`` strictly increases, the inputs
+    themselves are returned."""
+    if np.all(gen[1:] > gen[:-1]):
+        return gen, deliv
     keep = np.ones(len(gen), dtype=bool)
-    if len(gen) > 1:
-        keep[1:] = gen[1:] > np.maximum.accumulate(gen)[:-1]
+    keep[1:] = gen[1:] > np.maximum.accumulate(gen)[:-1]
     return gen[keep], deliv[keep]
 
 
@@ -154,11 +194,19 @@ def _sawtooth_stats(anchor_t: np.ndarray, anchor_age: np.ndarray):
     and anchor j+1.  Returns (area, peak_sum, peak_count); peaks are the
     pre-reset ages of every anchor but the first.
     """
+    n = len(anchor_t)
+    seg, term = np.empty(n), np.empty(n)
+    np.subtract(anchor_t[1:], anchor_t[:-1], out=seg[:-1])
     # the last anchor closes the window with a segment of length zero
-    seg = np.diff(anchor_t, append=anchor_t[-1])
-    area = float(np.sum(anchor_age * seg + 0.5 * seg ** 2))
-    peaks = anchor_age[:-1] + seg[:-1]
-    return area, float(np.sum(peaks)), len(peaks)
+    seg[-1] = 0.0
+    peaks = np.add(anchor_age[:-1], seg[:-1], out=term[:-1])
+    peak_sum = float(np.sum(peaks))
+    # area = sum(anchor_age * seg + 0.5 * seg ** 2)
+    np.multiply(anchor_age, seg, out=term)
+    np.square(seg, out=seg)
+    np.multiply(0.5, seg, out=seg)
+    area = float(np.sum(np.add(term, seg, out=term)))
+    return area, peak_sum, n - 1
 
 
 def average_aoi(trace: NetworkTrace,
@@ -174,7 +222,12 @@ def average_aoi(trace: NetworkTrace,
         raise ValueError("need at least two deliveries for an age average")
     gen, deliv = _fresh_deliveries(trace.gen_times[trace.delivered_index],
                                    trace.delivery_times)
-    anchor_t, anchor_age = deliv, deliv - gen
+    # gen is a copy made here: the post-reset ages overwrite it
+    ages = np.subtract(deliv, gen, out=gen)
+    # with every delivery fresh, the ages are the system times of them all
+    system_time = (float(np.mean(ages)) if len(ages) == trace.n_delivered
+                   else mean_system_time(trace))
+    anchor_t, anchor_age = deliv, ages
     start, end = float(deliv[0]), float(deliv[-1])
     if warmup_fraction > 0.0:
         # restart cleanly at the first delivery past the warm-up
@@ -190,7 +243,7 @@ def average_aoi(trace: NetworkTrace,
     area, peak_sum, peak_n = _sawtooth_stats(anchor_t, anchor_age)
     return AoiSummary(
         time_average_aoi=area / duration,
-        mean_system_time=mean_system_time(trace),
+        mean_system_time=system_time,
         delivered_fraction=trace.delivered_fraction,
         peak_aoi_mean=peak_sum / peak_n if peak_n else float("nan"),
     )

@@ -440,7 +440,8 @@ def _add_common(p):
     source = p.add_mutually_exclusive_group()
     source.add_argument("--preset", choices=PRESETS, default=None,
                         help="a packaged scenario")
-    source.add_argument("--config", default=None, help="scenario INI file")
+    source.add_argument("--config", type=Path, default=None,
+                        help="scenario INI file")
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                    dest="overrides",
                    help="override a config key by dotted path, e.g. "

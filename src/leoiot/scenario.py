@@ -26,6 +26,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
+import os
 from dataclasses import dataclass, field, fields, replace
 from importlib import resources
 
@@ -205,14 +206,16 @@ def _parse(text: str, source: str) -> ScenarioConfig:
     return config_from_dict(parser)
 
 
-def load_config(path_or_preset: str) -> ScenarioConfig:
+def load_config(path_or_preset: str | os.PathLike) -> ScenarioConfig:
     """Load an INI scenario file; the bare preset names ``offloading`` and
-    ``backhauling`` resolve to the packaged ``leoiot/presets/<name>.ini``."""
-    if path_or_preset in PRESETS:
+    ``backhauling``, given as strings, resolve to the packaged
+    ``leoiot/presets/<name>.ini``.  A path object is always opened, even
+    when it names a file called like a preset."""
+    if isinstance(path_or_preset, str) and path_or_preset in PRESETS:
         preset = resources.files("leoiot.presets") / f"{path_or_preset}.ini"
         return _parse(preset.read_text(), preset.name)
     with open(path_or_preset) as fh:
-        return _parse(fh.read(), path_or_preset)
+        return _parse(fh.read(), str(path_or_preset))
 
 
 def _section_objects(config: ScenarioConfig) -> dict:

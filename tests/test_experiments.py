@@ -377,6 +377,19 @@ class TestCli:
         meta = json.loads((tmp_path / "out" / "metadata.json").read_text())
         assert meta["seed"] == 99
 
+    @pytest.mark.parametrize("name", ["offloading", "./offloading",
+                                      "backhauling", "./backhauling"])
+    def test_config_opens_file_named_like_preset(self, tmp_path, monkeypatch,
+                                                 name):
+        # --config reads the file it names, never the packaged preset
+        monkeypatch.chdir(tmp_path)
+        preset = Path(name).name
+        Path(preset).write_text(dump_config(replace(load_config(preset),
+                                                    seed=99)))
+        assert main(["analytic", "--config", name, "--out", "out"]) == 0
+        meta = json.loads(Path("out", "metadata.json").read_text())
+        assert meta["seed"] == 99
+
     @pytest.mark.parametrize("flags, text", [
         # one scenario source: a preset would silently win over the file
         (["--preset", "offloading", "--config", "{ini}"], "not allowed"),
