@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import ClassVar
 
@@ -261,8 +261,9 @@ _MODE_ID = {m: i for i, m in enumerate(MODES)}
 MAX_HORIZON_GROWTH = 10.0
 
 
-class FeedError(RuntimeError):
-    """The access channel cannot deliver the departures a feed needs."""
+class ShortCellError(RuntimeError):
+    """A sweep cell gets too few packets: its access feed falls short, or
+    too few packets reach the destination for an age average."""
 
 
 @dataclass(frozen=True)
@@ -283,12 +284,12 @@ class RaFeedSettings:
     feed per mode and replication and every load of that replication
     rescales the same feed (common random numbers across loads).
 
-    ``config`` is the access channel of the scenario (its ``ground_ra``);
-    each feed overrides only its attempt budget.  The offered rates are
-    fixed: ``a1_rate_per_s`` keeps the one-attempt feed far below the
-    channel capacity so its ms-scale handshake stays negligible on the
-    unit timescale; ``a10_rate_per_s`` drives the ten-attempt feed into
-    heavy contention.  Both are plain offered rates for ``ra_sim.run``.
+    ``config`` is the scenario's ``ground_ra``, run as it is; each mode
+    fixes its feed's attempt budget (1 or 10) and offered rate.
+    ``a1_rate_per_s`` keeps the one-attempt feed far below the channel
+    capacity so its ms-scale handshake stays negligible on the unit
+    timescale; ``a10_rate_per_s`` drives the ten-attempt feed into heavy
+    contention.  Both are plain offered rates for ``ra_sim.run``.
     """
 
     config: RaConfig
@@ -357,20 +358,20 @@ def ra_departure_stream(key, master_seed: int, n_packets: int,
     seed = _access_seed(master_seed, mode, replication)
     attempts = 1 if mode == "ra-a1" else 10
     rate = feed.a1_rate_per_s if mode == "ra-a1" else feed.a10_rate_per_s
-    cfg = replace(feed.config, max_attempts=attempts)
+    cfg = feed.config
     # expected delivered rate per ms, used only to size the horizon
     guess = rate / 1000.0 * (single_attempt_success(cfg, rate)
                              if attempts == 1 else 0.85)
     horizon = max(n_packets / guess * 1.3, cfg.rao_period)
-    trace = ra_sim.run(cfg, rate, horizon, np.random.default_rng(seed))
+    trace = ra_sim.run(cfg, attempts, rate, horizon, seed)
     if trace.success_count < n_packets:
         # aim five Poisson standard deviations past the departures needed
         target = n_packets + 5.0 * math.sqrt(n_packets)
         horizon *= min(target / max(trace.success_count, 1),
                        MAX_HORIZON_GROWTH)
-        trace = ra_sim.run(cfg, rate, horizon, np.random.default_rng(seed))
+        trace = ra_sim.run(cfg, attempts, rate, horizon, seed)
     if trace.success_count < n_packets:
-        raise FeedError(
+        raise ShortCellError(
             f"{mode} feed produced {trace.success_count} < {n_packets} "
             f"departures in {horizon:.6g} ms: {rate:g} updates/s on "
             f"{cfg.preambles} preambles every {cfg.rao_period:g} ms")
@@ -417,7 +418,12 @@ def run_point(mode: str, rho: float, hops: int, link_erasure: float,
     trace = run(stream, BackhaulConfig(hops, link_erasure),
                 _net_seed(master_seed, mode, rho, hops, link_erasure,
                           replication))
-    summary = average_aoi(trace, warmup_fraction=WARMUP_FRACTION)
+    try:
+        summary = average_aoi(trace, warmup_fraction=WARMUP_FRACTION)
+    except ValueError as exc:
+        raise ShortCellError(
+            f"{mode} cell rho={rho:g} hops={hops} link erasure="
+            f"{link_erasure:g} replication={replication}: {exc}") from None
     return SweepRow(
         mode=mode, rho=rho, hops=hops, link_erasure=link_erasure,
         replication=replication, n_offered=trace.n_offered,

@@ -3,9 +3,9 @@ simulation pipelines, and emits the per-figure data files plus a summary
 report with analytic-versus-simulation tolerance checks.
 
 Outputs are plain CSV (one schema-comment line, then a header row) next
-to a metadata JSON carrying the seed, config hash and tool version.  No
-timestamps go into data files; re-running with the same master seed
-reproduces them byte for byte regardless of the worker count.
+to a metadata JSON carrying the tool version, the seed and the hash of the
+config keys the subcommand reads.  No timestamps go into data files; the
+same master seed reproduces them byte for byte whatever the worker count.
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ from . import backhaul_analytic as ba
 from . import backhaul_sim as bs
 from . import ra_analytic as ra
 from . import ra_sim
-from .scenario import (PRESETS, ScenarioConfig, apply_overrides,
+from .scenario import (PRESETS, READS, ScenarioConfig, apply_overrides,
                        config_hash, load_config, split_rates, validate)
 
 OUTPUT_ENV_VAR = "LEOIOT_OUT"
@@ -117,8 +117,12 @@ def sweep_problems(spec: ExperimentSpec) -> list:
     out += (_repeated("rho", spec.rhos) + _repeated("hops", spec.hops)
             + _repeated("link erasure", spec.erasures)
             + _repeated("mode", spec.modes))
-    if spec.packets < MIN_PACKETS:
-        out.append(f"packets {spec.packets}: must be >= {MIN_PACKETS}")
+    if spec.hops and spec.erasures and not (hops or erasures):
+        # the cell with the most hops and the lossiest links delivers least
+        n, eps = max(spec.hops), max(spec.erasures)
+        if spec.packets * (1.0 - eps) ** n < MIN_PACKETS:
+            out.append(f"packets {spec.packets}: {n} hops at link erasure "
+                       f"{eps:g} deliver fewer than {MIN_PACKETS} on average")
     if spec.replications < 1:
         out.append(f"replications {spec.replications}: must be >= 1")
     if spec.workers < 1:
@@ -154,15 +158,17 @@ def _write_csv(path: Path, header, rows, schema: str):
         w.writerows(rows)
 
 
-def _write_metadata(out: Path, spec: ExperimentSpec, extra=None):
+def _write_metadata(out: Path, spec: ExperimentSpec, command: str,
+                    extra=None):
     meta = {
         "tool": "leoiot", "version": __version__,
-        "seed": spec.config.seed,
-        "config_sha256_16": config_hash(spec.config),
+        "config_sha256_16": config_hash(spec.config, command),
         "figure": spec.figure,
         "replications": spec.replications,
         "workers": spec.workers,
     }
+    if "run.seed" in READS[command]:
+        meta["seed"] = spec.config.seed
     if extra:
         meta.update(extra)
     (out / "metadata.json").write_text(json.dumps(meta, indent=2, sort_keys=True)
@@ -199,8 +205,7 @@ def run_offloading(spec: ExperimentSpec):
                       max_backoff=PMF_RAO_PERIOD)
     lam_earth, _ = split_rates(cfg.traffic)
     for a in spec.attempts:
-        trace = ra_sim.run(replace(pmf_cfg, max_attempts=a), lam_earth,
-                           cfg.horizon,
+        trace = ra_sim.run(pmf_cfg, a, lam_earth, cfg.horizon,
                            np.random.SeedSequence((cfg.seed, 3, a)))
         pmf = ra_sim.empirical_pmf(trace)
         path = out / f"offload_pmf_a{a}.csv"
@@ -221,8 +226,7 @@ def run_offloading(spec: ExperimentSpec):
     summary_rows = []
     for a in spec.attempts:
         for path_name, kappa, ra_cfg, rate in curves:
-            trace = ra_sim.run(replace(ra_cfg, max_attempts=a), rate,
-                               cfg.horizon,
+            trace = ra_sim.run(ra_cfg, a, rate, cfg.horizon,
                                np.random.SeedSequence(
                                    (cfg.seed, 4, a, path_name == "space",
                                     int(kappa * 100))))
@@ -239,7 +243,7 @@ def run_offloading(spec: ExperimentSpec):
     _write_csv(sp, ["path", "kappa", "attempts", "raos", "records",
                     "success_probability"], summary_rows, "offloading summary")
     written.append(sp)
-    _write_metadata(out, spec)
+    _write_metadata(out, spec, "offload")
     return written
 
 
@@ -316,7 +320,7 @@ def run_backhauling(spec: ExperimentSpec):
     rp = out / "report.txt"
     rp.write_text(text)
     files.append(rp)
-    _write_metadata(out, spec, {"packets_per_point": spec.packets})
+    _write_metadata(out, spec, "backhaul", {"packets_per_point": spec.packets})
     return files, ok
 
 
@@ -351,7 +355,7 @@ def report(result_rows, spec: ExperimentSpec):
     """
     lines = [f"leoiot report - figure={spec.figure} seed={spec.config.seed} "
              f"replications={spec.replications} "
-             f"config={config_hash(spec.config)}"]
+             f"config={config_hash(spec.config, 'backhaul')}"]
     unstable = [rho for rho in spec.rhos if not 0.0 < rho < 1.0]
     if unstable:
         lines.append(f"flagged: no analytic overlay for rho in {unstable} "
@@ -428,7 +432,7 @@ def run_analytic(spec: ExperimentSpec):
               _fmt(r.value)] for r in _analytic_rows(spec)]
     path = out / "analytic.csv"
     _write_csv(path, ["subject", "metric", "value"], rows, "closed forms")
-    _write_metadata(out, spec)
+    _write_metadata(out, spec, "analytic")
     return [path]
 
 
@@ -444,12 +448,8 @@ def _add_common(p):
                         help="scenario INI file")
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                    dest="overrides",
-                   help="override a config key by dotted path, e.g. "
-                        "traffic.total_rate=250")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=None,
-                   help=f"output directory (default ${OUTPUT_ENV_VAR} or "
-                        f"./results)")
+                   help="override a config key the subcommand reads, by "
+                        "dotted path, e.g. traffic.total_rate=250")
 
 
 def _load_spec(args, figure: str) -> ExperimentSpec:
@@ -461,10 +461,11 @@ def _load_spec(args, figure: str) -> ExperimentSpec:
     name = args.preset or args.config
     if name is None:
         name = "offloading" if figure == "fig4" else "backhauling"
-    config = apply_overrides(load_config(name), args.overrides)
-    if args.seed is not None:
+    config = apply_overrides(load_config(name), args.overrides, args.command)
+    if getattr(args, "seed", None) is not None:
         config = replace(config, seed=args.seed)
-    out = Path(args.out or os.environ.get(OUTPUT_ENV_VAR, "results"))
+    out = Path(getattr(args, "out", None)
+               or os.environ.get(OUTPUT_ENV_VAR, "results"))
     spec = ExperimentSpec(config=config, figure=figure, out_dir=out,
                           **FIGURE_DEFAULTS.get(figure, {}))
     for flag, field_name in SPEC_FLAGS.items():
@@ -514,6 +515,12 @@ def main(argv=None) -> int:
     p_an.add_argument("--hops", type=int, nargs="+", default=None)
     p_an.add_argument("--link-erasure", type=float, nargs="+", default=None,
                       dest="link_erasure")
+    for p in (p_off, p_bh):           # the closed forms draw no random number
+        p.add_argument("--seed", type=int, default=None)
+    for p in (p_off, p_bh, p_an):
+        p.add_argument("--out", default=None,
+                       help=f"output directory (default ${OUTPUT_ENV_VAR} "
+                            f"or ./results)")
 
     args = parser.parse_args(argv)
     figure = getattr(args, "figure",
@@ -540,7 +547,7 @@ def main(argv=None) -> int:
             files, ok = run(spec), True
     except SpecError as exc:
         return _rejected(exc.problems)
-    except bs.FeedError as exc:
+    except bs.ShortCellError as exc:
         return _rejected([exc])
     for f in files:
         print(f"wrote {f}")

@@ -83,12 +83,14 @@ def min_access_delay(cfg: RaConfig) -> float:
     """Best-case four-message handshake duration, in milliseconds.
 
     The preamble and grant durations include repetitions and the extended
-    prefix.  The default budget counts the grant processing time twice
-    and the preamble processing time not at all; every term is a named
-    config field, so an alternative accounting is a one-line config change.
+    prefix, and four one-way propagation legs (space path) are added.  The
+    default budget counts the grant processing time twice and the preamble
+    processing time not at all; every term is a named config field, so an
+    alternative accounting is a one-line config change.
     """
     return (cfg.preamble_duration + cfg.t_proc2 + cfg.rar_duration
-            + cfg.t_proc2 + cfg.t_proc3 + cfg.t_msg3 + cfg.t_msg4)
+            + cfg.t_proc2 + cfg.t_proc3 + cfg.t_msg3 + cfg.t_msg4
+            + 4.0 * cfg.max_prop_delay)
 
 
 def access_delay(attempts, cfg: RaConfig, backoff_sum, t_extra=0.0):

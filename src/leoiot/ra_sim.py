@@ -92,8 +92,10 @@ def _rao_index(t, rao_period: float):
     return np.maximum(np.ceil(t / rao_period).astype(np.int64) - 1, 0)
 
 
-def run(cfg: RaConfig, rate_per_s: float, horizon_ms: float, seed) -> RaTrace:
-    """Simulate the full procedure for one path.
+def run(cfg: RaConfig, max_attempts: int, rate_per_s: float,
+        horizon_ms: float, seed) -> RaTrace:
+    """Simulate the full procedure for one path; an update gives up after
+    ``max_attempts`` failed attempts.
 
     ``seed`` may be an int, a SeedSequence, or a Generator.  Each occupied
     RAO draws its contenders' preambles, one erasure uniform per unique
@@ -101,9 +103,10 @@ def run(cfg: RaConfig, rate_per_s: float, horizon_ms: float, seed) -> RaTrace:
     then one backoff per loser.  Contenders are the fresh arrivals in
     arrival order followed by the retries in the order they failed.
     Success latency follows the closed-form delay expression evaluated
-    with the realized backoffs and grant offsets, plus four one-way
-    propagation legs when ``cfg.max_prop_delay`` is set (space path).
+    with the realized backoffs and grant offsets.
     """
+    if max_attempts < 1:
+        raise ValueError(f"max_attempts {max_attempts}: must be >= 1")
     rng = np.random.default_rng(seed)
     t_rao = cfg.rao_period
     n_raos = int(horizon_ms // t_rao)
@@ -158,7 +161,7 @@ def run(cfg: RaConfig, rate_per_s: float, horizon_ms: float, seed) -> RaTrace:
         loser[won[fits]] = False
         lost = who[loser]
         backoff = rng.uniform(0.0, cfg.max_backoff, size=len(lost))
-        spent = attempts[lost] >= cfg.max_attempts
+        spent = attempts[lost] >= max_attempts
         outcome[lost[spent]] = _FAILED
         again, backoff = lost[~spent], backoff[~spent]
         attempts[again] += 1
@@ -180,8 +183,8 @@ def run(cfg: RaConfig, rate_per_s: float, horizon_ms: float, seed) -> RaTrace:
 
     ok = outcome == _SUCCESS
     latency = np.full(n, np.inf)
-    latency[ok] = (access_delay(attempts[ok], cfg, backoff_sum[ok],
-                                grant_offset[ok]) + 4.0 * cfg.max_prop_delay)
+    latency[ok] = access_delay(attempts[ok], cfg, backoff_sum[ok],
+                               grant_offset[ok])
     departure = np.full(n, np.nan)
     departure[ok] = gen[ok] + latency[ok]
     outcome[departure > horizon_ms] = _CENSORED

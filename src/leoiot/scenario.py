@@ -10,9 +10,10 @@ top-level ``seed`` and ``horizon``).  ``load_config`` reads that format
 and rejects unknown sections and keys, ``dump_config`` writes every field
 back, and ``apply_overrides`` (the CLI ``--set section.key=value``; the
 ``[run]`` keys may also go bare, as ``--set horizon=4e5``) can set every
-field.  The two evaluation columns, ``offloading`` and ``backhauling``,
-exist only as the packaged INI files under ``leoiot/presets``;
-``load_config`` resolves either bare name to its file.
+field, but a subcommand's ``--set`` and ``config_hash`` take only the keys
+it reads (``READS``).  The two evaluation columns, ``offloading`` and
+``backhauling``, exist only as the packaged INI files under
+``leoiot/presets``; ``load_config`` resolves either bare name to its file.
 
 The relay chain is not part of the scenario: its unit-rate servers are
 fixed, and its load, hop count and link erasure come from the sweep grid
@@ -62,7 +63,6 @@ class RaConfig:
     grants_per_subframe: int = 3
     erasure_prob: float = 0.1
     max_backoff: float = 320.0        # ms
-    max_attempts: int = 1
     extended_prefix: float = 0.0      # ms, added once to the preamble
     max_prop_delay: float = 0.0       # ms one-way; >0 only on the space path
     t_preamble_base: float = 5.6      # ms per repetition
@@ -120,13 +120,8 @@ def _check_ra(cfg: RaConfig, prefix: str, out: list):
         out.append(f"{prefix}.grants_per_subframe: must be >= 1")
     if not 0.0 <= cfg.erasure_prob < 1.0:
         out.append(f"{prefix}.erasure_prob: {cfg.erasure_prob} outside [0, 1)")
-    if cfg.max_backoff < 0:
-        out.append(f"{prefix}.max_backoff: must be >= 0")
-    if cfg.max_attempts < 1:
-        out.append(f"{prefix}.max_attempts: must be >= 1")
-    if cfg.extended_prefix < 0 or cfg.max_prop_delay < 0:
-        out.append(f"{prefix}: prefix and propagation delay must be >= 0")
-    for name in ("t_preamble_base", "t_rar_base", "t_msg3", "t_msg4",
+    for name in ("max_backoff", "extended_prefix", "max_prop_delay",
+                 "t_preamble_base", "t_rar_base", "t_msg3", "t_msg4",
                  "t_proc1", "t_proc2", "t_proc3"):
         if getattr(cfg, name) < 0:
             out.append(f"{prefix}.{name}: must be >= 0")
@@ -161,6 +156,25 @@ SECTIONS = {"traffic": TrafficConfig, "ground_ra": RaConfig,
 def _keys(cls) -> dict:
     return {f.name: int if f.type == "int" else float
             for f in fields(cls) if f.type in ("int", "float")}
+
+
+# every key as ``section.key``; ``--set`` also takes the [run] keys bare
+SETTABLE = frozenset(f"{section}.{key}" for section, cls in SECTIONS.items()
+                     for key in _keys(cls))
+# the RaConfig fields that the closed forms in ``ra_analytic`` read
+_RA_ANALYTIC = ("preambles", "rao_period", "repetitions", "erasure_prob",
+                "extended_prefix", "max_prop_delay", "t_preamble_base",
+                "t_rar_base", "t_msg3", "t_msg4", "t_proc2", "t_proc3")
+# the keys each subcommand reads: a ``--set`` of any other key is rejected,
+# and a run's config hash covers only these
+READS = {
+    "offload": SETTABLE, "validate": SETTABLE - {"run.seed"},
+    "backhaul": frozenset({"run.seed",
+                           *(f"ground_ra.{k}" for k in _keys(RaConfig))}),
+    "analytic": frozenset({"traffic.total_rate", "traffic.ground_ratio",
+                           *(f"{path}.{k}" for k in _RA_ANALYTIC
+                             for path in ("ground_ra", "space_ra"))}),
+}
 
 
 def _typed(section: str, items) -> dict:
@@ -224,20 +238,25 @@ def _section_objects(config: ScenarioConfig) -> dict:
     return {name: obj for name, obj in objects.items() if obj is not None}
 
 
-def dump_config(config: ScenarioConfig) -> str:
-    """Serialize a scenario to the INI format accepted by ``load_config``."""
+def dump_config(config: ScenarioConfig, keys=SETTABLE) -> str:
+    """Serialize a scenario to the INI format accepted by ``load_config``,
+    limited to the dotted ``keys``."""
     parser = configparser.ConfigParser()
     for name, obj in _section_objects(config).items():
-        parser[name] = {key: repr(getattr(obj, key))
-                        for key in _keys(SECTIONS[name])}
+        values = {key: repr(getattr(obj, key)) for key in _keys(SECTIONS[name])
+                  if f"{name}.{key}" in keys}
+        if values:
+            parser[name] = values
     buf = io.StringIO()
     parser.write(buf)
     return buf.getvalue()
 
 
-def apply_overrides(config: ScenarioConfig, overrides) -> ScenarioConfig:
+def apply_overrides(config: ScenarioConfig, overrides,
+                    command: str | None = None) -> ScenarioConfig:
     """Apply ``section.key=value`` overrides (the CLI ``--set`` flag); the
-    keys of ``[run]`` may also go bare, as ``seed=`` and ``horizon=``."""
+    keys of ``[run]`` may also go bare, as ``seed=`` and ``horizon=``.
+    Given a subcommand, a key it does not read (``READS``) is rejected."""
     for item in overrides:
         key, eq, raw = item.partition("=")
         if not eq:
@@ -248,6 +267,9 @@ def apply_overrides(config: ScenarioConfig, overrides) -> ScenarioConfig:
             raise ValueError(f"cannot override {key!r}: unknown section "
                              f"{section!r}")
         values = _typed(section, [(name, raw.strip())])
+        if command is not None and f"{section}.{name}" not in READS[command]:
+            raise ValueError(f"cannot override {key.strip()!r}: leoiot "
+                             f"{command} does not read it")
         target = _section_objects(config).get(section)
         if target is None:
             raise ValueError(f"cannot override {key!r}: the scenario has no "
@@ -258,5 +280,7 @@ def apply_overrides(config: ScenarioConfig, overrides) -> ScenarioConfig:
     return config
 
 
-def config_hash(config: ScenarioConfig) -> str:
-    return hashlib.sha256(dump_config(config).encode()).hexdigest()[:16]
+def config_hash(config: ScenarioConfig, command: str) -> str:
+    """Hash of the keys the subcommand reads: no other key is its identity."""
+    return hashlib.sha256(dump_config(config, READS[command])
+                          .encode()).hexdigest()[:16]

@@ -140,16 +140,16 @@ def backoff_and_retry(state: UpdateAttemptState, detection_time: float,
     return k
 
 
-def reference_run(cfg, rate_per_s: float, horizon_ms: float,
-                  seed) -> ReferenceTrace:
-    """Simulate the full procedure for one path, one object per update."""
+def reference_run(cfg, max_attempts: int, rate_per_s: float,
+                  horizon_ms: float, seed) -> ReferenceTrace:
+    """Simulate the full procedure for one path, one object per update;
+    an update gives up after ``max_attempts`` failed attempts."""
     rng = np.random.default_rng(seed)
     t_rao = cfg.rao_period
     n_raos = int(horizon_ms // t_rao)
     if n_raos < 1:
         raise ValueError(f"horizon {horizon_ms} ms holds no RAO (period {t_rao} ms)")
     detect_lag = cfg.preamble_duration + cfg.t_proc1 + cfg.rar_window_ms
-    prop_total = 4.0 * cfg.max_prop_delay
 
     arrivals = generate_arrivals(rate_per_s / 1000.0, horizon_ms, rng)
     pending: dict = {}
@@ -190,7 +190,7 @@ def reference_run(cfg, rate_per_s: float, horizon_ms: float,
             st = states[j]
             st.fates.append(SUCCESS)
             latency = access_delay(st.attempt, cfg, st.backoffs,
-                                   float(t_extra)) + prop_total
+                                   float(t_extra))
             departure = st.gen_time + latency
             if departure > horizon_ms:
                 censored += 1
@@ -215,7 +215,7 @@ def reference_run(cfg, rate_per_s: float, horizon_ms: float,
                 n_eras += 1
             else:
                 n_demo += 1
-            if st.attempt >= cfg.max_attempts:
+            if st.attempt >= max_attempts:
                 records.append(AccessRecord(
                     gen_time=st.gen_time, outcome="failure",
                     attempts=st.attempt, latency_ms=float("inf"),

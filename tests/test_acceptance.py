@@ -93,7 +93,7 @@ def test_criterion_3_semi_analytic_match():
     for name, cfg, rate, horizon in (
             ("ground", off.ground_ra, lam_earth, 3.3e6),
             ("space", off.space_ra, lam_space, 1.7e6)):
-        trace = ra_sim.run(cfg, rate, horizon,
+        trace = ra_sim.run(cfg, 1, rate, horizon,
                            np.random.SeedSequence((MASTER_SEED, 3, name == "space")))
         assert trace.n_raos >= 10_000
         lam_rao = rate / 1000.0 * cfg.rao_period
@@ -121,10 +121,10 @@ def test_criterion_3_semi_analytic_match():
 
 def test_criterion_4_congested_success_probability():
     t0 = time.monotonic()
-    cfg = replace(load_config("offloading").ground_ra, max_attempts=10)
+    cfg = load_config("offloading").ground_ra
     probs = []
     for rep in range(10):
-        trace = ra_sim.run(cfg, 50.0, 4.0e6,
+        trace = ra_sim.run(cfg, 10, 50.0, 4.0e6,
                            np.random.SeedSequence((MASTER_SEED, 4, rep)))
         probs.append(trace.success_probability)
     mean = float(np.mean(probs))
@@ -281,8 +281,8 @@ def test_criterion_9_reproducibility(tmp_path):
 
     # representative single-run traces: identical columns on rerun
     cfg = load_config("offloading").ground_ra
-    t1 = ra_sim.run(cfg, 50.0, 3.2e5, MASTER_SEED)
-    t2 = ra_sim.run(cfg, 50.0, 3.2e5, MASTER_SEED)
+    t1 = ra_sim.run(cfg, 1, 50.0, 3.2e5, MASTER_SEED)
+    t2 = ra_sim.run(cfg, 1, 50.0, 3.2e5, MASTER_SEED)
     traces_same = (all(np.array_equal(getattr(t1, c), getattr(t2, c),
                                       equal_nan=True)
                        for c in ("gen_time", "attempts", "latency_ms",

@@ -439,7 +439,7 @@ class TestFeedReuse:
         with pytest.raises(RuntimeError, match="departures"):
             bs.ra_departure_stream(("ra-a10", 0), 3, 1_000, FEED)
         assert len(calls) == 2
-        assert calls[1][2] <= bs.MAX_HORIZON_GROWTH * calls[0][2]
+        assert calls[1][3] <= bs.MAX_HORIZON_GROWTH * calls[0][3]
 
     @pytest.mark.parametrize("n, growth", [
         (2, 2 + 5 * math.sqrt(2)),     # n + 5 sqrt(n) over one departure
@@ -450,10 +450,10 @@ class TestFeedReuse:
         horizons = []
         real = bs.ra_sim.run
 
-        def idle_first(cfg, rate, horizon, seed):
+        def idle_first(cfg, attempts, rate, horizon, seed):
             horizons.append(horizon)
-            return real(cfg, 0.0 if len(horizons) == 1 else rate, horizon,
-                        seed)
+            return real(cfg, attempts, 0.0 if len(horizons) == 1 else rate,
+                        horizon, seed)
 
         monkeypatch.setattr(bs.ra_sim, "run", idle_first)
         access = bs.ra_departure_stream(("ra-a1", 0), 3, n, FEED)

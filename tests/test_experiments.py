@@ -9,7 +9,8 @@ from leoiot import backhaul_sim as bs
 from leoiot import experiments as ex
 from leoiot.experiments import (ExperimentSpec, ResultRow, main, report,
                                 run_analytic, run_backhauling, run_offloading)
-from leoiot.scenario import dump_config, load_config
+from leoiot.scenario import (READS, SETTABLE, RaConfig, apply_overrides,
+                             config_hash, dump_config, load_config)
 
 
 def read_rows(path):
@@ -260,7 +261,9 @@ class TestCli:
         flags = [f.format(missing=tmp_path / "missing.ini", stale=stale)
                  for f in flags]
         out = tmp_path / "out"
-        code = main([command, *flags, "--out", str(out)])
+        if command != "validate":        # validate writes nothing
+            flags += ["--out", str(out)]
+        code = main([command, *flags])
         assert code == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
@@ -300,9 +303,9 @@ class TestCli:
         horizons = []
         real = bs.ra_sim.run
 
-        def recording(cfg, rate, horizon, rng):
+        def recording(cfg, attempts, rate, horizon, rng):
             horizons.append(horizon)
-            return real(cfg, rate, horizon, rng)
+            return real(cfg, attempts, rate, horizon, rng)
 
         monkeypatch.setattr(bs.ra_sim, "run", recording)
         got = main(["backhaul", "--figure", "custom", "--mode", "ra-a10",
@@ -369,13 +372,17 @@ class TestCli:
         assert (tmp_path / "envdir" / "analytic.csv").exists()
 
     def test_config_file_feeds_metadata(self, tmp_path):
+        config = replace(load_config("offloading"),
+                         traffic=replace(load_config("offloading").traffic,
+                                         total_rate=99.0))
         ini = tmp_path / "my.ini"
-        ini.write_text(dump_config(replace(load_config("offloading"),
-                                           seed=99)))
+        ini.write_text(dump_config(config))
         assert main(["analytic", "--config", str(ini),
                      "--out", str(tmp_path / "out")]) == 0
         meta = json.loads((tmp_path / "out" / "metadata.json").read_text())
-        assert meta["seed"] == 99
+        assert meta["config_sha256_16"] == config_hash(config, "analytic")
+        assert meta["config_sha256_16"] != config_hash(
+            load_config("offloading"), "analytic")
 
     @pytest.mark.parametrize("name", ["offloading", "./offloading",
                                       "backhauling", "./backhauling"])
@@ -383,12 +390,14 @@ class TestCli:
                                                  name):
         # --config reads the file it names, never the packaged preset
         monkeypatch.chdir(tmp_path)
-        preset = Path(name).name
-        Path(preset).write_text(dump_config(replace(load_config(preset),
-                                                    seed=99)))
+        preset = load_config(Path(name).name)
+        config = replace(preset, traffic=replace(preset.traffic,
+                                                 total_rate=99.0))
+        Path(name).write_text(dump_config(config))
         assert main(["analytic", "--config", name, "--out", "out"]) == 0
         meta = json.loads(Path("out", "metadata.json").read_text())
-        assert meta["seed"] == 99
+        assert meta["config_sha256_16"] == config_hash(config, "analytic")
+        assert meta["config_sha256_16"] != config_hash(preset, "analytic")
 
     @pytest.mark.parametrize("flags, text", [
         # one scenario source: a preset would silently win over the file
@@ -408,7 +417,147 @@ class TestCli:
         assert not out.exists()
 
     def test_seed_flag_feeds_metadata(self, tmp_path):
-        main(["analytic", "--preset", "backhauling", "--rho", "0.5",
-              "--hops", "2", "--seed", "777", "--out", str(tmp_path)])
+        main(["backhaul", "--figure", "custom", "--mode", "no-ra",
+              "--rho", "0.5", "--hops", "1", "--replications", "1",
+              "--packets", "2000", "--seed", "777", "--out", str(tmp_path)])
         meta = json.loads((tmp_path / "metadata.json").read_text())
         assert meta["seed"] == 777
+
+
+def _changed(config, key):
+    """A valid value of ``key`` other than the one ``config`` holds (or
+    the default holds, for a path ``config`` leaves unconfigured)."""
+    section, _, name = key.rpartition(".")
+    holder = (config if section == "run"
+              else getattr(config, section) or RaConfig())
+    value = getattr(holder, name)
+    if name == "preambles":
+        return 24
+    if name == "rao_period":
+        return 2 * value
+    return value + 1 if isinstance(value, int) else value / 2 or 0.5
+
+
+def _csv_bytes(out: Path) -> dict:
+    return {f.name: f.read_bytes() for f in sorted(out.glob("*.csv"))}
+
+
+# subcommand -> (preset, its overrides, the other flags) of a small run;
+# on 48 preambles the ten-attempt feed stays clear of collapse at twice
+# its RAO period
+GUARD_RUNS = {
+    "offload": ("offloading", ["horizon=32000"], ["--attempts", "2"]),
+    "backhaul": ("backhauling", ["ground_ra.preambles=48"],
+                 ["--figure", "custom", "--mode", "ra-a10", "--rho", "0.5",
+                  "--hops", "1", "--replications", "1", "--packets", "200"]),
+    "analytic": ("offloading", [], ["--rho", "0.5", "--hops", "1"]),
+}
+
+
+def _guard_run(command):
+    """The base config and argv of the small run of ``command``."""
+    preset, overrides, flags = GUARD_RUNS[command]
+    config = apply_overrides(load_config(preset), overrides)
+    sets = [a for item in overrides for a in ("--set", item)]
+    return config, [command, "--preset", preset, *sets, *flags]
+
+
+class TestKeyTable:
+    """Each subcommand takes the keys it reads (``scenario.READS``) and
+    rejects the rest."""
+
+    @pytest.mark.parametrize("command", sorted(GUARD_RUNS))
+    def test_every_key_changes_a_data_file_or_is_rejected(self, tmp_path,
+                                                          capsys, command):
+        config, argv = _guard_run(command)
+        assert main([*argv, "--out", str(tmp_path / "base")]) == 0
+        base = _csv_bytes(tmp_path / "base")
+        for key in sorted(SETTABLE):
+            out = tmp_path / key
+            capsys.readouterr()
+            item = f"{key}={_changed(config, key)!r}"
+            code = main([*argv, "--set", item, "--out", str(out)])
+            err = capsys.readouterr().err.splitlines()
+            if key in READS[command]:
+                assert code in (0, 1), (key, err)
+                assert _csv_bytes(out) != base, key
+            else:
+                assert code == 2, key
+                assert len(err) == 1 and err[0].startswith("error: "), key
+                assert key in err[0] and f"leoiot {command}" in err[0], key
+                assert not out.exists(), key
+
+    def test_validate_checks_every_key_it_reads(self, capsys):
+        for key in sorted(SETTABLE):
+            capsys.readouterr()
+            code = main(["validate", "--preset", "offloading",
+                         "--set", f"{key}=-1"])
+            out, err = capsys.readouterr()
+            if key in READS["validate"]:
+                assert code == 1, key
+                assert f"violation: {key.removeprefix('run.')}:" in out, key
+            else:
+                assert code == 2, key
+                assert err.splitlines() == [
+                    f"error: cannot override '{key}': leoiot validate "
+                    f"does not read it"]
+
+    @pytest.mark.parametrize("command", ["analytic", "backhaul"])
+    def test_unread_keys_leave_the_hash(self, tmp_path, command):
+        config, argv = _guard_run(command)
+        unread = [f"{key}={_changed(config, key)!r}"
+                  for key in sorted(SETTABLE - READS[command])
+                  if config.space_ra or not key.startswith("space_ra.")]
+        changed = apply_overrides(config, unread)
+        metas = []
+        for name, cfg in (("a", config), ("b", changed)):
+            ini = tmp_path / f"{name}.ini"
+            ini.write_text(dump_config(cfg))
+            out = tmp_path / name
+            main([command, "--config", str(ini), "--out", str(out),
+                  *argv[argv.index("--preset") + 2:]])
+            metas.append(json.loads((out / "metadata.json").read_text()))
+            assert _csv_bytes(out) == _csv_bytes(tmp_path / "a")
+        assert metas[0] == metas[1]
+        assert ("seed" in metas[0]) == (command == "backhaul")
+
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--seed", "7"], ["validate", "--out", "{out}"],
+        ["analytic", "--seed", "7", "--out", "{out}"],
+    ])
+    def test_flags_the_run_does_not_read_are_rejected(self, tmp_path, capsys,
+                                                      argv):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(out=out) for a in argv])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestShortCells:
+    def test_grid_that_delivers_too_few_rejected(self, tmp_path, capsys):
+        # 1000 packets over 3 links that each erase 90% deliver 1
+        out = tmp_path / "out"
+        code = main(["backhaul", "--figure", "custom", "--mode", "no-ra",
+                     "--rho", "0.5", "--hops", "1", "3",
+                     "--link-erasure", "0.9", "--replications", "1",
+                     "--packets", "1000", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: packets 1000")
+        assert "3 hops" in err[0]
+        assert not out.exists()
+
+    def test_cell_short_by_chance_ends_in_one_error_line(self, tmp_path,
+                                                         capsys):
+        # 1000 packets at erasure 0.99 deliver 10 on average; at seed 432
+        # too few remain past the warm-up for an age average
+        code = main(["backhaul", "--figure", "custom", "--mode", "no-ra",
+                     "--rho", "0.5", "--hops", "1", "--link-erasure", "0.99",
+                     "--replications", "1", "--packets", "1000",
+                     "--seed", "432", "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: no-ra cell rho=0.5 hops=1 link erasure=0.99 "
+                       "replication=0: warm-up discards all deliveries"]

@@ -127,19 +127,20 @@ class TestBackoffAndRetry:
 class TestRun:
     def test_isolated_updates_hit_minimum_latency(self):
         cfg = replace(GROUND, erasure_prob=0.0)
-        trace = run(cfg, 0.01, 3.2e6, 42)
+        trace = run(cfg, 1, 0.01, 3.2e6, 42)
         ok = np.isfinite(trace.latency_ms)
         assert ok.sum() > 10
         assert trace.latency_ms[ok] == pytest.approx(22.1, abs=1e-9)
+        assert trace.latency_ms[ok].min() == min_access_delay(cfg)
         assert trace.departure[ok] == pytest.approx(trace.gen_time[ok] + 22.1)
 
     def test_horizon_too_short(self):
         with pytest.raises(ValueError):
-            run(GROUND, 1.0, 100.0, 0)
+            run(GROUND, 1, 1.0, 100.0, 0)
 
     def test_determinism(self):
-        a = run(GROUND, 50.0, 3.2e5, 123)
-        b = run(GROUND, 50.0, 3.2e5, 123)
+        a = run(GROUND, 1, 50.0, 3.2e5, 123)
+        b = run(GROUND, 1, 50.0, 3.2e5, 123)
         for col in ("gen_time", "attempts", "latency_ms"):
             assert np.array_equal(getattr(a, col), getattr(b, col))
         assert np.array_equal(a.departure, b.departure, equal_nan=True)
@@ -147,7 +148,7 @@ class TestRun:
         assert a.censored == b.censored
 
     def test_rao_conservation_and_bounds(self):
-        trace = run(replace(GROUND, max_attempts=10), 50.0, 6.4e5, 5)
+        trace = run(GROUND, 10, 50.0, 6.4e5, 5)
         assert trace.rao_records, "expected contention"
         for r in trace.rao_records:
             assert r.successes + r.collided + r.erased == r.transmissions
@@ -157,10 +158,9 @@ class TestRun:
     def test_success_latency_floor_and_retry_gaps(self):
         # per-attempt RAO times live only in the reference, which ``run``
         # matches bit for bit (TestReference)
-        cfg = replace(GROUND, max_attempts=10)
-        trace = reference_run(cfg, 50.0, 6.4e5, 6)
-        floor = min_access_delay(cfg)
-        lag = cfg.preamble_duration + cfg.t_proc1 + cfg.rar_window_ms
+        trace = reference_run(GROUND, 10, 50.0, 6.4e5, 6)
+        floor = min_access_delay(GROUND)
+        lag = GROUND.preamble_duration + GROUND.t_proc1 + GROUND.rar_window_ms
         saw_retry = False
         for r in trace.records:
             if r.outcome == "success":
@@ -173,7 +173,7 @@ class TestRun:
 
     def test_departures_match_success_records(self):
         horizon = 3.2e5
-        trace = run(GROUND, 50.0, horizon, 9)
+        trace = run(GROUND, 1, 50.0, horizon, 9)
         ok = np.isfinite(trace.latency_ms)
         succ = np.sort(trace.departure[ok])
         assert len(succ) == trace.success_count
@@ -189,18 +189,19 @@ class TestRun:
         rate = 25.0
         lam_rao = rate / 1000.0 * SPACE.rao_period
         predicted = (1 - SPACE.erasure_prob) * math.exp(-lam_rao / SPACE.preambles)
-        trace = run(SPACE, rate, 4.8e6, 11)
+        trace = run(SPACE, 1, rate, 4.8e6, 11)
         assert trace.success_probability == pytest.approx(predicted, rel=0.01)
 
     def test_space_latency_includes_propagation(self):
         cfg = replace(SPACE, erasure_prob=0.0)
-        trace = run(cfg, 0.01, 4.8e6, 3)
+        trace = run(cfg, 1, 0.01, 4.8e6, 3)
         assert trace.success_count
-        # 42.4 ms handshake plus four 4 ms legs
+        # 42.4 ms handshake plus four 4 ms legs, all in the closed form
         assert trace.latency_ms.min() == pytest.approx(58.4, abs=1e-9)
+        assert trace.latency_ms.min() == min_access_delay(cfg)
 
     def test_failures_marked_infinite(self):
-        trace = run(replace(GROUND, max_attempts=1), 50.0, 3.2e5, 8)
+        trace = run(GROUND, 1, 50.0, 3.2e5, 8)
         failed = ~np.isfinite(trace.latency_ms)
         assert failed.any()
         assert np.isinf(trace.latency_ms[failed]).all()
@@ -210,7 +211,7 @@ class TestRun:
 
 class TestEmpiricalPmf:
     def test_zero_traffic(self):
-        trace = run(GROUND, 0.0, 3.2e5, 0)
+        trace = run(GROUND, 1, 0.0, 3.2e5, 0)
         assert not trace.rao_records
         pmf = empirical_pmf(trace)
         assert pmf.total[0] == pytest.approx(1.0)
@@ -221,7 +222,7 @@ class TestEmpiricalPmf:
         # with a single attempt the contenders per RAO are exactly the
         # fresh arrivals, so the total-transmissions pmf is Poisson
         rate = 50.0
-        trace = run(LIGHT, rate, 1.0e6, 21)
+        trace = run(LIGHT, 1, rate, 1.0e6, 21)
         pmf = empirical_pmf(trace)
         lam = rate / 1000.0 * LIGHT.rao_period
         poisson = np.array([math.exp(k * math.log(lam) - lam - math.lgamma(k + 1))
@@ -230,7 +231,7 @@ class TestEmpiricalPmf:
         assert tv <= 0.02
 
     def test_normalization(self):
-        trace = run(GROUND, 50.0, 3.2e5, 4)
+        trace = run(GROUND, 1, 50.0, 3.2e5, 4)
         pmf = empirical_pmf(trace)
         for dist in (pmf.total, pmf.collided, pmf.successful):
             assert dist.sum() == pytest.approx(1.0, abs=1e-12)
@@ -250,7 +251,7 @@ class TestLatencyCdf:
         assert cdf.plateau == 1.0
 
     def test_plateau_bounded_by_erasure_survival(self):
-        trace = run(GROUND, 50.0, 3.2e6, 13)
+        trace = run(GROUND, 1, 50.0, 3.2e6, 13)
         cdf = latency_cdf(trace.latency_ms)
         assert cdf.plateau <= 1 - GROUND.erasure_prob
         # CDF is a nondecreasing step function
@@ -291,9 +292,8 @@ class TestReference:
         (GROUND, 10, 50.0, 335.0, 22),           # about one RAO
     ])
     def test_bit_identical(self, cfg, attempts, rate, horizon, seed):
-        cfg = replace(cfg, max_attempts=attempts)
-        trace = run(cfg, rate, horizon, seed)
-        oracle = reference_run(cfg, rate, horizon, seed)
+        trace = run(cfg, attempts, rate, horizon, seed)
+        oracle = reference_run(cfg, attempts, rate, horizon, seed)
         for name, column in _reference_columns(oracle).items():
             got = getattr(trace, name)
             assert got.dtype == column.dtype, name
@@ -308,21 +308,20 @@ class TestReference:
         # the grid above sees demotions, retries and final failures, and
         # all three ways to be censored: arriving after the last RAO,
         # retrying past it, and a grant completing past the horizon
-        demoting = replace(DEMOTING, max_attempts=10)
-        assert sum(r.demoted for r in run(demoting, 200.0, 1.6e5, 6)
+        assert sum(r.demoted for r in run(DEMOTING, 10, 200.0, 1.6e5, 6)
                    .rao_records) > 0
-        short = run(replace(GROUND, max_attempts=10), 50.0, 335.0, 22)
+        short = run(GROUND, 10, 50.0, 335.0, 22)
         (rao,) = short.rao_records
         granted = rao.successes - rao.demoted
         assert short.success_count < granted
         assert short.censored > rao.transmissions - short.success_count
-        three = run(replace(GROUND, max_attempts=3), 50.0, 3.2e5, 2)
+        three = run(GROUND, 3, 50.0, 3.2e5, 2)
         assert (three.attempts == 3).any() and (three.attempts == 2).any()
         assert np.isinf(three.latency_ms[three.attempts == 3]).any()
 
     def test_counters_are_python_ints(self):
         # the trace's counters and RAO records go to JSON as they are
-        trace = run(replace(GROUND, max_attempts=10), 50.0, 3.2e5, 12)
+        trace = run(GROUND, 10, 50.0, 3.2e5, 12)
         assert type(trace.success_count) is int
         assert type(trace.censored) is int
         json.dumps([asdict(r) for r in trace.rao_records])

@@ -4,9 +4,9 @@ from importlib import resources
 
 import pytest
 
-from leoiot.scenario import (RaConfig, ScenarioConfig, TrafficConfig,
-                             apply_overrides, config_hash, dump_config,
-                             load_config, split_rates, validate)
+from leoiot.scenario import (READS, SETTABLE, RaConfig, ScenarioConfig,
+                             TrafficConfig, apply_overrides, config_hash,
+                             dump_config, load_config, split_rates, validate)
 
 
 def make_traffic(total_rate=50.0, kappa=0.5):
@@ -141,9 +141,9 @@ class TestConfigFiles:
             load_config(str(tmp_path / "missing.ini"))
 
     def test_hash_stable_and_sensitive(self):
-        a = config_hash(load_config("offloading"))
-        b = config_hash(load_config("offloading"))
-        c = config_hash(load_config("backhauling"))
+        a = config_hash(load_config("offloading"), "offload")
+        b = config_hash(load_config("offloading"), "offload")
+        c = config_hash(load_config("backhauling"), "offload")
         assert a == b
         assert a != c
 
@@ -151,9 +151,9 @@ class TestConfigFiles:
 class TestOverrides:
     def test_nested_override(self):
         cfg = apply_overrides(load_config("offloading"),
-                              ["traffic.total_rate=250", "ground_ra.max_attempts=10"])
+                              ["traffic.total_rate=250", "ground_ra.rar_window=10"])
         assert cfg.traffic.total_rate == 250.0
-        assert cfg.ground_ra.max_attempts == 10
+        assert cfg.ground_ra.rar_window == 10
 
     def test_top_level_override(self):
         cfg = apply_overrides(load_config("offloading"),
@@ -175,7 +175,9 @@ class TestOverrides:
         ("traffic.users=abc", "traffic.users"),
         ("traffic.users=1000", "unknown key 'users'"),
         ("traffic.total_rate=abc", "traffic.total_rate: 'abc' is not"),
-        ("ground_ra.max_attempts=2.5", "not an integer"),
+        # the attempt budget is an argument of each run, not a config key
+        ("ground_ra.max_attempts=2.5", "unknown key 'max_attempts'"),
+        ("ground_ra.preambles=2.5", "not an integer"),
         ("horizon=long", "not a number"),
         ("replications=3", "unknown key 'replications'"),
         ("backhaul.buffer_size=3", "unknown section 'backhaul'"),
@@ -236,3 +238,35 @@ class TestConfigSurface:
         parser.read_string(text)
         packaged = {s: set(parser[s]) for s in parser.sections()}
         assert packaged == _dumped_keys(load_config(name))
+
+
+class TestReads:
+    """The one table of the keys each subcommand reads."""
+
+    def test_key_counts(self):
+        assert len(SETTABLE) == 36
+        assert {command: len(keys) for command, keys in READS.items()} == {
+            "offload": 36, "backhaul": 17, "analytic": 26, "validate": 35}
+        assert all(keys <= SETTABLE for keys in READS.values())
+
+    @pytest.mark.parametrize("command", sorted(READS))
+    def test_hash_covers_exactly_the_read_keys(self, command):
+        config = load_config("offloading")
+        base = config_hash(config, command)
+        for key in sorted(SETTABLE):
+            section, _, name = key.rpartition(".")
+            holder = config if section == "run" else getattr(config, section)
+            value = getattr(holder, name)
+            new = value + 1 if isinstance(value, int) else value + 0.5
+            changed = apply_overrides(config, [f"{key}={new!r}"])
+            assert ((config_hash(changed, command) != base)
+                    == (key in READS[command])), key
+
+    def test_override_of_an_unread_key_rejected(self):
+        config = load_config("backhauling")
+        assert apply_overrides(config, ["ground_ra.t_msg3=2"],
+                               "backhaul").ground_ra.t_msg3 == 2.0
+        for key in ("horizon=1", "traffic.total_rate=9", "run.horizon=1"):
+            with pytest.raises(ValueError,
+                               match="leoiot backhaul does not read it"):
+                apply_overrides(config, [key], "backhaul")
