@@ -26,7 +26,7 @@ from . import backhaul_analytic as ba
 from . import backhaul_sim as bs
 from . import ra_analytic as ra
 from . import ra_sim
-from .scenario import (PRESETS, READS, ScenarioConfig, apply_overrides,
+from .scenario import (PRESETS, SETTABLE, ScenarioConfig, apply_overrides,
                        config_hash, load_config, split_rates, validate)
 
 OUTPUT_ENV_VAR = "LEOIOT_OUT"
@@ -50,6 +50,13 @@ TOLERANCES = {"mean_system_time": 0.02, "mean_aoi": 0.10}
 MIN_PACKETS = 10
 # RAO period of the lightly loaded channel behind the offloading pmfs, ms
 PMF_RAO_PERIOD = 160.0
+# the dotted config keys each subcommand reads: a ``--set`` of any other
+# key is rejected, and a run's config hash covers only these
+READS = {"offload": SETTABLE, "validate": SETTABLE - {"run.seed"},
+         "backhaul": frozenset(k for k in SETTABLE if k == "run.seed"
+                               or k.startswith("ground_ra.")),
+         "analytic": frozenset(k for k in SETTABLE if k.startswith("traffic.")
+                               or k.partition(".")[2] in ra.FIELDS_READ)}
 
 
 @dataclass(frozen=True)
@@ -117,17 +124,22 @@ def sweep_problems(spec: ExperimentSpec) -> list:
     out += (_repeated("rho", spec.rhos) + _repeated("hops", spec.hops)
             + _repeated("link erasure", spec.erasures)
             + _repeated("mode", spec.modes))
-    if spec.hops and spec.erasures and not (hops or erasures):
-        # the cell with the most hops and the lossiest links delivers least
-        n, eps = max(spec.hops), max(spec.erasures)
-        if spec.packets * (1.0 - eps) ** n < MIN_PACKETS:
-            out.append(f"packets {spec.packets}: {n} hops at link erasure "
-                       f"{eps:g} deliver fewer than {MIN_PACKETS} on average")
     if spec.replications < 1:
         out.append(f"replications {spec.replications}: must be >= 1")
     if spec.workers < 1:
         out.append(f"workers {spec.workers}: must be >= 1")
     return out
+
+
+def backhaul_problems(spec: ExperimentSpec) -> list:
+    """Config and grid problems that stop the relay-chain sweep, also a grid
+    whose lossiest cell delivers too few packets for an age average."""
+    grid = sweep_problems(spec)
+    n, eps = max(spec.hops, default=1), max(spec.erasures, default=0.0)
+    if not grid and spec.packets * (1.0 - eps) ** n < MIN_PACKETS:
+        grid.append(f"packets {spec.packets}: {n} hops at link erasure "
+                    f"{eps:g} deliver fewer than {MIN_PACKETS} on average")
+    return validate(spec.config) + grid
 
 
 def offload_problems(spec: ExperimentSpec) -> list:
@@ -158,11 +170,10 @@ def _write_csv(path: Path, header, rows, schema: str):
         w.writerows(rows)
 
 
-def _write_metadata(out: Path, spec: ExperimentSpec, command: str,
-                    extra=None):
+def _write_metadata(out: Path, spec: ExperimentSpec, command: str, extra=None):
     meta = {
         "tool": "leoiot", "version": __version__,
-        "config_sha256_16": config_hash(spec.config, command),
+        "config_sha256_16": config_hash(spec.config, READS[command]),
         "figure": spec.figure,
         "replications": spec.replications,
         "workers": spec.workers,
@@ -276,7 +287,7 @@ def run_backhauling(spec: ExperimentSpec):
     Returns (files, report_ok).
     """
     cfg = spec.config
-    _check(validate(cfg) + sweep_problems(spec))
+    _check(backhaul_problems(spec))
     out = spec.out_dir
     out.mkdir(parents=True, exist_ok=True)
     feed = bs.RaFeedSettings(config=cfg.ground_ra)
@@ -355,7 +366,7 @@ def report(result_rows, spec: ExperimentSpec):
     """
     lines = [f"leoiot report - figure={spec.figure} seed={spec.config.seed} "
              f"replications={spec.replications} "
-             f"config={config_hash(spec.config, 'backhaul')}"]
+             f"config={config_hash(spec.config, READS['backhaul'])}"]
     unstable = [rho for rho in spec.rhos if not 0.0 < rho < 1.0]
     if unstable:
         lines.append(f"flagged: no analytic overlay for rho in {unstable} "
@@ -461,7 +472,8 @@ def _load_spec(args, figure: str) -> ExperimentSpec:
     name = args.preset or args.config
     if name is None:
         name = "offloading" if figure == "fig4" else "backhauling"
-    config = apply_overrides(load_config(name), args.overrides, args.command)
+    config = apply_overrides(load_config(name), args.overrides,
+                             READS[args.command])
     if getattr(args, "seed", None) is not None:
         config = replace(config, seed=args.seed)
     out = Path(getattr(args, "out", None)
@@ -528,7 +540,7 @@ def main(argv=None) -> int:
     try:
         spec = _load_spec(args, figure)
     except (OSError, ValueError) as exc:
-        return _rejected([exc])
+        return _rejected([f"leoiot {args.command}: {exc}"])
 
     if args.command == "validate":
         problems = validate(spec.config)

@@ -14,6 +14,10 @@ import numpy as np
 
 from .scenario import RaConfig
 
+# the RaConfig fields that the closed forms below read
+FIELDS_READ = ("preambles", "rao_period", "repetitions", "erasure_prob",
+               "extended_prefix", "max_prop_delay", "t_preamble_base",
+               "t_rar_base", "t_msg3", "t_msg4", "t_proc2", "t_proc3")
 
 # ---------------------------------------------------------------------------
 # Contention in one RAO: x contenders over R orthogonal preambles

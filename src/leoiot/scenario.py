@@ -10,8 +10,8 @@ top-level ``seed`` and ``horizon``).  ``load_config`` reads that format
 and rejects unknown sections and keys, ``dump_config`` writes every field
 back, and ``apply_overrides`` (the CLI ``--set section.key=value``; the
 ``[run]`` keys may also go bare, as ``--set horizon=4e5``) can set every
-field, but a subcommand's ``--set`` and ``config_hash`` take only the keys
-it reads (``READS``).  The two evaluation columns, ``offloading`` and
+field; given a key set, ``apply_overrides`` and ``config_hash`` take only
+those keys.  The two evaluation columns, ``offloading`` and
 ``backhauling``, exist only as the packaged INI files under
 ``leoiot/presets``; ``load_config`` resolves either bare name to its file.
 
@@ -161,20 +161,6 @@ def _keys(cls) -> dict:
 # every key as ``section.key``; ``--set`` also takes the [run] keys bare
 SETTABLE = frozenset(f"{section}.{key}" for section, cls in SECTIONS.items()
                      for key in _keys(cls))
-# the RaConfig fields that the closed forms in ``ra_analytic`` read
-_RA_ANALYTIC = ("preambles", "rao_period", "repetitions", "erasure_prob",
-                "extended_prefix", "max_prop_delay", "t_preamble_base",
-                "t_rar_base", "t_msg3", "t_msg4", "t_proc2", "t_proc3")
-# the keys each subcommand reads: a ``--set`` of any other key is rejected,
-# and a run's config hash covers only these
-READS = {
-    "offload": SETTABLE, "validate": SETTABLE - {"run.seed"},
-    "backhaul": frozenset({"run.seed",
-                           *(f"ground_ra.{k}" for k in _keys(RaConfig))}),
-    "analytic": frozenset({"traffic.total_rate", "traffic.ground_ratio",
-                           *(f"{path}.{k}" for k in _RA_ANALYTIC
-                             for path in ("ground_ra", "space_ra"))}),
-}
 
 
 def _typed(section: str, items) -> dict:
@@ -253,10 +239,10 @@ def dump_config(config: ScenarioConfig, keys=SETTABLE) -> str:
 
 
 def apply_overrides(config: ScenarioConfig, overrides,
-                    command: str | None = None) -> ScenarioConfig:
+                    keys=SETTABLE) -> ScenarioConfig:
     """Apply ``section.key=value`` overrides (the CLI ``--set`` flag); the
     keys of ``[run]`` may also go bare, as ``seed=`` and ``horizon=``.
-    Given a subcommand, a key it does not read (``READS``) is rejected."""
+    A key outside the dotted ``keys`` is rejected."""
     for item in overrides:
         key, eq, raw = item.partition("=")
         if not eq:
@@ -267,9 +253,9 @@ def apply_overrides(config: ScenarioConfig, overrides,
             raise ValueError(f"cannot override {key!r}: unknown section "
                              f"{section!r}")
         values = _typed(section, [(name, raw.strip())])
-        if command is not None and f"{section}.{name}" not in READS[command]:
-            raise ValueError(f"cannot override {key.strip()!r}: leoiot "
-                             f"{command} does not read it")
+        if f"{section}.{name}" not in keys:
+            raise ValueError(f"cannot override {key.strip()!r}: the run "
+                             f"does not read it")
         target = _section_objects(config).get(section)
         if target is None:
             raise ValueError(f"cannot override {key!r}: the scenario has no "
@@ -280,7 +266,6 @@ def apply_overrides(config: ScenarioConfig, overrides,
     return config
 
 
-def config_hash(config: ScenarioConfig, command: str) -> str:
-    """Hash of the keys the subcommand reads: no other key is its identity."""
-    return hashlib.sha256(dump_config(config, READS[command])
-                          .encode()).hexdigest()[:16]
+def config_hash(config: ScenarioConfig, keys) -> str:
+    """Hash of the dotted ``keys`` a run reads, its identity."""
+    return hashlib.sha256(dump_config(config, keys).encode()).hexdigest()[:16]

@@ -4,7 +4,7 @@ from importlib import resources
 
 import pytest
 
-from leoiot.scenario import (READS, SETTABLE, RaConfig, ScenarioConfig,
+from leoiot.scenario import (SETTABLE, RaConfig, ScenarioConfig,
                              TrafficConfig, apply_overrides, config_hash,
                              dump_config, load_config, split_rates, validate)
 
@@ -141,9 +141,9 @@ class TestConfigFiles:
             load_config(str(tmp_path / "missing.ini"))
 
     def test_hash_stable_and_sensitive(self):
-        a = config_hash(load_config("offloading"), "offload")
-        b = config_hash(load_config("offloading"), "offload")
-        c = config_hash(load_config("backhauling"), "offload")
+        a = config_hash(load_config("offloading"), SETTABLE)
+        b = config_hash(load_config("offloading"), SETTABLE)
+        c = config_hash(load_config("backhauling"), SETTABLE)
         assert a == b
         assert a != c
 
@@ -240,33 +240,29 @@ class TestConfigSurface:
         assert packaged == _dumped_keys(load_config(name))
 
 
-class TestReads:
-    """The one table of the keys each subcommand reads."""
+class TestKeySets:
+    """``apply_overrides`` and ``config_hash`` given the keys a run reads."""
 
-    def test_key_counts(self):
+    def test_settable_key_count(self):
         assert len(SETTABLE) == 36
-        assert {command: len(keys) for command, keys in READS.items()} == {
-            "offload": 36, "backhaul": 17, "analytic": 26, "validate": 35}
-        assert all(keys <= SETTABLE for keys in READS.values())
 
-    @pytest.mark.parametrize("command", sorted(READS))
-    def test_hash_covers_exactly_the_read_keys(self, command):
+    def test_hash_covers_exactly_the_given_keys(self):
         config = load_config("offloading")
-        base = config_hash(config, command)
+        keys = frozenset({"ground_ra.t_msg3", "run.seed"})
+        base = config_hash(config, keys)
         for key in sorted(SETTABLE):
             section, _, name = key.rpartition(".")
             holder = config if section == "run" else getattr(config, section)
             value = getattr(holder, name)
             new = value + 1 if isinstance(value, int) else value + 0.5
             changed = apply_overrides(config, [f"{key}={new!r}"])
-            assert ((config_hash(changed, command) != base)
-                    == (key in READS[command])), key
+            assert (config_hash(changed, keys) != base) == (key in keys), key
 
-    def test_override_of_an_unread_key_rejected(self):
+    def test_override_outside_the_keys_rejected(self):
         config = load_config("backhauling")
-        assert apply_overrides(config, ["ground_ra.t_msg3=2"],
-                               "backhaul").ground_ra.t_msg3 == 2.0
+        keys = frozenset({"ground_ra.t_msg3", "run.seed"})
+        assert apply_overrides(config, ["ground_ra.t_msg3=2", "seed=3"],
+                               keys).seed == 3
         for key in ("horizon=1", "traffic.total_rate=9", "run.horizon=1"):
-            with pytest.raises(ValueError,
-                               match="leoiot backhaul does not read it"):
-                apply_overrides(config, [key], "backhaul")
+            with pytest.raises(ValueError, match="the run does not read it"):
+                apply_overrides(config, [key], keys)
