@@ -10,16 +10,18 @@ path exactly: a packet starts service when both it and the server are
 ready, and a dropped packet still consumes service at every node up to
 and including the link that erased it.
 
-The chain and the age integrator work in a few buffers of the stream's
-length, allocated once per cell and reused at every node, instead of
-fresh temporaries per operation; the elementwise operations and their
-order are those of the plain expressions, so results are unchanged.
+The chain scans each node a cache-sized chunk at a time, its random
+draws made ahead on a second thread for a longer stream; the elementwise
+operations and their order are those of the plain full-length
+expressions, so results are unchanged.
 """
 from __future__ import annotations
 
+import contextlib
+import itertools
 import math
 import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import ClassVar
@@ -100,33 +102,43 @@ class AoiSummary:
     peak_aoi_mean: float
 
 
-def _fcfs_waits(arrivals: np.ndarray, services: np.ndarray,
-                out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """Waiting times of an FCFS single server via the Lindley recursion
-    W_i = max(0, W_{i-1} + S_{i-1} - Y_i), computed as a prefix scan into
-    ``out``; ``scratch`` holds the running minimum."""
-    out[0] = 0.0
-    np.subtract(arrivals[1:], arrivals[:-1], out=out[1:])
-    np.subtract(services[:-1], out[1:], out=out[1:])
-    np.cumsum(out, out=out)
-    np.minimum.accumulate(out, out=scratch)
-    return np.subtract(out, scratch, out=out)
+# packets per step of the chain's scan, and chunks drawn ahead of it
+_CHUNK = 1 << 15
+_AHEAD = 2
 
 
-# elements moved per step when survivors are compacted in place
-_COMPACT_CHUNK = 1 << 14
+def _draws(seed, n: int, cfg: BackhaulConfig, ring: list):
+    """Every random draw of the chain in order, a chunk at a time in the
+    buffers of ``ring`` in turn: per node the services of the packets that
+    reach it, then on a lossy link the positions it erases and keeps."""
+    rng, slots, k = np.random.default_rng(seed), itertools.cycle(ring), n
+    for _ in range(cfg.hops):
+        for lo in range(0, k, _CHUNK):
+            yield rng.standard_exponential(out=next(slots)[:k - lo])
+        if cfg.link_erasure > 0.0:
+            for lo in range(0, k, _CHUNK):
+                e = rng.random(out=next(slots)[:k - lo]) < cfg.link_erasure
+                gone = np.flatnonzero(e)
+                n -= len(gone)
+                yield gone, np.flatnonzero(np.logical_not(e, out=e))
+            k = n
 
 
-def _compact(a: np.ndarray, keep: np.ndarray) -> int:
-    """Move ``a[keep]`` to the front of ``a`` in order, a chunk at a time
-    so no full-length temporary is made; returns the number kept."""
-    n_kept = 0
-    for start in range(0, len(a), _COMPACT_CHUNK):
-        stop = start + _COMPACT_CHUNK
-        part = a[start:stop][keep[start:stop]]
-        a[n_kept:n_kept + len(part)] = part
-        n_kept += len(part)
-    return n_kept
+@contextlib.contextmanager
+def _ahead(items, depth: int):
+    """Iterate ``items`` ``depth`` ahead of the block on a thread that
+    ends with the block and whose exception is raised in it."""
+    end, pool = object(), ThreadPoolExecutor(1)
+    pending = [pool.submit(next, items, end) for _ in range(depth)]
+
+    def ready():
+        while (item := pending.pop(0).result()) is not end:
+            pending.append(pool.submit(next, items, end))
+            yield item
+    try:
+        yield ready()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def run(stream: ArrivalStream, cfg: BackhaulConfig, seed) -> NetworkTrace:
@@ -134,33 +146,49 @@ def run(stream: ArrivalStream, cfg: BackhaulConfig, seed) -> NetworkTrace:
 
     Per node the random draws are the service times of the packets that
     reach it, in arrival order, then (on a lossy link) one uniform per
-    served packet deciding whether the link erases it.  The surviving
-    packets' times and indices are kept in the leading part of reused
-    buffers; the stream's arrays are only read.
+    served packet deciding whether the link erases it.  A node's waits
+    W_i = max(0, W_{i-1} + S_{i-1} - Y_i) are C - min.accumulate(C), C the
+    running sum of S_{i-1} - Y_i, scanned a chunk at a time; a leading
+    slot carries the sum and minimum on.  Departures overwrite arrivals
+    in one buffer, and the stream's arrays are only read.
     """
-    rng = np.random.default_rng(seed)
     n = len(stream)
-    lossy = cfg.link_erasure > 0.0
-    drop_node = np.zeros(n, dtype=np.int64)
-    alive = np.arange(n)
-    services, waits, scratch, departures = (np.empty(n) for _ in range(4))
-    mask = np.empty(n, dtype=bool) if lossy else None
-    times = stream.arrival_times
-    k = n
-    for node in range(cfg.hops):
-        s = rng.standard_exponential(out=services[:k])
-        if k:
-            w = _fcfs_waits(times, s, waits[:k], scratch[:k])
-            times = np.add(times, w, out=departures[:k])
-            np.add(times, s, out=times)
-        if lossy and k:
-            erased = np.less(rng.random(out=scratch[:k]), cfg.link_erasure,
-                             out=mask[:k])
-            drop_node[alive[:k][erased]] = node + 1
-            kept = np.logical_not(erased, out=erased)
-            _compact(alive[:k], kept)
-            k = _compact(times, kept)
+    drop_node, alive = np.zeros(n, dtype=np.int64), np.arange(n)
+    times, departures = stream.arrival_times, np.empty(n)
+    cum, low = np.empty(min(n, _CHUNK) + 1), np.empty(min(n, _CHUNK) + 1)
+    # a buffer per chunk drawn ahead, one for the chunk in the scan
+    ring = [np.empty(min(n, _CHUNK)) for _ in range(1 + _AHEAD * (n > _CHUNK))]
+    draws, k = _draws(seed, n, cfg, ring), n
+    with (_ahead(draws, _AHEAD) if n > _CHUNK
+          else contextlib.nullcontext(draws)) as draws:
+        for node in range(cfg.hops):
+            carry_sum = carry_min = last_s = 0.0
+            last_a = times[0] if k else 0.0
+            for lo in range(0, k, _CHUNK):
+                s = next(draws)
+                a, x, m = (times[lo:lo + len(s)], cum[:len(s) + 1],
+                           low[:len(s) + 1])
+                np.subtract(a[1:], a[:-1], out=x[2:])
+                np.subtract(s[:-1], x[2:], out=x[2:])
+                x[:2] = carry_sum, last_s - (a[0] - last_a)
+                np.cumsum(x, out=x)
+                carry_sum, x[0] = x[-1], carry_min
+                np.minimum.accumulate(x, out=m)
+                carry_min, last_a, last_s = m[-1], a[-1], s[-1]
+                w = np.subtract(x[1:], m[1:], out=x[1:])
+                d = np.add(a, w, out=departures[lo:lo + len(s)])
+                np.add(d, s, out=d)
             times = departures[:k]
+            if cfg.link_erasure > 0.0:
+                kept = 0
+                for lo in range(0, k, _CHUNK):
+                    gone, keep = next(draws)
+                    chunk = slice(lo, lo + len(gone) + len(keep))
+                    drop_node[alive[chunk].take(gone)] = node + 1
+                    for arr in (alive, departures):
+                        arr[kept:kept + len(keep)] = arr[chunk].take(keep)
+                    kept += len(keep)
+                k, times = kept, departures[:kept]
     return NetworkTrace(cfg, stream.gen_times, drop_node,
                         delivered_index=alive[:k], delivery_times=times)
 
@@ -395,26 +423,31 @@ def rescale_feed(access: AccessFeed, rho: float) -> ArrivalStream:
                          gen_times=access.gen_times_ms * scale)
 
 
+def _cell_stream(mode: str, rho: float, replication: int, master_seed: int,
+                 n_packets: int, access: AccessFeed | None) -> ArrivalStream:
+    """The arrival stream of every cell of (mode, rho, replication)."""
+    if mode == "no-ra":
+        return poisson_stream(rho, n_packets, np.random.default_rng(
+            _poisson_seed(master_seed, rho, replication)))
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    if access is None:
+        raise ValueError(f"a {mode} cell needs its access feed")
+    return rescale_feed(access, rho)
+
+
 def run_point(mode: str, rho: float, hops: int, link_erasure: float,
               replication: int, master_seed: int, n_packets: int,
-              access: AccessFeed | None = None) -> SweepRow:
-    """One sweep cell: build the arrival stream, run the chain, summarize.
+              access: AccessFeed | None = None,
+              stream: ArrivalStream | None = None) -> SweepRow:
+    """One sweep cell: build the stream (unless given), run, summarize.
 
     An ra cell rescales ``access``, the feed of its mode and replication
     that ``sweep`` simulated once for every load.
     """
-    ra_p = None
-    if mode == "no-ra":
-        rng = np.random.default_rng(_poisson_seed(master_seed, rho,
-                                                  replication))
-        stream = poisson_stream(rho, n_packets, rng)
-    elif mode in ("ra-a1", "ra-a10"):
-        if access is None:
-            raise ValueError(f"a {mode} cell needs its access feed")
-        stream = rescale_feed(access, rho)
-        ra_p = access.success_prob
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    if stream is None:
+        stream = _cell_stream(mode, rho, replication, master_seed, n_packets,
+                              access)
     trace = run(stream, BackhaulConfig(hops, link_erasure),
                 _net_seed(master_seed, mode, rho, hops, link_erasure,
                           replication))
@@ -432,7 +465,7 @@ def run_point(mode: str, rho: float, hops: int, link_erasure: float,
         mean_system_time=summary.mean_system_time,
         mean_aoi=summary.time_average_aoi,
         peak_aoi_mean=summary.peak_aoi_mean,
-        ra_success_prob=ra_p)
+        ra_success_prob=None if mode == "no-ra" else access.success_prob)
 
 
 # access feeds of the running sweep, installed once in each pool worker
@@ -443,8 +476,13 @@ def _install_feeds(feeds: dict):
     _POOL_FEEDS.update(feeds)
 
 
-def _run_cell(task) -> SweepRow:
-    return run_point(*task, access=_POOL_FEEDS.get((task[0], task[4])))
+def _run_cells(task, feeds=_POOL_FEEDS) -> list:
+    """The cells (hops, link erasure) of one (mode, rho, replication)."""
+    mode, rho, rep, cells, master_seed, n_packets = task
+    access = feeds.get((mode, rep))
+    stream = _cell_stream(mode, rho, rep, master_seed, n_packets, access)
+    return [run_point(mode, rho, hops, eps, rep, master_seed, n_packets,
+                      access, stream) for hops, eps in cells]
 
 
 def sweep(rhos, hops_list, erasures, modes, replications: int,
@@ -453,9 +491,10 @@ def sweep(rhos, hops_list, erasures, modes, replications: int,
     """Cross product of the grid, deterministically seeded per cell.
 
     Each access feed is simulated once per (mode, replication), before
-    the cells fan out, and rescaled to every load; ``feed`` is needed
-    when ``modes`` holds an ra mode.  The result order and content depend
-    only on the grid and the master seed, never on the worker count.
+    the cells fan out, and rescaled to every load (``feed`` is needed for
+    ra modes); the cells of one (mode, rho, replication) share one arrival
+    stream.  The result order and content depend only on the grid and the
+    master seed, never on the worker count.
     """
     unknown = [m for m in modes if m not in MODES]
     if unknown:
@@ -466,9 +505,9 @@ def sweep(rhos, hops_list, erasures, modes, replications: int,
         raise ValueError("ra modes need the access feed settings")
     simulate = partial(ra_departure_stream, master_seed=master_seed,
                        n_packets=n_packets, feed=feed)
-    tasks = [(m, rho, n, e, rep, master_seed, n_packets)
-             for m in modes for rho in rhos for n in hops_list
-             for e in erasures for rep in range(replications)]
+    cells = [(n, e) for n in hops_list for e in erasures]
+    tasks = [(m, rho, rep, cells, master_seed, n_packets)
+             for m in modes for rho in rhos for rep in range(replications)]
     if workers > 1:
         spawn = multiprocessing.get_context("spawn")
         feeds = {}
@@ -479,10 +518,11 @@ def sweep(rhos, hops_list, erasures, modes, replications: int,
         with ProcessPoolExecutor(max_workers=workers, mp_context=spawn,
                                  initializer=_install_feeds,
                                  initargs=(feeds,)) as pool:
-            rows = list(pool.map(_run_cell, tasks, chunksize=1))
+            rows = [row for part in pool.map(_run_cells, tasks, chunksize=1)
+                    for row in part]
     else:
         feeds = dict(zip(keys, map(simulate, keys)))
-        rows = [run_point(*t, access=feeds.get((t[0], t[4]))) for t in tasks]
+        rows = [row for t in tasks for row in _run_cells(t, feeds)]
     rows.sort(key=lambda r: (r.mode, r.rho, r.hops, r.link_erasure,
                              r.replication))
     return rows

@@ -139,14 +139,14 @@ def backhaul_problems(spec: ExperimentSpec) -> list:
     if not grid and spec.packets * (1.0 - eps) ** n < MIN_PACKETS:
         grid.append(f"packets {spec.packets}: {n} hops at link erasure "
                     f"{eps:g} deliver fewer than {MIN_PACKETS} on average")
-    return validate(spec.config) + grid
+    return validate(spec.config, READS["backhaul"]) + grid
 
 
 def offload_problems(spec: ExperimentSpec) -> list:
     """Config and attempt-budget problems that stop the offloading
     pipeline; empty means usable."""
     config = spec.config
-    out = validate(config)
+    out = validate(config, READS["offload"])
     periods = [PMF_RAO_PERIOD, config.ground_ra.rao_period]
     if config.space_ra is None:
         out.append("space_ra: offloading needs the space path configured")
@@ -175,8 +175,6 @@ def _write_metadata(out: Path, spec: ExperimentSpec, command: str, extra=None):
         "tool": "leoiot", "version": __version__,
         "config_sha256_16": config_hash(spec.config, READS[command]),
         "figure": spec.figure,
-        "replications": spec.replications,
-        "workers": spec.workers,
     }
     if "run.seed" in READS[command]:
         meta["seed"] = spec.config.seed
@@ -331,7 +329,9 @@ def run_backhauling(spec: ExperimentSpec):
     rp = out / "report.txt"
     rp.write_text(text)
     files.append(rp)
-    _write_metadata(out, spec, "backhaul", {"packets_per_point": spec.packets})
+    _write_metadata(out, spec, "backhaul", {
+        "packets_per_point": spec.packets,
+        "replications": spec.replications, "workers": spec.workers})
     return files, ok
 
 
@@ -419,7 +419,7 @@ def report(result_rows, spec: ExperimentSpec):
 def run_analytic(spec: ExperimentSpec):
     """Closed-form quantities for the configured scenario, no simulation."""
     cfg = spec.config
-    _check(validate(cfg) + sweep_problems(spec))
+    _check(validate(cfg, READS["analytic"]) + sweep_problems(spec))
     out = spec.out_dir
     out.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -543,7 +543,7 @@ def main(argv=None) -> int:
         return _rejected([f"leoiot {args.command}: {exc}"])
 
     if args.command == "validate":
-        problems = validate(spec.config)
+        problems = validate(spec.config, READS["validate"])
         if problems:
             for p in problems:
                 print(f"violation: {p}")

@@ -127,22 +127,6 @@ def _check_ra(cfg: RaConfig, prefix: str, out: list):
             out.append(f"{prefix}.{name}: must be >= 0")
 
 
-def validate(config: ScenarioConfig) -> list:
-    """Collect invariant violations; an empty list means the config is usable."""
-    out: list = []
-    t = config.traffic
-    if t.total_rate <= 0:
-        out.append(f"traffic.total_rate: {t.total_rate} must be > 0")
-    if not 0.0 <= t.ground_ratio <= 1.0:
-        out.append(f"traffic.ground_ratio: {t.ground_ratio} outside [0, 1]")
-    _check_ra(config.ground_ra, "ground_ra", out)
-    if config.space_ra is not None:
-        _check_ra(config.space_ra, "space_ra", out)
-    if config.horizon <= 0:
-        out.append(f"horizon: {config.horizon} must be > 0")
-    return out
-
-
 # ---------------------------------------------------------------------------
 # The INI config format
 # ---------------------------------------------------------------------------
@@ -161,6 +145,26 @@ def _keys(cls) -> dict:
 # every key as ``section.key``; ``--set`` also takes the [run] keys bare
 SETTABLE = frozenset(f"{section}.{key}" for section, cls in SECTIONS.items()
                      for key in _keys(cls))
+
+
+def validate(config: ScenarioConfig, keys=SETTABLE) -> list:
+    """Collect the invariant violations of the dotted ``keys``, one line
+    each that starts with its key; an empty list means a run that reads
+    only those keys can use the config."""
+    out: list = []
+    t = config.traffic
+    if t.total_rate <= 0:
+        out.append(f"traffic.total_rate: {t.total_rate} must be > 0")
+    if not 0.0 <= t.ground_ratio <= 1.0:
+        out.append(f"traffic.ground_ratio: {t.ground_ratio} outside [0, 1]")
+    _check_ra(config.ground_ra, "ground_ra", out)
+    if config.space_ra is not None:
+        _check_ra(config.space_ra, "space_ra", out)
+    if config.horizon <= 0:
+        out.append(f"horizon: {config.horizon} must be > 0")
+    # the keys of [run] go bare, as in ``--set``
+    return [p for p in out
+            if (key := p.partition(":")[0]) in keys or f"run.{key}" in keys]
 
 
 def _typed(section: str, items) -> dict:

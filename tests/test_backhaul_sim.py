@@ -1,4 +1,8 @@
+import faulthandler
+import hashlib
 import math
+import signal
+import threading
 import tracemalloc
 
 import numpy as np
@@ -158,12 +162,14 @@ class TestChainReference:
         np.testing.assert_allclose(trace.delivery_times, deliveries,
                                    rtol=1e-12, atol=0.0)
 
-    @pytest.mark.parametrize("chunk", [1, 7, 1000])
+    @pytest.mark.parametrize("chunk", [1, 7, 1000, 3000])
     def test_survivor_compaction_in_chunks(self, monkeypatch, chunk):
-        # lossy links compact the survivors in place a chunk at a time;
-        # chunks far shorter than the stream give the same chain
+        # the scan and the compaction of a lossy link's survivors go a
+        # chunk at a time, with the draws on a second thread unless the
+        # stream fits one chunk; chunks far shorter than the stream give
+        # the same chain
         s = poisson_stream(0.6, 3_000, np.random.default_rng(63))
-        monkeypatch.setattr(bs, "_COMPACT_CHUNK", chunk)
+        monkeypatch.setattr(bs, "_CHUNK", chunk)
         trace = run(s, BackhaulConfig(4, 0.2), 64)
         deliveries, drop_node = reference_chain(s.arrival_times, (1.0,) * 4,
                                                 (0.2,) * 4, 64)
@@ -172,6 +178,102 @@ class TestChainReference:
                               np.flatnonzero(drop_node == 0))
         np.testing.assert_allclose(trace.delivery_times, deliveries,
                                    rtol=1e-12, atol=0.0)
+
+
+class TestPipelinedChain:
+    """The scan goes a chunk of ``_CHUNK`` packets at a time; the draws of
+    a stream longer than one chunk are made on a second thread, which
+    ends before ``run`` returns, also when the draws or the scan fail."""
+
+    # sha256 of drop_node, delivered_index and delivery_times over the grid
+    # below, taken from the full-length scan that the chunked one replaced
+    DIGEST = "3ef134d05d0e3a0d7e808f8f68984992ea03d57db07a99c1de0cd98ebde016ba"
+
+    def test_traces_match_the_full_length_scan(self):
+        digest = hashlib.sha256()
+        chunk = bs._CHUNK
+        for n in (0, 1, 2, 1000, chunk - 1, chunk, chunk + 1, 10 ** 5,
+                  3 * 10 ** 5):
+            s = poisson_stream(0.8, n, np.random.default_rng(n))
+            for hops in (1, 2, 4, 6):
+                for eps in (0.0, 0.01, 0.1, 0.5, 1.0):
+                    trace = run(s, BackhaulConfig(hops, eps),
+                                (n, hops, int(eps * 100)))
+                    for a in (trace.drop_node, trace.delivered_index,
+                              trace.delivery_times):
+                        digest.update(a.tobytes())
+        assert digest.hexdigest() == self.DIGEST
+
+    @staticmethod
+    def recorded_draws(monkeypatch, fail=None):
+        """Swap in draws that record the thread making each one and, on
+        ``fail``, break at the second: the draws raise, or hand the scan a
+        chunk it fails on."""
+        threads = []
+        real = bs._draws
+
+        class ScanFails:
+            def __len__(self):
+                raise LookupError("the scan failed")
+
+        def draws(*args):
+            for i, item in enumerate(real(*args)):
+                threads.append(threading.get_ident())
+                if i == 1 and fail == "draws":
+                    raise RuntimeError("the draws failed")
+                yield ScanFails() if i == 1 and fail == "scan" else item
+
+        monkeypatch.setattr(bs, "_draws", draws)
+        return threads
+
+    @pytest.mark.parametrize("n, threaded", [(64, False), (65, True),
+                                             (1000, True)])
+    def test_draws_leave_the_caller_past_one_chunk(self, monkeypatch, n,
+                                                   threaded):
+        s = poisson_stream(0.6, n, np.random.default_rng(65))
+        expected = run(s, BackhaulConfig(3, 0.2), 66)
+        monkeypatch.setattr(bs, "_CHUNK", 64)
+        threads = self.recorded_draws(monkeypatch)
+        before = threading.active_count()
+        trace = run(s, BackhaulConfig(3, 0.2), 66)
+        assert threading.active_count() == before
+        assert threads and (threading.get_ident() not in threads) == threaded
+        for name in ("drop_node", "delivered_index", "delivery_times"):
+            assert np.array_equal(getattr(trace, name),
+                                  getattr(expected, name))
+
+    @pytest.mark.parametrize("fail, error", [("draws", RuntimeError),
+                                             ("scan", LookupError)])
+    @pytest.mark.parametrize("n", [100, 1000])
+    def test_no_thread_outlives_a_failed_run(self, monkeypatch, fail, error,
+                                             n):
+        monkeypatch.setattr(bs, "_CHUNK", 64)
+        self.recorded_draws(monkeypatch, fail)
+        s = poisson_stream(0.6, n, np.random.default_rng(67))
+        before = threading.active_count()
+        with pytest.raises(error, match=f"the {fail} failed"):
+            run(s, BackhaulConfig(3, 0.2), 68)
+        assert threading.active_count() == before
+
+    def test_timer_signals_leave_the_run_alone(self):
+        # a benchmark samples host speed from a SIGALRM handler while the
+        # main thread waits on the draws
+        s = poisson_stream(0.7, 10 * bs._CHUNK, np.random.default_rng(69))
+        cfg = BackhaulConfig(6, 0.1)
+        quiet = run(s, cfg, 70)
+        ticks = []
+        previous = signal.signal(signal.SIGALRM, lambda *_: ticks.append(1))
+        faulthandler.dump_traceback_later(120, exit=True)
+        signal.setitimer(signal.ITIMER_REAL, 0.001, 0.001)
+        try:
+            loud = run(s, cfg, 70)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            faulthandler.cancel_dump_traceback_later()
+            signal.signal(signal.SIGALRM, previous)
+        assert ticks
+        for name in ("drop_node", "delivered_index", "delivery_times"):
+            assert np.array_equal(getattr(loud, name), getattr(quiet, name))
 
 
 class TestInputsUntouched:
@@ -212,16 +314,20 @@ class TestInputsUntouched:
 
 
 class TestPeakMemory:
-    """Guard on the chain's buffer reuse: the allocation peak of one
-    4-hop cell, in float arrays of the cell's length (8 n bytes).
+    """Guard on the chain's buffer reuse: allocation peaks in float arrays
+    of the cell's length (8 n bytes).
 
-    Measured 7.00 arrays at eps 0 and 7.28 at eps 0.1: the stream, the
-    drop and index vectors and four chain buffers, then the age
-    integrator's copy and two buffers.  Fresh temporaries per operation
-    read 10.85 and 9.43.
+    One 4-hop cell of 200,000 packets measured 6.91 arrays at eps 0 and
+    5.90 at eps 0.1: the stream, then the age integrator's copy and two
+    buffers next to the trace's drop, index and delivery vectors.  Fresh
+    temporaries per operation read 10.85 and 9.43.  The chain alone, at
+    400,000 packets, holds the drop and index vectors, the departures and
+    chunk buffers worth 0.4 arrays: 3.43 arrays at eps 0 and 3.75 at eps
+    0.1, where the full-length scan read 6.00 and 6.23.
     """
 
     PEAK_ARRAYS = 7.5
+    CHAIN_ARRAYS = 4.0
 
     @pytest.mark.parametrize("eps", [0.0, 0.1])
     def test_cell_peak_in_arrays(self, eps):
@@ -237,6 +343,21 @@ class TestPeakMemory:
         finally:
             tracemalloc.stop()
         assert peak / (8 * n) <= self.PEAK_ARRAYS
+
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    def test_chain_peak_in_arrays(self, eps):
+        n = 400_000
+        s = poisson_stream(0.5, n, np.random.default_rng(73))
+        run(s, BackhaulConfig(4, eps), 74)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            run(s, BackhaulConfig(4, eps), 74)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak / (8 * n) <= self.CHAIN_ARRAYS
 
 
 class TestMeanSystemTime:

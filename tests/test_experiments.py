@@ -12,7 +12,7 @@ from leoiot.experiments import (ExperimentSpec, ResultRow, main, report,
                                 run_analytic, run_backhauling, run_offloading)
 from leoiot.experiments import READS
 from leoiot.scenario import (SETTABLE, RaConfig, apply_overrides,
-                             config_hash, dump_config, load_config)
+                             config_hash, dump_config, load_config, validate)
 
 
 def read_rows(path):
@@ -347,8 +347,10 @@ class TestCli:
         assert not out.exists()          # rejected before any work
 
     def test_library_analytic_rejects_bad_config(self, tmp_path):
-        config = replace(load_config("backhauling"), horizon=0.0)
-        with pytest.raises(ValueError, match="horizon"):
+        config = load_config("backhauling")
+        config = replace(config, traffic=replace(config.traffic,
+                                                 total_rate=-1.0))
+        with pytest.raises(ValueError, match="traffic.total_rate"):
             run_analytic(backhaul_spec(tmp_path, config=config))
 
     def test_analytic_rejects_bad_grid(self, tmp_path, capsys):
@@ -487,7 +489,7 @@ class TestKeyTable:
                 seen.add(name)
                 return object.__getattribute__(self, name)
 
-        monkeypatch.setattr(ex, "validate", lambda config: [])
+        monkeypatch.setattr(ex, "validate", lambda config, keys: [])
         monkeypatch.setattr(ex, "config_hash", lambda config, keys: "")
         config = load_config("offloading")
         config = replace(config,
@@ -556,17 +558,30 @@ class TestKeyTable:
         assert metas[0] == metas[1]
         assert ("seed" in metas[0]) == (command == "backhaul")
 
-    @pytest.mark.xfail(strict=True, reason="run_backhauling checks every "
-                       "key with scenario.validate, read or not")
-    def test_unread_bad_values_leave_the_run(self, tmp_path):
-        config, argv = _guard_run("backhaul")
-        config = replace(config, horizon=0.0,
-                         traffic=replace(config.traffic, total_rate=-1.0))
+    @pytest.mark.parametrize("command, bad", [
+        ("backhaul", ["run.horizon=0", "traffic.total_rate=-1"]),
+        ("analytic", ["run.horizon=0", "ground_ra.rar_window=0",
+                      "space_ra.max_backoff=-1"]),
+    ])
+    def test_unread_bad_values_leave_the_run(self, tmp_path, command, bad):
+        # each value alone fails the full check, but the run reads none
+        config, argv = _guard_run(command)
+        assert all(validate(apply_overrides(config, [b])) for b in bad)
+        config = apply_overrides(config, bad)
+        assert not validate(config, READS[command])
         ini = tmp_path / "bad.ini"
         ini.write_text(dump_config(config))
-        assert main(["backhaul", "--config", str(ini),
+        assert main([command, "--config", str(ini),
                      "--out", str(tmp_path / "out"),
                      *argv[argv.index("--preset") + 2:]]) == 0
+
+    @pytest.mark.parametrize("command", ["offload", "analytic", "backhaul"])
+    def test_metadata_holds_only_what_the_run_reads(self, tmp_path, command):
+        _, argv = _guard_run(command)
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+        meta = json.loads((tmp_path / "metadata.json").read_text())
+        sweep = {"replications", "workers", "packets_per_point"}
+        assert sweep & set(meta) == (sweep if command == "backhaul" else set())
 
     @pytest.mark.parametrize("argv", [
         ["validate", "--seed", "7"], ["validate", "--out", "{out}"],
