@@ -13,7 +13,12 @@ and including the link that erased it.
 The chain scans each node a cache-sized chunk at a time, its random
 draws made ahead on a second thread for a longer stream; the elementwise
 operations and their order are those of the plain full-length
-expressions, so results are unchanged.
+expressions, so results are unchanged.  The age integrator reads the
+deliveries in one pass of the same chunks, carrying the newest
+generation time and the last reset from chunk to chunk; only its sums
+are split by chunk.  Beside the stream, a cell holds its departures, the
+index of its survivors and one small integer per packet for the node
+that dropped it.
 """
 from __future__ import annotations
 
@@ -77,7 +82,8 @@ def poisson_stream(rate: float, n_packets: int, rng) -> ArrivalStream:
 class NetworkTrace:
     config: BackhaulConfig
     gen_times: np.ndarray        # all offered packets
-    drop_node: np.ndarray        # 1-based dropping node; 0 = delivered
+    drop_node: np.ndarray        # 1-based dropping node, 0 = delivered;
+                                 # the smallest unsigned type for the hops
     delivered_index: np.ndarray
     delivery_times: np.ndarray
 
@@ -102,7 +108,8 @@ class AoiSummary:
     peak_aoi_mean: float
 
 
-# packets per step of the chain's scan, and chunks drawn ahead of it
+# packets per step of the chain's scan and of the age integrator, and
+# chunks drawn ahead of the scan
 _CHUNK = 1 << 15
 _AHEAD = 2
 
@@ -153,7 +160,8 @@ def run(stream: ArrivalStream, cfg: BackhaulConfig, seed) -> NetworkTrace:
     in one buffer, and the stream's arrays are only read.
     """
     n = len(stream)
-    drop_node, alive = np.zeros(n, dtype=np.int64), np.arange(n)
+    drop_node = np.zeros(n, dtype=np.min_scalar_type(cfg.hops))
+    alive = np.arange(n)
     times, departures = stream.arrival_times, np.empty(n)
     cum, low = np.empty(min(n, _CHUNK) + 1), np.empty(min(n, _CHUNK) + 1)
     # a buffer per chunk drawn ahead, one for the chunk in the scan
@@ -173,7 +181,8 @@ def run(stream: ArrivalStream, cfg: BackhaulConfig, seed) -> NetworkTrace:
                 x[:2] = carry_sum, last_s - (a[0] - last_a)
                 np.cumsum(x, out=x)
                 carry_sum, x[0] = x[-1], carry_min
-                np.minimum.accumulate(x, out=m)
+                # fmin is minimum but for NaN, which no time is, and faster
+                np.fmin.accumulate(x, out=m)
                 carry_min, last_a, last_s = m[-1], a[-1], s[-1]
                 w = np.subtract(x[1:], m[1:], out=x[1:])
                 d = np.add(a, w, out=departures[lo:lo + len(s)])
@@ -201,40 +210,93 @@ def mean_system_time(trace: NetworkTrace) -> float:
                          - trace.gen_times[trace.delivered_index]))
 
 
-def _fresh_deliveries(gen: np.ndarray, deliv: np.ndarray):
-    """Drop stale deliveries: an update older than the freshest one already
-    delivered never resets the age (cannot happen under per-node FCFS, but
-    the integrator stays correct for reordered inputs).  When every
-    delivery is fresh, that is when ``gen`` strictly increases, the inputs
-    themselves are returned."""
-    if np.all(gen[1:] > gen[:-1]):
-        return gen, deliv
-    keep = np.ones(len(gen), dtype=bool)
-    keep[1:] = gen[1:] > np.maximum.accumulate(gen)[:-1]
-    return gen[keep], deliv[keep]
+@dataclass
+class _Sawtooth:
+    """The destination's age over the reset anchors added so far: the
+    first and the last anchor, the area under the sawtooth between them,
+    and the sum and count of its peaks (the pre-reset ages of every anchor
+    but the first)."""
+
+    start: float | None = None
+    end: float = math.nan
+    end_age: float = math.nan
+    area: float = 0.0
+    peak_sum: float = 0.0
+    peak_n: int = 0
+
+    def extend(self, anchor_t, anchor_age, seg, work):
+        """Add the next anchors in time order, with the post-reset age of
+        each, using the buffers ``seg`` and ``work`` that are at least as
+        long; from one anchor to the next the age grows with slope one."""
+        if self.start is None and len(anchor_t):
+            self.start = self.end = float(anchor_t[0])
+            self.end_age = float(anchor_age[0])
+            anchor_t, anchor_age = anchor_t[1:], anchor_age[1:]
+        if not len(anchor_t):
+            return
+        # the segment from the last anchor so far to the first new one
+        step = float(anchor_t[0]) - self.end
+        self.peak_sum += self.end_age + step
+        self.area += self.end_age * step + 0.5 * step * step
+        k = len(anchor_t) - 1
+        s = np.subtract(anchor_t[1:], anchor_t[:-1], out=seg[:k])
+        w = np.add(anchor_age[:-1], s, out=work[:k])
+        self.peak_sum += float(w.sum())
+        # area = sum(anchor_age * seg + 0.5 * seg ** 2)
+        np.multiply(anchor_age[:-1], s, out=w)
+        np.square(s, out=s)
+        np.multiply(0.5, s, out=s)
+        self.area += float(np.add(w, s, out=w).sum())
+        self.peak_n += k + 1
+        self.end, self.end_age = float(anchor_t[-1]), float(anchor_age[-1])
 
 
-def _sawtooth_stats(anchor_t: np.ndarray, anchor_age: np.ndarray):
-    """Integrate a sawtooth described by reset anchors from the first
-    anchor to the last.
+def _age_pass(trace: NetworkTrace, first: int):
+    """One pass over the deliveries, a chunk of ``_CHUNK`` at a time.
 
-    The age equals ``anchor_age[j] + (t - anchor_t[j])`` between anchor j
-    and anchor j+1.  Returns (area, peak_sum, peak_count); peaks are the
-    pre-reset ages of every anchor but the first.
+    A delivery is fresh when its update is newer than every one delivered
+    before it; a stale one never resets the age.  Stale deliveries happen
+    on access feeds, whose departure order is not generation order.  The
+    fresh deliveries from index ``first`` on are the sawtooth's anchors.
+    Returns the sum of the system times of all deliveries, the index of
+    the last fresh one and the ``_Sawtooth`` of the anchors.
     """
-    n = len(anchor_t)
-    seg, term = np.empty(n), np.empty(n)
-    np.subtract(anchor_t[1:], anchor_t[:-1], out=seg[:-1])
-    # the last anchor closes the window with a segment of length zero
-    seg[-1] = 0.0
-    peaks = np.add(anchor_age[:-1], seg[:-1], out=term[:-1])
-    peak_sum = float(np.sum(peaks))
-    # area = sum(anchor_age * seg + 0.5 * seg ** 2)
-    np.multiply(anchor_age, seg, out=term)
-    np.square(seg, out=seg)
-    np.multiply(0.5, seg, out=seg)
-    area = float(np.sum(np.add(term, seg, out=term)))
-    return area, peak_sum, n - 1
+    gen, index = trace.gen_times, trace.delivered_index
+    deliv, n = trace.delivery_times, trace.n_delivered
+    size = min(n, _CHUNK)
+    buf, seg, work = np.empty(size), np.empty(size), np.empty(size)
+    flags = np.empty(size, bool)
+    top, system, last, saw = -math.inf, 0.0, -1, _Sawtooth()
+    for lo in range(0, n, _CHUNK):
+        k, skip = min(_CHUNK, n - lo), max(first - lo, 0)
+        # the indices are the trace's own, and "clip" lets take write
+        # straight into the buffer
+        g = np.take(gen, index[lo:lo + k], out=buf[:k], mode="clip")
+        t = deliv[lo:lo + k]
+        if g[0] > top and np.greater(g[1:], g[:-1], out=flags[:k - 1]).all():
+            # every delivery of the chunk is fresh
+            top, last, anchors = g[-1], lo + k - 1, slice(skip, None)
+        else:
+            newest = np.maximum(g, top, out=work[:k])
+            np.maximum.accumulate(newest, out=newest)
+            fresh = flags[:k]
+            fresh[0] = g[0] > top
+            np.greater(g[1:], newest[:-1], out=fresh[1:])
+            top, anchors = newest[-1], np.flatnonzero(fresh)
+            if len(anchors):
+                last = lo + int(anchors[-1])
+            anchors = anchors[np.searchsorted(anchors, skip):]
+        age = np.subtract(t, g, out=g)
+        system += float(age.sum())
+        saw.extend(t[anchors], age[anchors], seg, work)
+    return system, last, saw
+
+
+def _window_start(deliv: np.ndarray, end: int, warmup_fraction: float) -> int:
+    """Index of the first delivery past the warm-up share of the window
+    from the first delivery to delivery ``end``."""
+    cut = deliv[0] + warmup_fraction * (deliv[end] - deliv[0])
+    return int(np.searchsorted(deliv, cut))
 
 
 def average_aoi(trace: NetworkTrace,
@@ -244,36 +306,38 @@ def average_aoi(trace: NetworkTrace,
     The clock starts at the first delivery, whose post-reset age is that
     update's system time, and stops at the last fresh delivery.
     ``warmup_fraction`` drops the leading share of that window first
-    (steady-state summaries).
+    (steady-state summaries), restarting at the first fresh delivery past
+    the cut.
+
+    The deliveries are read a chunk at a time in one pass.  The last fresh
+    delivery, which places the cut, is the first to carry the newest
+    generation time; it is looked for among the last ``_CHUNK``
+    deliveries, and a second pass runs only if an earlier one carries it.
     """
-    if trace.n_delivered < 2:
+    n = trace.n_delivered
+    if n < 2:
         raise ValueError("need at least two deliveries for an age average")
-    gen, deliv = _fresh_deliveries(trace.gen_times[trace.delivered_index],
-                                   trace.delivery_times)
-    # gen is a copy made here: the post-reset ages overwrite it
-    ages = np.subtract(deliv, gen, out=gen)
-    # with every delivery fresh, the ages are the system times of them all
-    system_time = (float(np.mean(ages)) if len(ages) == trace.n_delivered
-                   else mean_system_time(trace))
-    anchor_t, anchor_age = deliv, ages
-    start, end = float(deliv[0]), float(deliv[-1])
+    deliv, first = trace.delivery_times, 0
     if warmup_fraction > 0.0:
-        # restart cleanly at the first delivery past the warm-up
-        cut = start + warmup_fraction * (end - start)
-        i0 = int(np.searchsorted(deliv, cut))
-        if i0 >= len(deliv) - 1:
-            raise ValueError("warm-up discards all deliveries")
-        anchor_t, anchor_age = anchor_t[i0:], anchor_age[i0:]
-        start = float(deliv[i0])
-    duration = end - start
+        tail = trace.gen_times.take(trace.delivered_index[-_CHUNK:])
+        end = n - len(tail) + int(np.argmax(tail))
+        first = _window_start(deliv, end, warmup_fraction)
+    system, last, saw = _age_pass(trace, first)
+    if first and last != end:
+        # an earlier delivery carries the newest generation time, so the
+        # window ends sooner and its cut comes no later
+        first = _window_start(deliv, last, warmup_fraction)
+        system, last, saw = _age_pass(trace, first)
+    if warmup_fraction > 0.0 and saw.peak_n == 0:
+        raise ValueError("warm-up discards all deliveries")
+    duration = saw.end - saw.start
     if duration <= 0:
         raise ValueError("empty observation window")
-    area, peak_sum, peak_n = _sawtooth_stats(anchor_t, anchor_age)
     return AoiSummary(
-        time_average_aoi=area / duration,
-        mean_system_time=system_time,
+        time_average_aoi=saw.area / duration,
+        mean_system_time=system / n,
         delivered_fraction=trace.delivered_fraction,
-        peak_aoi_mean=peak_sum / peak_n if peak_n else float("nan"),
+        peak_aoi_mean=saw.peak_sum / saw.peak_n if saw.peak_n else math.nan,
     )
 
 

@@ -1,0 +1,63 @@
+"""Independent reference for the age integrator: the sawtooth integrated
+over arrays of the cell's length, one full-length operation at a time.
+
+``backhaul_sim.average_aoi`` goes over the deliveries a chunk at a time
+and carries its state from chunk to chunk; this version keeps every
+delivery's generation time, age and segment in memory at once, so the
+chunked pass has a second opinion to be checked against.
+"""
+import numpy as np
+
+from leoiot.backhaul_sim import AoiSummary
+
+
+def fresh_deliveries(gen: np.ndarray, deliv: np.ndarray):
+    """Drop stale deliveries: an update no newer than the freshest one
+    already delivered never resets the age.  They happen on access feeds,
+    whose departure order is not their generation order."""
+    keep = np.ones(len(gen), dtype=bool)
+    keep[1:] = gen[1:] > np.maximum.accumulate(gen)[:-1]
+    return gen[keep], deliv[keep]
+
+
+def sawtooth_stats(anchor_t: np.ndarray, anchor_age: np.ndarray):
+    """Integrate a sawtooth described by reset anchors from the first
+    anchor to the last.
+
+    The age equals ``anchor_age[j] + (t - anchor_t[j])`` between anchor j
+    and anchor j+1.  Returns (area, peak_sum, peak_count); peaks are the
+    pre-reset ages of every anchor but the first.
+    """
+    seg = np.diff(anchor_t)
+    area = float(np.sum(anchor_age[:-1] * seg + 0.5 * seg ** 2))
+    return area, float(np.sum(anchor_age[:-1] + seg)), len(seg)
+
+
+def average_aoi(trace, warmup_fraction: float = 0.0) -> AoiSummary:
+    """Time-average of the sawtooth age from the first delivery to the
+    last fresh one, the leading ``warmup_fraction`` of that window left
+    out; the same contract as ``backhaul_sim.average_aoi``."""
+    if trace.n_delivered < 2:
+        raise ValueError("need at least two deliveries for an age average")
+    all_gen = trace.gen_times[trace.delivered_index]
+    system_time = float(np.mean(trace.delivery_times - all_gen))
+    gen, deliv = fresh_deliveries(all_gen, trace.delivery_times)
+    anchor_t, anchor_age = deliv, deliv - gen
+    start, end = float(deliv[0]), float(deliv[-1])
+    if warmup_fraction > 0.0:
+        cut = start + warmup_fraction * (end - start)
+        i0 = int(np.searchsorted(deliv, cut))
+        if i0 >= len(deliv) - 1:
+            raise ValueError("warm-up discards all deliveries")
+        anchor_t, anchor_age = anchor_t[i0:], anchor_age[i0:]
+        start = float(deliv[i0])
+    duration = end - start
+    if duration <= 0:
+        raise ValueError("empty observation window")
+    area, peak_sum, peak_n = sawtooth_stats(anchor_t, anchor_age)
+    return AoiSummary(
+        time_average_aoi=area / duration,
+        mean_system_time=system_time,
+        delivered_fraction=trace.delivered_fraction,
+        peak_aoi_mean=peak_sum / peak_n if peak_n else float("nan"),
+    )

@@ -1,0 +1,34 @@
+"""The byte-identity tool gives the same digests for the same runs, and
+different ones where a run's output differs."""
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location(
+    "output_digests", ROOT / "tools" / "output_digests.py")
+output_digests = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(output_digests)
+
+TINY = {
+    "chain": (["backhaul", "--figure", "custom", "--mode", "no-ra",
+               "--rho", "0.5", "--hops", "2", "--link-erasure", "0.1",
+               "--replications", "1", "--packets", "2000"], True),
+    "analytic": (["analytic", "--preset", "backhauling", "--rho", "0.5",
+                  "--hops", "2"], False),
+}
+
+
+def test_same_runs_give_same_digests():
+    first = output_digests.digest_lines([3, 4], TINY)
+    assert first == output_digests.digest_lines([3, 4], TINY)
+    files = {line.split("  ")[1]: line.split("  ")[0] for line in first}
+    # a tolerance report may flag a 2,000-packet row, which exits 1
+    assert {files["seed3/chain"], files["seed4/chain"]} <= {"exit=0",
+                                                             "exit=1"}
+    assert files["analytic"] == "exit=0"
+    assert "analytic/analytic.csv" in files
+    # the seed reaches the simulated rows and not the closed forms
+    assert files["seed3/chain/backhaul_rows.csv"] != \
+        files["seed4/chain/backhaul_rows.csv"]
+    assert files["seed3/chain/analytic_overlay.csv"] == \
+        files["seed4/chain/analytic_overlay.csv"]

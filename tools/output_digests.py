@@ -1,0 +1,90 @@
+"""Digest every file that four fixed ``leoiot`` runs write, so that two
+checkouts can be shown to write byte-identical outputs with one ``diff``.
+
+    python3 tools/output_digests.py 1 5 > change.txt
+    python3 tools/output_digests.py 1 5 --src ../parent/src > parent.txt
+    diff parent.txt change.txt
+
+For each seed it runs ``offload --set horizon=320000``, a three-load fig6
+backhaul sweep of 2,000 packets and a three-load fig7 sweep of 10^6
+packets, and once ``analytic --preset backhauling``, which draws no
+random number.  Each run is a child process with ``--src`` (default: the
+``src`` of this checkout) first on its ``PYTHONPATH``, writing into a
+temporary directory.  Every written file gives one line ``sha256
+seedN/command/file``, and every run one line ``exit=S  seedN/command``
+with its exit status: fig6 exits 1 when its tolerance report flags a
+row.
+"""
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# name -> (arguments, whether the run takes --seed)
+COMMANDS = {
+    "offload": (["offload", "--set", "horizon=320000"], True),
+    "fig6": (["backhaul", "--figure", "fig6", "--rho", "0.2", "0.4", "0.6",
+              "--replications", "1", "--packets", "2000"], True),
+    "fig7": (["backhaul", "--figure", "fig7", "--rho", "0.2", "0.5", "0.8",
+              "--replications", "1", "--packets", "1000000"], True),
+    "analytic": (["analytic", "--preset", "backhauling"], False),
+}
+
+
+def run_digests(label: str, argv: list, src: Path) -> list:
+    """Run ``leoiot <argv>`` from ``src`` into a fresh directory; return
+    its exit line and one digest line per file it wrote, by path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p)
+    with tempfile.TemporaryDirectory(prefix="leoiot-digests-") as tmp:
+        out = Path(tmp) / "out"
+        done = subprocess.run(
+            [sys.executable, "-m", "leoiot.experiments", *argv,
+             "--out", str(out)],
+            cwd=tmp, env=env, stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE, text=True)
+        if done.returncode not in (0, 1):
+            raise RuntimeError(f"leoiot {' '.join(argv)} exited "
+                               f"{done.returncode}: {done.stderr.strip()}")
+        lines = [f"exit={done.returncode}  {label}"]
+        for path in sorted(p for p in out.rglob("*") if p.is_file()):
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            lines.append(f"{digest}  {label}/{path.relative_to(out)}")
+    return lines
+
+
+def digest_lines(seeds, commands=COMMANDS, src: Path = SRC) -> list:
+    """The lines of every command in ``commands``, for each of ``seeds``
+    if it takes a seed and once if it does not."""
+    lines = []
+    for name, (argv, seeded) in commands.items():
+        if not seeded:
+            lines += run_digests(name, argv, src)
+            continue
+        for seed in seeds:
+            lines += run_digests(f"seed{seed}/{name}",
+                                 [*argv, "--seed", str(seed)], src)
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("seeds", type=int, nargs="+")
+    parser.add_argument("--src", type=Path, default=SRC,
+                        help="the package source to run (default: %(default)s)")
+    args = parser.parse_args(argv)
+    for line in digest_lines(args.seeds, src=args.src.resolve()):
+        print(line, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
