@@ -2,15 +2,13 @@
 thinning, mean network delay, and average age of information with and
 without link losses.
 
-Every node serves at one rate and every link erases with one
-probability, so the lossless system time is Erlang.
+Each node serves at one rate and each link erases with one probability, so
+the lossless system time is Erlang, with finite integer-order Poisson tails.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from scipy.special import gammaincc
 
 
 class InstabilityError(ValueError):
@@ -86,21 +84,30 @@ def mean_delivered_delay(model: TandemModel) -> float:
     return total
 
 
+def _poisson_tails(n: int, x: float) -> tuple[float, float]:
+    """Q(n, x), Q(n + 1, x) = P[Poisson(x) < n], P[Poisson(x) <= n]."""
+    if x == 0.0:
+        return 1.0, 1.0
+    log_x = math.log(x)
+    def term(k):
+        return math.exp(k * log_x - x - math.lgamma(k + 1))
+    q = math.fsum(term(k) for k in range(n))
+    return q, q + term(n)
+
+
 def expected_wy(model: TandemModel) -> float:
     """Waiting-time x interarrival-time correlation term E[WY].
 
     Two-term upper-incomplete-gamma approximation; exact for a single
-    node, where it reproduces the classic M/M/1 age formula.  Evaluated
-    through regularized gamma functions with the exponential prefactor in
-    log domain, so large hop counts stay finite.
+    node, where it reproduces the classic M/M/1 age formula.  Its gammas
+    are integer-order Poisson tails, and the exponential prefactor is
+    taken in log domain, so large hop counts stay finite.
     """
     n, lam, mu = model.hops, model.arrival_rate, model.service_rate
     alpha = model.alpha
     s = model.service_sum_excl_last
-    q_a = gammaincc(n, alpha * s)
-    q_a1 = gammaincc(n + 1, alpha * s)
-    q_m = gammaincc(n, mu * s)
-    q_m1 = gammaincc(n + 1, mu * s)
+    q_a, q_a1 = _poisson_tails(n, alpha * s)
+    q_m, q_m1 = _poisson_tails(n, mu * s)
     term1 = -(alpha * (lam * s + 2.0) * q_a - lam * n * q_a1) / (alpha * lam ** 2)
     log_pref = n * math.log(alpha / mu) + lam * s
     term2 = -math.exp(log_pref) * (mu * (lam * s - 2.0) * q_m
@@ -141,13 +148,11 @@ def average_aoi_with_errors(model: TandemModel) -> float:
 
         age = lam * (p E[TY] + (1-p) E[T]/lam + 1/lam^2 + ((1-p)/p)/lam^2)
 
-    with the system-time moments taken from the loss-aware effective
-    model (queues downstream of a lossy link run lighter).  Reduces
-    exactly to the lossless expression when p = 1.
+    with the system-time moments taken from the loss-aware effective model
+    (queues downstream of a lossy link run lighter).  Reduces exactly to the
+    lossless expression when p = 1; a diverging age raises InstabilityError.
     """
     p = end_to_end_success(model.hops, model.link_erasure)
-    if p <= 0.0:
-        raise InstabilityError("no update ever survives the chain; age diverges")
     lam = model.arrival_rate
     eff = _thinned_effective_model(model)
     e_ty = expected_wy(eff) + eff.service_sum_by_interarrival
@@ -156,7 +161,12 @@ def average_aoi_with_errors(model: TandemModel) -> float:
     e_ty_prev = (model.hops / eff.alpha) * (1.0 / lam)
     e_y, e_y2 = 1.0 / lam, 2.0 / lam ** 2
     q = 1.0 - p
-    return lam * (p * e_ty + q * e_ty_prev + e_y2 / 2.0 + (q / p) * e_y ** 2)
+    age = (lam * (p * e_ty + q * e_ty_prev + e_y2 / 2.0 + (q / p) * e_y ** 2)
+           if p > 0.0 else math.inf)
+    if not math.isfinite(age):
+        raise InstabilityError(f"closed-form age diverges over {model.hops}"
+                               f" links erasing {model.link_erasure:g} each")
+    return age
 
 
 def chain_metrics(hops: int, rho: float, eps: float):

@@ -559,7 +559,7 @@ def main(argv=None) -> int:
             files, ok = run(spec), True
     except SpecError as exc:
         return _rejected(exc.problems)
-    except bs.ShortCellError as exc:
+    except (bs.ShortCellError, ba.InstabilityError) as exc:
         return _rejected([exc])
     for f in files:
         print(f"wrote {f}")

@@ -46,14 +46,14 @@ def _upper_regularized_cf(s: float, x: float) -> float:
     return h * math.exp(-x + s * math.log(x) - math.lgamma(s))
 
 
-def upper_incomplete_gamma(s: float, x: float) -> float:
-    """Unnormalized Gamma(s, x) = integral_x^inf t^(s-1) e^-t dt."""
+def upper_regularized_gamma(s: float, x: float) -> float:
+    """Regularized Q(s, x) = Gamma(s, x) / Gamma(s), where
+    Gamma(s, x) = integral_x^inf t^(s-1) e^-t dt.  Left normalized, so
+    that orders whose Gamma(s) overflows a float stay in range."""
     if s <= 0 or x < 0:
         raise ValueError("need s > 0 and x >= 0")
     if x == 0.0:
-        return math.exp(math.lgamma(s))
+        return 1.0
     if x < s + 1.0:
-        q = 1.0 - _lower_regularized_series(s, x)
-    else:
-        q = _upper_regularized_cf(s, x)
-    return q * math.exp(math.lgamma(s))
+        return 1.0 - _lower_regularized_series(s, x)
+    return _upper_regularized_cf(s, x)

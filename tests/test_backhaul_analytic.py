@@ -1,13 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.special import gammaincc
 
-from _gamma_reference import upper_incomplete_gamma
+from _gamma_reference import upper_regularized_gamma
 from leoiot.backhaul_analytic import (InstabilityError, TandemModel,
-                                      average_aoi_lossless,
-                                      average_aoi_with_errors,
+                                      _poisson_tails, average_aoi_lossless,
+                                      average_aoi_with_errors, chain_metrics,
                                       end_to_end_success, expected_ty,
                                       expected_wy, mean_delivered_delay,
                                       mean_network_delay)
@@ -59,13 +59,36 @@ def simulate_tandem_lossy(n, hops, lam, mu, eps, seed):
     return gen[alive], arr
 
 
+def assert_tails_match_reference(n, x):
+    q_n, q_n1 = _poisson_tails(n, x)
+    assert q_n == pytest.approx(upper_regularized_gamma(n, x), rel=1e-10)
+    assert q_n1 == pytest.approx(upper_regularized_gamma(n + 1, x), rel=1e-10)
+
+
 class TestGammaReference:
+    """The Poisson-tail sums against the series / continued-fraction
+    reference, at Q(n, x) and Q(n + 1, x)."""
+
     @pytest.mark.parametrize("s", range(1, 9))
     @pytest.mark.parametrize("x", [0.0, 0.1, 1.0, 10.0])
     def test_production_gamma_matches_reference(self, s, x):
-        produced = gammaincc(s, x) * math.exp(math.lgamma(s))
-        reference = upper_incomplete_gamma(s, x)
-        assert produced == pytest.approx(reference, rel=1e-10)
+        assert_tails_match_reference(s, x)
+
+    @pytest.mark.parametrize("n, x", [(n, n - 1.0) for n in range(1, 9)] + [
+        (n, x) for n in (60, 1000) for x in (0.0, 0.1, 1.0, 10.0, n - 1.0)])
+    def test_large_orders_and_the_mean_point(self, n, x):
+        # x = n - 1 is the mu * s argument of every lossless chain
+        assert_tails_match_reference(n, x)
+
+    def test_keeps_no_list_of_terms(self):
+        # a list of the n terms would hold 8 n bytes and n float objects
+        tracemalloc.start()
+        try:
+            _poisson_tails(200_000, 199_999.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50_000
 
 
 class TestEndToEndSuccess:
@@ -250,3 +273,66 @@ class TestAverageAoiWithErrors:
     def test_total_loss_rejected(self):
         with pytest.raises(ValueError):
             TandemModel(1, 0.5, 1.0, 1.0)
+
+
+# repr of chain_metrics where Q(N, x) came from scipy.special.gammaincc
+# (scipy 1.17.1), the evaluation the Poisson-tail sums replaced
+CHAIN_METRICS = {
+    (1, 0.05, 0.0): (1.0526315789473684, 21.002631578947362),
+    (1, 0.05, 0.01): (1.0526315789473684, 21.205151780967565),
+    (1, 0.05, 0.1): (1.0526315789473684, 23.229853801169583),
+    (1, 0.5, 0.0): (2.0, 3.5),
+    (1, 0.5, 0.01): (2.0, 3.5252020202020202),
+    (1, 0.5, 0.1): (2.0, 3.772222222222222),
+    (1, 0.95, 0.0): (19.999999999999982, 20.10263157894735),
+    (1, 0.95, 0.01): (19.999999999999982, 20.122764221158935),
+    (1, 0.95, 0.1): (19.999999999999982, 20.314590643274833),
+    (2, 0.05, 0.0): (2.1052631578947367, 22.004936036746727),
+    (2, 0.05, 0.01): (2.104709432708547, 22.41250902861009),
+    (2, 0.05, 0.1): (2.099751997795536, 26.710249303976283),
+    (2, 0.5, 0.0): (4.0, 5.061428654497108),
+    (2, 0.5, 0.01): (3.98019801980198, 5.104992207984089),
+    (2, 0.5, 0.1): (3.8181818181818183, 5.558528008335875),
+    (2, 0.95, 0.0): (39.999999999999964, 39.967467470258796),
+    (2, 0.95, 0.01): (36.80672268907561, 36.816163538801746),
+    (2, 0.95, 0.1): (26.896551724137915, 27.314861268823265),
+    (4, 0.05, 0.0): (4.2105263157894735, 24.009945864794858),
+    (4, 0.05, 0.01): (4.20722833449666, 24.83524543756106),
+    (4, 0.05, 0.1): (4.179790343922495, 34.533167925550195),
+    (4, 0.5, 0.0): (8.0, 8.405622039100258),
+    (4, 0.5, 0.01): (7.883485994977881, 8.449664858133572),
+    (4, 0.5, 0.1): (7.072418209827383, 9.166181407751251),
+    (4, 0.95, 0.0): (79.99999999999993, 79.9477090563205),
+    (4, 0.95, 0.01): (64.10457369323737, 64.12763598016483),
+    (4, 0.95, 0.1): (34.48750791016044, 35.33021882315002),
+    (6, 0.05, 0.0): (6.31578947368421, 26.0155198807876),
+    (6, 0.05, 0.01): (6.3076047170434855, 27.268747459136037),
+    (6, 0.05, 0.1): (6.24413072852118, 43.72150321457144),
+    (6, 0.5, 0.0): (12.0, 11.961189031900554),
+    (6, 0.5, 0.01): (11.714225248220904, 11.943745875886039),
+    (6, 0.5, 0.1): (9.979556998158921, 12.77380679556369),
+    (6, 0.95, 0.0): (119.9999999999999, 119.94737423728226),
+    (6, 0.95, 0.01): (85.89811333054136, 85.95729822759955),
+    (6, 0.95, 0.1): (39.41983033551092, 40.7647313829788),
+    (60, 0.05, 0.0): (63.15789473684217, 80.31168694708093),
+    (60, 0.05, 0.01): (62.355904267396106, 97.38705446164312),
+    (60, 0.05, 0.1): (60.512739573617935, 11190.104762926338),
+    (60, 0.5, 0.0): (120.0, 119.00003539588667),
+    (60, 0.5, 0.01): (97.47811849696103, 99.43556597427069),
+    (60, 0.5, 0.1): (67.08734248024942, 1180.0411590340746),
+    (60, 0.95, 0.0): (1199.9999999999995, 1199.9473684210514),
+    (60, 0.95, 0.01): (294.35917174584864, 295.6052922681642),
+    (60, 0.95, 0.1): (100.60230537247999, 686.3679344336565),
+}
+
+
+class TestPinnedValues:
+    @pytest.mark.parametrize("hops, rho, eps", sorted(CHAIN_METRICS))
+    def test_chain_metrics(self, hops, rho, eps):
+        assert chain_metrics(hops, rho, eps) == pytest.approx(
+            CHAIN_METRICS[hops, rho, eps], rel=1e-12)
+
+    def test_long_chain(self):
+        # 10^5 nodes: two sums of 10^5 Poisson terms, each kept in no list
+        assert chain_metrics(10 ** 5, 0.5, 0.0) == pytest.approx(
+            (200000.0, 199999.0), rel=1e-10)

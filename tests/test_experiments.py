@@ -610,6 +610,23 @@ class TestShortCells:
                      "--out", str(out)]) == 0
         assert (out / "analytic.csv").exists()
 
+    @pytest.mark.parametrize("flags", [
+        ["--rho", "0.5", "--hops", "2000", "--link-erasure", "0.5"],
+        ["--hops", "7000", "--link-erasure", "0.1"],
+    ])
+    def test_diverging_closed_form_ends_in_one_error_line(self, tmp_path,
+                                                          capsys, flags):
+        # survival 0.5^2000 underflows to 0, 0.9^7000 to a subnormal whose
+        # age overflows: neither has a finite closed-form age
+        out = tmp_path / "out"
+        code = main(["analytic", "--preset", "backhauling", *flags,
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: closed-form age diverges over {flags[-3]} "
+                       f"links erasing {flags[-1]} each"]
+        assert not (out / "analytic.csv").exists()
+
     def test_grid_that_delivers_too_few_rejected(self, tmp_path, capsys):
         # 1000 packets over 3 links that each erase 90% deliver 1
         out = tmp_path / "out"
