@@ -51,10 +51,7 @@ class TandemModel:
 
 def end_to_end_success(hops: int, link_erasure: float) -> float:
     """Probability that an update survives all ``hops`` links of the chain."""
-    p = 1.0
-    for _ in range(hops):
-        p *= (1.0 - link_erasure)
-    return p
+    return (1.0 - link_erasure) ** hops
 
 
 def mean_network_delay(hops: int, lam: float, mu: float) -> float:

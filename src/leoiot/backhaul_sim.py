@@ -10,15 +10,12 @@ path exactly: a packet starts service when both it and the server are
 ready, and a dropped packet still consumes service at every node up to
 and including the link that erased it.
 
-The chain scans each node a cache-sized chunk at a time, its random
-draws made ahead on a second thread for a longer stream; the elementwise
-operations and their order are those of the plain full-length
-expressions, so results are unchanged.  The age integrator reads the
-deliveries in one pass of the same chunks, carrying the newest
-generation time and the last reset from chunk to chunk; only its sums
-are split by chunk.  Beside the stream, a cell holds its departures, the
-index of its survivors and one small integer per packet for the node
-that dropped it.
+A cache-sized chunk of the stream crosses every node before the next one
+enters.  Each node draws from generators of its own, ahead on a second
+thread for a longer stream, so the chain does not depend on the chunk
+size and its first n nodes are the n-hop chain.  A sweep feeds node n's
+survivors straight into the n-hop cell's age integrator: one pass scores
+every hop count, and a cell holds its stream plus chunk buffers.
 """
 from __future__ import annotations
 
@@ -37,8 +34,11 @@ from . import ra_sim
 from .ra_analytic import single_attempt_success
 from .scenario import RaConfig
 
-# leading share of each cell's observation window left out of its age average
+# leading share of each cell's generation times left out of its age average
 WARMUP_FRACTION = 0.05
+# packets per chunk of the stream, and chunks drawn ahead of the scan
+_CHUNK = 1 << 15
+_AHEAD = 2
 
 
 @dataclass(frozen=True)
@@ -63,8 +63,12 @@ class ArrivalStream:
     def __post_init__(self):
         if len(self.arrival_times) != len(self.gen_times):
             raise ValueError("arrival and generation vectors must align")
-        if np.any(np.diff(self.arrival_times) < 0):
-            raise ValueError("arrival times must be sorted")
+        a = self.arrival_times
+        for lo in range(0, len(a) - 1, _CHUNK):
+            # a chunk and the next arrival: no array of the stream's length
+            head = a[lo:lo + _CHUNK + 1]
+            if (head[1:] < head[:-1]).any():
+                raise ValueError("arrival times must be sorted")
 
     def __len__(self):
         return len(self.arrival_times)
@@ -108,27 +112,32 @@ class AoiSummary:
     peak_aoi_mean: float
 
 
-# packets per step of the chain's scan and of the age integrator, and
-# chunks drawn ahead of the scan
-_CHUNK = 1 << 15
-_AHEAD = 2
+def _node_generators(seed, hops: int) -> list:
+    """Per node, the generators of its service times and of its erasure
+    uniforms, spawned from the chain seed: node j's depend on j, not on
+    the hop count, and a given ``SeedSequence`` is read, not spawned from."""
+    root = (seed if isinstance(seed, np.random.SeedSequence)
+            else np.random.SeedSequence(seed))
+    return [[np.random.default_rng(np.random.SeedSequence(
+        root.entropy, spawn_key=(*root.spawn_key, node, kind)))
+        for kind in range(2)] for node in range(hops)]
 
 
-def _draws(seed, n: int, cfg: BackhaulConfig, ring: list):
-    """Every random draw of the chain in order, a chunk at a time in the
-    buffers of ``ring`` in turn: per node the services of the packets that
-    reach it, then on a lossy link the positions it erases and keeps."""
-    rng, slots, k = np.random.default_rng(seed), itertools.cycle(ring), n
-    for _ in range(cfg.hops):
-        for lo in range(0, k, _CHUNK):
-            yield rng.standard_exponential(out=next(slots)[:k - lo])
-        if cfg.link_erasure > 0.0:
-            for lo in range(0, k, _CHUNK):
-                e = rng.random(out=next(slots)[:k - lo]) < cfg.link_erasure
-                gone = np.flatnonzero(e)
-                n -= len(gone)
-                yield gone, np.flatnonzero(np.logical_not(e, out=e))
-            k = n
+def _draws(seed, n: int, hops: int, link_erasure: float, ring: list):
+    """Every random draw of the chain, a chunk of the stream at a time and
+    node by node within it: the services of the chunk's packets that reach
+    the node, in the buffers of ``ring`` in turn, and on a lossy link the
+    mask of those it keeps (None on a lossless one)."""
+    nodes, slots = _node_generators(seed, hops), itertools.cycle(ring)
+    for lo in range(0, n, _CHUNK):
+        k = min(_CHUNK, n - lo)
+        for services, erasures in nodes:
+            slot, keep = next(slots)[:k], None
+            if link_erasure > 0.0:
+                # the uniforms pass through the buffer before the services
+                keep = erasures.random(out=slot) >= link_erasure
+            yield services.standard_exponential(out=slot), keep
+            k = k if keep is None else int(np.count_nonzero(keep))
 
 
 @contextlib.contextmanager
@@ -148,58 +157,82 @@ def _ahead(items, depth: int):
         pool.shutdown(cancel_futures=True)
 
 
-def run(stream: ArrivalStream, cfg: BackhaulConfig, seed) -> NetworkTrace:
-    """Push a packet stream through the chain.
+def _chain(stream: ArrivalStream, hops: int, link_erasure: float, seed,
+           sink) -> None:
+    """Push a packet stream through ``hops`` nodes, a chunk at a time.
 
     Per node the random draws are the service times of the packets that
     reach it, in arrival order, then (on a lossy link) one uniform per
     served packet deciding whether the link erases it.  A node's waits
     W_i = max(0, W_{i-1} + S_{i-1} - Y_i) are C - min.accumulate(C), C the
-    running sum of S_{i-1} - Y_i, scanned a chunk at a time; a leading
-    slot carries the sum and minimum on.  Departures overwrite arrivals
-    in one buffer, and the stream's arrays are only read.
+    running sum of S_{i-1} - Y_i; a leading slot carries the sum and the
+    minimum on from chunk to chunk.  After each node, ``sink(node, alive,
+    times)`` gets the chunk's survivors in order, by stream index and
+    departure time, in buffers that the next node reuses.
     """
-    n = len(stream)
-    drop_node = np.zeros(n, dtype=np.min_scalar_type(cfg.hops))
-    alive = np.arange(n)
-    times, departures = stream.arrival_times, np.empty(n)
-    cum, low = np.empty(min(n, _CHUNK) + 1), np.empty(min(n, _CHUNK) + 1)
+    n, size = len(stream), min(len(stream), _CHUNK)
+    times, cum, low = np.empty(size), np.empty(size + 1), np.empty(size + 1)
     # a buffer per chunk drawn ahead, one for the chunk in the scan
-    ring = [np.empty(min(n, _CHUNK)) for _ in range(1 + _AHEAD * (n > _CHUNK))]
-    draws, k = _draws(seed, n, cfg, ring), n
+    ring = [np.empty(size) for _ in range(1 + _AHEAD * (n > _CHUNK))]
+    # per node: running sum and minimum, last arrival and last service;
+    # each node starts idle at the stream's first arrival
+    first = stream.arrival_times[0] if n else 0.0
+    carry = [[0.0, 0.0, first, 0.0] for _ in range(hops)]
+    # the stream indices of a chunk and of its survivors past a lossy link
+    index = np.arange(-_CHUNK, size - _CHUNK)
+    kept = np.empty(size if link_erasure > 0.0 else 0, np.intp)
+    draws = _draws(seed, n, hops, link_erasure, ring)
     with (_ahead(draws, _AHEAD) if n > _CHUNK
           else contextlib.nullcontext(draws)) as draws:
-        for node in range(cfg.hops):
-            carry_sum = carry_min = last_s = 0.0
-            last_a = times[0] if k else 0.0
-            for lo in range(0, k, _CHUNK):
-                s = next(draws)
-                a, x, m = (times[lo:lo + len(s)], cum[:len(s) + 1],
-                           low[:len(s) + 1])
-                np.subtract(a[1:], a[:-1], out=x[2:])
-                np.subtract(s[:-1], x[2:], out=x[2:])
-                x[:2] = carry_sum, last_s - (a[0] - last_a)
-                np.cumsum(x, out=x)
-                carry_sum, x[0] = x[-1], carry_min
-                # fmin is minimum but for NaN, which no time is, and faster
-                np.fmin.accumulate(x, out=m)
-                carry_min, last_a, last_s = m[-1], a[-1], s[-1]
-                w = np.subtract(x[1:], m[1:], out=x[1:])
-                d = np.add(a, w, out=departures[lo:lo + len(s)])
-                np.add(d, s, out=d)
-            times = departures[:k]
-            if cfg.link_erasure > 0.0:
-                kept = 0
-                for lo in range(0, k, _CHUNK):
-                    gone, keep = next(draws)
-                    chunk = slice(lo, lo + len(gone) + len(keep))
-                    drop_node[alive[chunk].take(gone)] = node + 1
-                    for arr in (alive, departures):
-                        arr[kept:kept + len(keep)] = arr[chunk].take(keep)
-                    kept += len(keep)
-                k, times = kept, departures[:kept]
+        for lo in range(0, n, _CHUNK):
+            a = stream.arrival_times[lo:lo + _CHUNK]
+            alive = np.add(index, _CHUNK, out=index)[:len(a)]
+            for node, state in enumerate(carry):
+                s, keep = next(draws)
+                if len(s):
+                    carry_sum, carry_min, last_a, last_s = state
+                    x, m = cum[:len(s) + 1], low[:len(s) + 1]
+                    np.subtract(a[1:], a[:-1], out=x[2:])
+                    np.subtract(s[:-1], x[2:], out=x[2:])
+                    x[:2] = carry_sum, last_s - (a[0] - last_a)
+                    np.cumsum(x, out=x)
+                    state[0], x[0] = x[-1], carry_min
+                    # fmin is minimum but for NaN, which no time is, and faster
+                    np.fmin.accumulate(x, out=m)
+                    state[1:] = m[-1], a[-1], s[-1]
+                    w = np.subtract(x[1:], m[1:], out=x[1:])
+                    a = np.add(a, w, out=times[:len(s)])
+                    np.add(a, s, out=a)
+                if keep is not None:
+                    # "clip" takes straight into the buffer, where the
+                    # arrays do not overlap
+                    keep = np.flatnonzero(keep)
+                    alive = np.take(alive, keep, out=kept[:len(keep)],
+                                    mode="clip")
+                    a = np.take(a, keep, out=times[:len(keep)], mode="clip")
+                sink(node, alive, a)
+
+
+def run(stream: ArrivalStream, cfg: BackhaulConfig, seed) -> NetworkTrace:
+    """Push a packet stream through the chain and keep its trace: the
+    node whose link erased each packet, and the stream index and delivery
+    time of each survivor in delivery order."""
+    n, lossy, last = len(stream), cfg.link_erasure > 0.0, cfg.hops - 1
+    # every packet is at risk at node 1, and a survivor of node j at j + 1
+    drop_node = np.full(n, int(lossy), dtype=np.min_scalar_type(cfg.hops))
+    index, times, k = np.empty(n, dtype=np.intp), np.empty(n), 0
+
+    def collect(node, alive, departures):
+        nonlocal k
+        if lossy:
+            drop_node[alive] = node + 2 if node < last else 0
+        if node == last:
+            span, k = slice(k, k + len(alive)), k + len(alive)
+            index[span], times[span] = alive, departures
+
+    _chain(stream, cfg.hops, cfg.link_erasure, seed, collect)
     return NetworkTrace(cfg, stream.gen_times, drop_node,
-                        delivered_index=alive[:k], delivery_times=times)
+                        delivered_index=index[:k], delivery_times=times[:k])
 
 
 def mean_system_time(trace: NetworkTrace) -> float:
@@ -210,93 +243,94 @@ def mean_system_time(trace: NetworkTrace) -> float:
                          - trace.gen_times[trace.delivered_index]))
 
 
-@dataclass
-class _Sawtooth:
-    """The destination's age over the reset anchors added so far: the
-    first and the last anchor, the area under the sawtooth between them,
-    and the sum and count of its peaks (the pre-reset ages of every anchor
-    but the first)."""
-
-    start: float | None = None
-    end: float = math.nan
-    end_age: float = math.nan
-    area: float = 0.0
-    peak_sum: float = 0.0
-    peak_n: int = 0
-
-    def extend(self, anchor_t, anchor_age, seg, work):
-        """Add the next anchors in time order, with the post-reset age of
-        each, using the buffers ``seg`` and ``work`` that are at least as
-        long; from one anchor to the next the age grows with slope one."""
-        if self.start is None and len(anchor_t):
-            self.start = self.end = float(anchor_t[0])
-            self.end_age = float(anchor_age[0])
-            anchor_t, anchor_age = anchor_t[1:], anchor_age[1:]
-        if not len(anchor_t):
-            return
-        # the segment from the last anchor so far to the first new one
-        step = float(anchor_t[0]) - self.end
-        self.peak_sum += self.end_age + step
-        self.area += self.end_age * step + 0.5 * step * step
-        k = len(anchor_t) - 1
-        s = np.subtract(anchor_t[1:], anchor_t[:-1], out=seg[:k])
-        w = np.add(anchor_age[:-1], s, out=work[:k])
-        self.peak_sum += float(w.sum())
-        # area = sum(anchor_age * seg + 0.5 * seg ** 2)
-        np.multiply(anchor_age[:-1], s, out=w)
-        np.square(s, out=s)
-        np.multiply(0.5, s, out=s)
-        self.area += float(np.add(w, s, out=w).sum())
-        self.peak_n += k + 1
-        self.end, self.end_age = float(anchor_t[-1]), float(anchor_age[-1])
-
-
-def _age_pass(trace: NetworkTrace, first: int):
-    """One pass over the deliveries, a chunk of ``_CHUNK`` at a time.
+class _Age:
+    """The age integrator, fed the deliveries in order, a chunk at a time.
 
     A delivery is fresh when its update is newer than every one delivered
-    before it; a stale one never resets the age.  Stale deliveries happen
-    on access feeds, whose departure order is not generation order.  The
-    fresh deliveries from index ``first`` on are the sawtooth's anchors.
-    Returns the sum of the system times of all deliveries, the index of
-    the last fresh one and the ``_Sawtooth`` of the anchors.
+    before it; a stale one (on access feeds, whose departure order is not
+    generation order) never resets the age.  The sawtooth's anchors are
+    the fresh deliveries of updates generated at or after the warm-up cut;
+    from one anchor to the next the age grows with slope one.
     """
-    gen, index = trace.gen_times, trace.delivered_index
-    deliv, n = trace.delivery_times, trace.n_delivered
-    size = min(n, _CHUNK)
-    buf, seg, work = np.empty(size), np.empty(size), np.empty(size)
-    flags = np.empty(size, bool)
-    top, system, last, saw = -math.inf, 0.0, -1, _Sawtooth()
-    for lo in range(0, n, _CHUNK):
-        k, skip = min(_CHUNK, n - lo), max(first - lo, 0)
-        # the indices are the trace's own, and "clip" lets take write
+
+    def __init__(self, gen: np.ndarray, warmup_fraction: float):
+        size = min(len(gen), _CHUNK)
+        self.gen, self.buf, self.seg = gen, np.empty(size), np.empty(size)
+        self.flags = np.empty(size, bool)
+        # the warm-up share of the span of the offered generation times
+        self.cut = -math.inf
+        if warmup_fraction > 0.0 and len(gen):
+            lo, hi = float(gen.min()), float(gen.max())
+            self.cut = lo + warmup_fraction * (hi - lo)
+        # the deliveries' count and summed system time, the newest update,
+        # the first and last anchor, the area under the sawtooth between
+        # them, and the sum and count of its peaks (pre-reset ages)
+        self.count, self.system, self.top = 0, 0.0, -math.inf
+        self.start, self.end, self.end_age = None, math.nan, math.nan
+        self.area, self.peak_sum, self.peak_n = 0.0, 0.0, 0
+
+    def add(self, index, deliv):
+        """Add the next deliveries, at most ``_CHUNK`` of them: the stream
+        indices of their updates and their delivery times."""
+        k = len(index)
+        if not k:
+            return
+        # the indices are the stream's own, and "clip" lets take write
         # straight into the buffer
-        g = np.take(gen, index[lo:lo + k], out=buf[:k], mode="clip")
-        t = deliv[lo:lo + k]
-        if g[0] > top and np.greater(g[1:], g[:-1], out=flags[:k - 1]).all():
-            # every delivery of the chunk is fresh
-            top, last, anchors = g[-1], lo + k - 1, slice(skip, None)
+        g = np.take(self.gen, index, out=self.buf[:k], mode="clip")
+        top, cut, flags = self.top, self.cut, self.flags[:k]
+        if g[0] > top and np.greater(g[1:], g[:-1], out=flags[1:]).all():
+            # every delivery is fresh, so the anchors run from the cut on
+            self.top = g[-1]
+            anchors = slice(np.searchsorted(g, cut) if top < cut else 0, None)
         else:
-            newest = np.maximum(g, top, out=work[:k])
+            newest = np.maximum(g, top, out=self.seg[:k])
             np.maximum.accumulate(newest, out=newest)
-            fresh = flags[:k]
-            fresh[0] = g[0] > top
-            np.greater(g[1:], newest[:-1], out=fresh[1:])
-            top, anchors = newest[-1], np.flatnonzero(fresh)
-            if len(anchors):
-                last = lo + int(anchors[-1])
-            anchors = anchors[np.searchsorted(anchors, skip):]
-        age = np.subtract(t, g, out=g)
-        system += float(age.sum())
-        saw.extend(t[anchors], age[anchors], seg, work)
-    return system, last, saw
+            flags[0] = g[0] > top
+            np.greater(g[1:], newest[:-1], out=flags[1:])
+            self.top, anchors = newest[-1], np.flatnonzero(flags)
+            if top < cut:
+                anchors = anchors[g[anchors] >= cut]
+        age = np.subtract(deliv, g, out=g)
+        self.count += k
+        self.system += float(age.sum())
+        self._anchor(deliv[anchors], age[anchors])
 
+    def _anchor(self, t, age):
+        """Add the next anchors in time order, with the post-reset age of
+        each, which this overwrites."""
+        if self.start is None and len(t):
+            self.start = self.end = float(t[0])
+            self.end_age, t, age = float(age[0]), t[1:], age[1:]
+        if not len(t):
+            return
+        # the segment from the last anchor so far to the first new one
+        step = float(t[0]) - self.end
+        self.peak_sum += self.end_age + step
+        self.area += self.end_age * step + 0.5 * step * step
+        k = len(t) - 1
+        s, h = np.subtract(t[1:], t[:-1], out=self.seg[:k]), age[:-1]
+        self.peak_sum += float(h.sum() + s.sum())
+        # area = sum(age * seg + 0.5 * seg ** 2)
+        self.area += float(np.multiply(h, s, out=h).sum()
+                           + 0.5 * np.square(s, out=s).sum())
+        self.peak_n += k + 1
+        self.end, self.end_age = float(t[-1]), float(age[-1])
 
-def _window_start(deliv: np.ndarray, end: int, warmup_fraction: float) -> int:
-    """Index of the first delivery past the warm-up share of the window
-    from the first delivery to delivery ``end``."""
-    cut = deliv[0] + warmup_fraction * (deliv[end] - deliv[0])
-    return int(np.searchsorted(deliv, cut))
+    def summary(self, n_offered: int) -> AoiSummary:
+        """The sawtooth's time-average from its first anchor to its last."""
+        if self.count < 2:
+            raise ValueError("need at least two deliveries for an age average")
+        if self.peak_n == 0 and self.cut > -math.inf:
+            raise ValueError("warm-up discards all deliveries")
+        duration = self.end - self.start
+        if duration <= 0:
+            raise ValueError("empty observation window")
+        return AoiSummary(
+            time_average_aoi=self.area / duration,
+            mean_system_time=self.system / self.count,
+            delivered_fraction=self.count / n_offered,
+            peak_aoi_mean=self.peak_sum / self.peak_n)
 
 
 def average_aoi(trace: NetworkTrace,
@@ -304,41 +338,17 @@ def average_aoi(trace: NetworkTrace,
     """Exact time-average of the sawtooth age at the destination.
 
     The clock starts at the first delivery, whose post-reset age is that
-    update's system time, and stops at the last fresh delivery.
-    ``warmup_fraction`` drops the leading share of that window first
-    (steady-state summaries), restarting at the first fresh delivery past
-    the cut.
-
-    The deliveries are read a chunk at a time in one pass.  The last fresh
-    delivery, which places the cut, is the first to carry the newest
-    generation time; it is looked for among the last ``_CHUNK``
-    deliveries, and a second pass runs only if an earlier one carries it.
+    update's system time, and stops at the last fresh delivery.  With a
+    ``warmup_fraction`` (steady-state summaries) it starts at the first
+    fresh delivery of an update generated at or after g_min +
+    warmup_fraction (g_max - g_min) over the offered updates.  This feeds
+    the trace to the integrator that a sweep runs inside the chain pass.
     """
-    n = trace.n_delivered
-    if n < 2:
-        raise ValueError("need at least two deliveries for an age average")
-    deliv, first = trace.delivery_times, 0
-    if warmup_fraction > 0.0:
-        tail = trace.gen_times.take(trace.delivered_index[-_CHUNK:])
-        end = n - len(tail) + int(np.argmax(tail))
-        first = _window_start(deliv, end, warmup_fraction)
-    system, last, saw = _age_pass(trace, first)
-    if first and last != end:
-        # an earlier delivery carries the newest generation time, so the
-        # window ends sooner and its cut comes no later
-        first = _window_start(deliv, last, warmup_fraction)
-        system, last, saw = _age_pass(trace, first)
-    if warmup_fraction > 0.0 and saw.peak_n == 0:
-        raise ValueError("warm-up discards all deliveries")
-    duration = saw.end - saw.start
-    if duration <= 0:
-        raise ValueError("empty observation window")
-    return AoiSummary(
-        time_average_aoi=saw.area / duration,
-        mean_system_time=system / n,
-        delivered_fraction=trace.delivered_fraction,
-        peak_aoi_mean=saw.peak_sum / saw.peak_n if saw.peak_n else math.nan,
-    )
+    age = _Age(trace.gen_times, warmup_fraction)
+    for lo in range(0, trace.n_delivered, _CHUNK):
+        age.add(trace.delivered_index[lo:lo + _CHUNK],
+                trace.delivery_times[lo:lo + _CHUNK])
+    return age.summary(trace.n_offered)
 
 
 # ---------------------------------------------------------------------------
@@ -427,10 +437,11 @@ def _access_seed(master_seed: int, mode: str, replication: int):
         (master_seed, 0xFEED, _MODE_ID[mode], replication))
 
 
-def _net_seed(master_seed: int, mode: str, rho: float, hops: int,
-              link_erasure: float, replication: int):
+def _net_seed(master_seed: int, mode: str, rho: float, link_erasure: float,
+              replication: int):
+    """The chain seed of every hop count at one grid point."""
     return np.random.SeedSequence(
-        (master_seed, 0x9E7, _MODE_ID[mode], int(round(rho * 1e6)), hops,
+        (master_seed, 0x9E7, _MODE_ID[mode], int(round(rho * 1e6)),
          int(round(link_erasure * 1e6)), replication))
 
 
@@ -500,36 +511,46 @@ def _cell_stream(mode: str, rho: float, replication: int, master_seed: int,
     return rescale_feed(access, rho)
 
 
-def run_point(mode: str, rho: float, hops: int, link_erasure: float,
+def run_point(mode: str, rho: float, hops, link_erasure: float,
               replication: int, master_seed: int, n_packets: int,
               access: AccessFeed | None = None,
-              stream: ArrivalStream | None = None) -> SweepRow:
-    """One sweep cell: build the stream (unless given), run, summarize.
-
-    An ra cell rescales ``access``, the feed of its mode and replication
-    that ``sweep`` simulated once for every load.
+              stream: ArrivalStream | None = None) -> list:
+    """The sweep cells of every hop count in ``hops`` at one (mode, rho,
+    link erasure, replication), in that order: build the stream (unless
+    given), pass it once through ``max(hops)`` nodes, and score the n-hop
+    cell on node n's survivors as they leave it.  An ra cell rescales
+    ``access``, the feed that ``sweep`` simulated once for every load.
     """
     if stream is None:
         stream = _cell_stream(mode, rho, replication, master_seed, n_packets,
                               access)
-    trace = run(stream, BackhaulConfig(hops, link_erasure),
-                _net_seed(master_seed, mode, rho, hops, link_erasure,
-                          replication))
-    try:
-        summary = average_aoi(trace, warmup_fraction=WARMUP_FRACTION)
-    except ValueError as exc:
-        raise ShortCellError(
-            f"{mode} cell rho={rho:g} hops={hops} link erasure="
-            f"{link_erasure:g} replication={replication}: {exc}") from None
-    return SweepRow(
-        mode=mode, rho=rho, hops=hops, link_erasure=link_erasure,
-        replication=replication, n_offered=trace.n_offered,
-        n_delivered=trace.n_delivered,
-        delivered_fraction=summary.delivered_fraction,
-        mean_system_time=summary.mean_system_time,
-        mean_aoi=summary.time_average_aoi,
-        peak_aoi_mean=summary.peak_aoi_mean,
-        ra_success_prob=None if mode == "no-ra" else access.success_prob)
+    ages = {n: _Age(stream.gen_times, WARMUP_FRACTION) for n in hops}
+
+    def integrate(node, alive, departures):
+        if node + 1 in ages:
+            ages[node + 1].add(alive, departures)
+
+    _chain(stream, max(hops, default=0), link_erasure,
+           _net_seed(master_seed, mode, rho, link_erasure, replication),
+           integrate)
+    rows = []
+    for n in hops:
+        try:
+            summary = ages[n].summary(len(stream))
+        except ValueError as exc:
+            raise ShortCellError(
+                f"{mode} cell rho={rho:g} hops={n} link erasure="
+                f"{link_erasure:g} replication={replication}: {exc}") from None
+        rows.append(SweepRow(
+            mode=mode, rho=rho, hops=n, link_erasure=link_erasure,
+            replication=replication, n_offered=len(stream),
+            n_delivered=ages[n].count,
+            delivered_fraction=summary.delivered_fraction,
+            mean_system_time=summary.mean_system_time,
+            mean_aoi=summary.time_average_aoi,
+            peak_aoi_mean=summary.peak_aoi_mean,
+            ra_success_prob=None if mode == "no-ra" else access.success_prob))
+    return rows
 
 
 # access feeds of the running sweep, installed once in each pool worker
@@ -541,12 +562,14 @@ def _install_feeds(feeds: dict):
 
 
 def _run_cells(task, feeds=_POOL_FEEDS) -> list:
-    """The cells (hops, link erasure) of one (mode, rho, replication)."""
-    mode, rho, rep, cells, master_seed, n_packets = task
+    """The cells (hops, link erasure) of one (mode, rho, replication): a
+    chain pass per link erasure scores every hop count."""
+    mode, rho, rep, hops, erasures, master_seed, n_packets = task
     access = feeds.get((mode, rep))
     stream = _cell_stream(mode, rho, rep, master_seed, n_packets, access)
-    return [run_point(mode, rho, hops, eps, rep, master_seed, n_packets,
-                      access, stream) for hops, eps in cells]
+    return [row for eps in erasures
+            for row in run_point(mode, rho, hops, eps, rep, master_seed,
+                                 n_packets, access, stream)]
 
 
 def sweep(rhos, hops_list, erasures, modes, replications: int,
@@ -569,8 +592,8 @@ def sweep(rhos, hops_list, erasures, modes, replications: int,
         raise ValueError("ra modes need the access feed settings")
     simulate = partial(ra_departure_stream, master_seed=master_seed,
                        n_packets=n_packets, feed=feed)
-    cells = [(n, e) for n in hops_list for e in erasures]
-    tasks = [(m, rho, rep, cells, master_seed, n_packets)
+    tasks = [(m, rho, rep, tuple(hops_list), tuple(erasures), master_seed,
+              n_packets)
              for m in modes for rho in rhos for rep in range(replications)]
     if workers > 1:
         spawn = multiprocessing.get_context("spawn")

@@ -35,26 +35,25 @@ def sawtooth_stats(anchor_t: np.ndarray, anchor_age: np.ndarray):
 
 def average_aoi(trace, warmup_fraction: float = 0.0) -> AoiSummary:
     """Time-average of the sawtooth age from the first delivery to the
-    last fresh one, the leading ``warmup_fraction`` of that window left
-    out; the same contract as ``backhaul_sim.average_aoi``."""
+    last fresh one; with a ``warmup_fraction``, from the first fresh
+    delivery of an update generated at or after that share of the span of
+    the offered generation times.  The same contract as
+    ``backhaul_sim.average_aoi``."""
     if trace.n_delivered < 2:
         raise ValueError("need at least two deliveries for an age average")
     all_gen = trace.gen_times[trace.delivered_index]
     system_time = float(np.mean(trace.delivery_times - all_gen))
     gen, deliv = fresh_deliveries(all_gen, trace.delivery_times)
-    anchor_t, anchor_age = deliv, deliv - gen
-    start, end = float(deliv[0]), float(deliv[-1])
     if warmup_fraction > 0.0:
-        cut = start + warmup_fraction * (end - start)
-        i0 = int(np.searchsorted(deliv, cut))
-        if i0 >= len(deliv) - 1:
+        lo, hi = trace.gen_times.min(), trace.gen_times.max()
+        window = gen >= lo + warmup_fraction * (hi - lo)
+        if window.sum() < 2:
             raise ValueError("warm-up discards all deliveries")
-        anchor_t, anchor_age = anchor_t[i0:], anchor_age[i0:]
-        start = float(deliv[i0])
-    duration = end - start
+        gen, deliv = gen[window], deliv[window]
+    duration = float(deliv[-1] - deliv[0])
     if duration <= 0:
         raise ValueError("empty observation window")
-    area, peak_sum, peak_n = sawtooth_stats(anchor_t, anchor_age)
+    area, peak_sum, peak_n = sawtooth_stats(deliv, deliv - gen)
     return AoiSummary(
         time_average_aoi=area / duration,
         mean_system_time=system_time,

@@ -1,13 +1,13 @@
 """Independent reference for the relay chain: a scalar event-driven
 simulation of FCFS servers in series with per-link erasures.
 
-It takes the same random numbers as ``backhaul_sim.run``, drawn in the
-same order (per node: the service times of the packets that reach it,
-then one uniform each on a lossy link), but hands them out as events
-happen: a packet takes the next service time when it starts service and
-the next uniform when it leaves the node.  Kept deliberately separate
-from the package so the vectorized waiting-time scan has a second
-opinion.
+It takes the same random numbers as ``backhaul_sim.run``: each node has
+a generator for the service times of the packets that reach it and one
+for a uniform each on a lossy link, spawned from the chain seed by node.
+It hands them out as events happen: a packet takes its node's next
+service time when it starts service and the next uniform when it leaves
+the node.  Kept deliberately separate from the package so the chunked
+waiting-time scan has a second opinion.
 """
 import heapq
 from collections import deque
@@ -17,12 +17,24 @@ import numpy as np
 _ARRIVE, _DEPART = 0, 1
 
 
+def node_generators(seed, node):
+    """The service and erasure generators of ``node`` (0-based): children
+    (node, 0) and (node, 1) of the chain seed, whatever the hop count."""
+    root = (seed if isinstance(seed, np.random.SeedSequence)
+            else np.random.SeedSequence(seed))
+    return [np.random.default_rng(np.random.SeedSequence(
+        root.entropy, spawn_key=root.spawn_key + (node, kind)))
+        for kind in (0, 1)]
+
+
 def _draws(n, service_rates, link_erasures, seed):
-    rng = np.random.default_rng(seed)
     services, survives = [], []
-    for mu, eps in zip(service_rates, link_erasures):
-        services.append(deque(rng.exponential(1.0 / mu, size=n).tolist()))
-        keep = rng.random(n) >= eps if eps > 0.0 else np.ones(n, dtype=bool)
+    for node, (mu, eps) in enumerate(zip(service_rates, link_erasures)):
+        service_rng, erasure_rng = node_generators(seed, node)
+        services.append(deque(service_rng.exponential(1.0 / mu,
+                                                      size=n).tolist()))
+        keep = (erasure_rng.random(n) >= eps if eps > 0.0
+                else np.ones(n, dtype=bool))
         survives.append(deque(keep.tolist()))
         n = int(keep.sum())
     return services, survives

@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 
 import _age_reference
-from _chain_reference import reference_chain
+from _chain_reference import node_generators, reference_chain
 from leoiot import backhaul_sim as bs
 from leoiot.backhaul_analytic import TandemModel, average_aoi_lossless, \
     expected_ty, mean_network_delay
-from leoiot.backhaul_sim import (ArrivalStream, BackhaulConfig, NetworkTrace,
-                                 average_aoi, mean_system_time,
+from leoiot.backhaul_sim import (MODES, ArrivalStream, BackhaulConfig,
+                                 NetworkTrace, average_aoi, mean_system_time,
                                  poisson_stream, run, run_point, sweep)
 from leoiot.scenario import load_config
 
@@ -24,7 +24,13 @@ FEED = bs.RaFeedSettings(load_config("backhauling").ground_ra)
 def ra_point(mode, rho, hops, master_seed, n_packets):
     """A sweep cell of replication 0 with the feed that ``sweep`` builds."""
     access = bs.ra_departure_stream((mode, 0), master_seed, n_packets, FEED)
-    return run_point(mode, rho, hops, 0.0, 0, master_seed, n_packets, access)
+    return run_point(mode, rho, (hops,), 0.0, 0, master_seed, n_packets,
+                     access)[0]
+
+
+def point(mode, rho, hops, eps, master_seed, n_packets):
+    """The one sweep cell of replication 0 at ``hops`` hops."""
+    return run_point(mode, rho, (hops,), eps, 0, master_seed, n_packets)[0]
 
 
 def mm1_aoi_exact(rho, mu=1.0):
@@ -134,9 +140,9 @@ class TestRun:
     def test_single_packet_sees_pure_service(self):
         s = ArrivalStream(np.array([1.0]), np.array([1.0]))
         trace = run(s, BackhaulConfig(3), 17)
-        rng = np.random.default_rng(17)
-        total_service = sum(float(rng.exponential(1.0, size=1)[0])
-                            for _ in range(3))
+        # the first service time of each node's own generator
+        total_service = sum(float(node_generators(17, node)[0].exponential())
+                            for node in range(3))
         assert trace.delivery_times[0] - 1.0 == pytest.approx(total_service)
         assert mean_system_time(trace) == pytest.approx(total_service)
 
@@ -183,14 +189,15 @@ class TestChainReference:
 
 
 class TestPipelinedChain:
-    """The scan goes a chunk of ``_CHUNK`` packets at a time; the draws of
+    """The chain goes a chunk of ``_CHUNK`` packets at a time; the draws of
     a stream longer than one chunk are made on a second thread, which
     ends before ``run`` returns, also when the draws or the scan fail."""
 
     # sha256 of drop_node (as int64), delivered_index and delivery_times
-    # over the grid below, taken from the full-length scan that the chunked
-    # one replaced
-    DIGEST = "3ef134d05d0e3a0d7e808f8f68984992ea03d57db07a99c1de0cd98ebde016ba"
+    # over the grid below, pinned when each node got generators of its
+    # own; as the chain does not depend on the chunk size, it is also the
+    # digest of a scan of each stream in one full-length chunk
+    DIGEST = "67927013eea4f36c009ab2f00513505ffb09b0490f47b8bed9439f59c17a35bd"
 
     def test_traces_match_the_full_length_scan(self):
         digest = hashlib.sha256()
@@ -216,7 +223,7 @@ class TestPipelinedChain:
         real = bs._draws
 
         class ScanFails:
-            def __len__(self):
+            def __iter__(self):
                 raise LookupError("the scan failed")
 
         def draws(*args):
@@ -279,6 +286,57 @@ class TestPipelinedChain:
             assert np.array_equal(getattr(loud, name), getattr(quiet, name))
 
 
+class TestChunkMajorChain:
+    """Each node draws from generators of its own, so the chain's output
+    does not depend on the chunk size, and the n-hop chain is the first n
+    nodes of a longer one with the same seed."""
+
+    @pytest.mark.parametrize("hops", [1, 2, 4, 6])
+    @pytest.mark.parametrize("eps", [0.0, 0.1, 1.0])
+    def test_run_does_not_depend_on_the_chunk(self, monkeypatch, hops, eps):
+        s = poisson_stream(0.8, 10_000, np.random.default_rng(hops))
+        traces = []
+        for chunk in (64, 3000, 1 << 15):
+            monkeypatch.setattr(bs, "_CHUNK", chunk)
+            traces.append(run(s, BackhaulConfig(hops, eps), (hops, 7)))
+        for name in ("drop_node", "delivered_index", "delivery_times"):
+            first, *rest = (getattr(t, name) for t in traces)
+            assert all(np.array_equal(first, other) for other in rest), name
+
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    def test_n_hops_are_the_first_nodes_of_six(self, monkeypatch, eps):
+        monkeypatch.setattr(bs, "_CHUNK", 1000)
+        s = poisson_stream(0.7, 5_500, np.random.default_rng(77))
+        nodes = {n: ([], []) for n in range(6)}
+
+        def record(node, alive, times):
+            nodes[node][0].append(alive.copy())
+            nodes[node][1].append(times.copy())
+
+        bs._chain(s, 6, eps, 78, record)
+        longest = run(s, BackhaulConfig(6, eps), 78)
+        for hops in (1, 2, 4, 6):
+            trace = run(s, BackhaulConfig(hops, eps), 78)
+            index, times = (np.concatenate(a) for a in nodes[hops - 1])
+            assert np.array_equal(trace.delivered_index, index)
+            assert np.array_equal(trace.delivery_times, times)
+            # a packet erased past node ``hops`` reaches this chain's end
+            drop = np.where(longest.drop_node > hops, 0, longest.drop_node)
+            assert np.array_equal(trace.drop_node, drop)
+
+    @pytest.mark.parametrize("mode", ["no-ra", "ra-a10"])
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    def test_one_pass_scores_every_hop_count(self, mode, eps):
+        access = (bs.ra_departure_stream((mode, 0), 79, 3_000, FEED)
+                  if mode != "no-ra" else None)
+        rows = run_point(mode, 0.6, (1, 2, 4, 6), eps, 0, 79, 3_000, access)
+        assert [r.hops for r in rows] == [1, 2, 4, 6]
+        for row in rows:
+            alone, = run_point(mode, 0.6, (row.hops,), eps, 0, 79, 3_000,
+                               access)
+            assert row == alone
+
+
 class TestInputsUntouched:
     """``run`` and ``average_aoi`` work in buffers of their own: the
     stream's and the trace's arrays stay bit for bit as they were."""
@@ -317,54 +375,62 @@ class TestInputsUntouched:
 
 
 class TestPeakMemory:
-    """Guard on the chain's and the age integrator's buffer reuse:
-    allocation peaks in float arrays of the cell's length (8 n bytes).
+    """Guard on the chain's and the age integrator's buffers: allocation
+    peaks in float arrays of the cell's length (8 n bytes).
 
-    One 4-hop cell of 200,000 packets measured 3.95 arrays at eps 0 and
-    4.47 to 4.62 at eps 0.1, where the full-length age integrator read
-    6.91 and 5.90: the stream, the departures, the survivor index and one
-    byte per packet for the drop node, then chunk buffers worth 0.82
-    arrays at this length and, on a lossy chain, the erased and kept
-    positions of the chunks in flight between the two threads (0.5 to
-    0.66; how many depends on thread timing).  The age integrator's chunk
-    buffers, 0.34 arrays at 400,000 packets, stay under the chain's peak.
-    The chain alone, at 400,000 packets, holds 2.54 arrays at eps 0 and
-    2.80 to 2.87 at eps 0.1, where an int64 drop node read 3.43 and 3.75.
-    Each bound is its case's highest reading plus at most 10%.
+    A sweep cell streams through the chain, so beside its stream it holds
+    chunk buffers only: one 4-hop ``run_point`` of 10^6 packets given its
+    stream allocated 0.30 arrays at eps 0 and 0.41 at eps 0.1.  Of 200,000
+    packets, with the stream made inside, it read 2.51 and 3.02, as the
+    chunk buffers weigh more on a shorter stream.  ``run`` also keeps the
+    trace, 2.125 arrays: at 400,000 packets it read 2.71 at eps 0 and 2.96
+    at eps 0.1.  Each bound is its case's reading plus at most 10%.
     """
 
-    PEAK_ARRAYS = {0.0: 4.3, 0.1: 5.0}
+    PEAK_ARRAYS = {0.0: 2.75, 0.1: 3.3}
     CHAIN_ARRAYS = {0.0: 2.75, 0.1: 3.1}
+    ABOVE_STREAM_ARRAYS = 0.5
 
-    @pytest.mark.parametrize("eps", [0.0, 0.1])
-    def test_cell_peak_in_arrays(self, eps):
-        n = 200_000
-        # one small cell first, so one-off set-up is not counted
-        run_point("no-ra", 0.5, 4, eps, 0, 1, 1_000)
+    @staticmethod
+    def peak_arrays(call, n):
+        call()      # once first, so one-off set-up is not counted
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            run_point("no-ra", 0.5, 4, eps, 0, 1, n)
+            call()
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak / (8 * n) <= self.PEAK_ARRAYS[eps]
+        return peak / (8 * n)
+
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    def test_cell_peak_in_arrays(self, eps):
+        n = 200_000
+        assert self.peak_arrays(
+            lambda: run_point("no-ra", 0.5, (4,), eps, 0, 1, n),
+            n) <= self.PEAK_ARRAYS[eps]
+
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    def test_cell_holds_its_stream_and_chunk_buffers(self, eps):
+        n = 10 ** 6
+        s = poisson_stream(0.5, n, np.random.default_rng(73))
+        assert self.peak_arrays(
+            lambda: run_point("no-ra", 0.5, (4,), eps, 0, 1, n, stream=s),
+            n) <= self.ABOVE_STREAM_ARRAYS
 
     @pytest.mark.parametrize("eps", [0.0, 0.1])
     def test_chain_peak_in_arrays(self, eps):
         n = 400_000
         s = poisson_stream(0.5, n, np.random.default_rng(73))
-        run(s, BackhaulConfig(4, eps), 74)
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            run(s, BackhaulConfig(4, eps), 74)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert peak / (8 * n) <= self.CHAIN_ARRAYS[eps]
+        assert self.peak_arrays(lambda: run(s, BackhaulConfig(4, eps), 74),
+                                n) <= self.CHAIN_ARRAYS[eps]
+
+    def test_stream_check_holds_no_array_of_its_length(self):
+        n = 10 ** 6
+        s = poisson_stream(0.5, n, np.random.default_rng(75))
+        assert self.peak_arrays(
+            lambda: ArrivalStream(s.arrival_times, s.gen_times), n) < 0.05
 
 
 class TestMeanSystemTime:
@@ -451,11 +517,14 @@ class TestAgeReference:
     @staticmethod
     def steps(n, stale=()):
         """Deliveries at times 1..n, each between 0.1 and 0.9 after its
-        generation, except that those in ``stale`` carry a generation time
-        older than every update delivered before them."""
+        generation and the first and last 0.5 after, so that the
+        generation times span n - 1 from 0.5; those in ``stale`` carry the
+        first update's generation time instead, which is no newer than any
+        delivered before them."""
         deliv = np.arange(1.0, n + 1)
         gen = deliv - np.random.default_rng(n).uniform(0.1, 0.9, size=n)
-        gen[list(stale)] = -1.0
+        gen[[0, -1]] = 0.5, n - 0.5
+        gen[list(stale)] = 0.5
         return manual_trace(gen, deliv)
 
     @pytest.fixture(autouse=True)
@@ -476,11 +545,11 @@ class TestAgeReference:
         self.check(trace, warmup)
 
     def test_cut_on_a_chunk_boundary(self):
-        # times 1..201 with warm-up 0.3175 cut at 64.5: the window opens at
-        # delivery 64, the first of the second chunk
+        # generation times 0.5..200.5 with warm-up 0.3175 cut at 64: the
+        # window opens at delivery 64, the first of the second chunk
         trace = self.steps(201)
-        assert np.searchsorted(trace.delivery_times,
-                               1 + 0.3175 * 200) == self.CHUNK
+        assert np.searchsorted(trace.gen_times,
+                               0.5 + 0.3175 * 200) == self.CHUNK
         self.check(trace, 0.3175)
 
     @pytest.mark.parametrize("warmup", [0.0, 0.3175])
@@ -522,9 +591,58 @@ class TestAgeReference:
         self.check(trace, warmup)
 
 
+class TestAgeInPass:
+    """The age a sweep integrates inside the chain pass equals
+    ``average_aoi`` on the trace that ``run`` collects from the same
+    chain, and both equal the full-length ``_age_reference``."""
+
+    FIELDS = (("mean_aoi", "time_average_aoi"),
+              ("mean_system_time", "mean_system_time"),
+              ("peak_aoi_mean", "peak_aoi_mean"),
+              ("delivered_fraction", "delivered_fraction"))
+
+    def check(self, mode, stream, access, eps, hops=(1, 2, 4, 6)):
+        rows = run_point(mode, 0.6, hops, eps, 0, 81, len(stream), access,
+                         stream)
+        for row in rows:
+            trace = run(stream, BackhaulConfig(row.hops, eps),
+                        bs._net_seed(81, mode, 0.6, eps, 0))
+            assert row.n_delivered == trace.n_delivered
+            summaries = (average_aoi(trace, bs.WARMUP_FRACTION),
+                         _age_reference.average_aoi(trace, bs.WARMUP_FRACTION))
+            for name, summary_name in self.FIELDS:
+                for summary in summaries:
+                    assert getattr(row, name) == pytest.approx(
+                        getattr(summary, summary_name), rel=1e-12), name
+
+    @pytest.mark.parametrize("chunk", [64, 1 << 15])
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    def test_stale_deliveries_of_a_congested_feed(self, monkeypatch, chunk,
+                                                  eps):
+        monkeypatch.setattr(bs, "_CHUNK", chunk)
+        access = bs.ra_departure_stream(("ra-a10", 0), 81, 3_000, FEED)
+        stream = bs.rescale_feed(access, 0.6)
+        gen = stream.gen_times
+        assert (np.diff(gen) < 0).any()
+        self.check("ra-a10", stream, access, eps)
+
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    def test_cut_on_a_chunk_boundary(self, monkeypatch, eps):
+        # updates at 0..1280: the 5% cut is update 64, the first of the
+        # second chunk, and the window opens on it
+        monkeypatch.setattr(bs, "_CHUNK", 64)
+        times = np.arange(1281.0)
+        assert np.searchsorted(times, bs.WARMUP_FRACTION * 1280) == 64
+        self.check("no-ra", ArrivalStream(times, times), None, eps)
+
+    def test_poisson_cells(self):
+        s = poisson_stream(0.6, 50_000, np.random.default_rng(82))
+        self.check("no-ra", s, None, 0.1)
+
+
 class TestSweep:
     def test_no_ra_point_reproduces_analytics(self):
-        row = run_point("no-ra", 0.5, 2, 0.0, 0, 99, 200_000)
+        row = point("no-ra", 0.5, 2, 0.0, 99, 200_000)
         assert row.mean_system_time == pytest.approx(
             mean_network_delay(2, 0.5, 1.0), rel=0.02)
         model = TandemModel(2, 0.5, 1.0)
@@ -558,7 +676,7 @@ class TestSweep:
         assert row10.mean_aoi > row1.mean_aoi
 
     def test_a10_dominates_no_ra_at_low_load(self):
-        base = run_point("no-ra", 0.1, 2, 0.0, 0, 7, 20_000)
+        base = point("no-ra", 0.1, 2, 0.0, 7, 20_000)
         ra10 = ra_point("ra-a10", 0.1, 2, 7, 20_000)
         assert ra10.mean_aoi > 3 * base.mean_aoi
         assert ra10.mean_system_time > 3 * base.mean_system_time
@@ -573,13 +691,26 @@ class TestSweep:
         assert all(b < a for a, b in zip(aois[:k], aois[1:k + 1]))
         assert all(b > a for a, b in zip(aois[k:], aois[k + 1:]))
 
+    @pytest.mark.parametrize("seed", range(1, 21))
+    def test_delay_rises_with_hops_on_every_sample_path(self, seed):
+        # every hop count takes the same draws, so at eps 0 each packet
+        # only gains service time from one hop count to the next
+        rows = sweep((0.2, 0.4, 0.6), (1, 2, 4, 6), (0.0,), MODES, 1, seed,
+                     n_packets=2_000, feed=FEED)
+        for mode in MODES:
+            for rho in (0.2, 0.4, 0.6):
+                delays = [r.mean_system_time for r in rows
+                          if (r.mode, r.rho) == (mode, rho)]
+                assert len(delays) == 4
+                assert all(b > a for a, b in zip(delays, delays[1:]))
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
-            run_point("two-step", 0.5, 2, 0.0, 0, 7, 1000)
+            point("two-step", 0.5, 2, 0.0, 7, 1000)
 
     def test_ra_cell_needs_its_feed(self):
         with pytest.raises(ValueError, match="access feed"):
-            run_point("ra-a1", 0.5, 2, 0.0, 0, 7, 1000)
+            point("ra-a1", 0.5, 2, 0.0, 7, 1000)
         with pytest.raises(ValueError, match="access feed"):
             sweep((0.5,), (2,), (0.0,), ("ra-a1",), 1, 7, n_packets=1_000)
 
@@ -601,13 +732,13 @@ class TestFeedReuse:
 
     def test_loads_rescale_the_same_feed(self, monkeypatch):
         streams = []
-        real = bs.run
+        real = bs.run_point
 
-        def capturing(stream, cfg, seed):
-            streams.append(stream)
-            return real(stream, cfg, seed)
+        def capturing(*args):
+            streams.append(args[-1])
+            return real(*args)
 
-        monkeypatch.setattr(bs, "run", capturing)
+        monkeypatch.setattr(bs, "run_point", capturing)
         rows = sweep((0.3, 0.7), (2,), (0.0,), ("ra-a10",), 1, 13,
                      n_packets=2_000, feed=FEED)
         lo, hi = streams
