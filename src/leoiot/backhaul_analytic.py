@@ -1,6 +1,6 @@
 """Closed-form results for the homogeneous tandem relay chain: erasure
-thinning, mean network delay, and average age of information with and
-without link losses.
+thinning, mean delay of a delivered update, and average age of
+information with and without link losses.
 
 Each node serves at one rate and each link erases with one probability, so
 the lossless system time is Erlang, with finite integer-order Poisson tails.
@@ -52,13 +52,6 @@ class TandemModel:
 def end_to_end_success(hops: int, link_erasure: float) -> float:
     """Probability that an update survives all ``hops`` links of the chain."""
     return (1.0 - link_erasure) ** hops
-
-
-def mean_network_delay(hops: int, lam: float, mu: float) -> float:
-    """Average end-to-end packet delay N/(mu - lam)."""
-    if lam >= mu:
-        raise InstabilityError(f"unstable: lam={lam} >= mu={mu}")
-    return hops / (mu - lam)
 
 
 def mean_delivered_delay(model: TandemModel) -> float:
@@ -121,11 +114,6 @@ def expected_ty(model: TandemModel) -> float:
     return expected_wy(model) + model.service_sum_by_interarrival
 
 
-def average_aoi_lossless(lam: float, e_ty: float) -> float:
-    """Average age for Poisson input without losses: lam (E[TY] + 1/lam^2)."""
-    return lam * (e_ty + 1.0 / lam ** 2)
-
-
 def _thinned_effective_model(model: TandemModel) -> TandemModel:
     """Loss-aware stand-in: same N and lam, service rate set so the total
     mean system time equals the sum of per-node M/M/1 delays under the
@@ -146,13 +134,14 @@ def average_aoi_with_errors(model: TandemModel) -> float:
         age = lam * (p E[TY] + (1-p) E[T]/lam + 1/lam^2 + ((1-p)/p)/lam^2)
 
     with the system-time moments taken from the loss-aware effective model
-    (queues downstream of a lossy link run lighter).  Reduces exactly to the
-    lossless expression when p = 1; a diverging age raises InstabilityError.
+    (queues downstream of a lossy link run lighter).  At p = 1 it is the
+    lossless age lam (E[TY] + 1/lam^2) of Kaul, Yates and Gruteser (INFOCOM
+    2012); a diverging age raises InstabilityError.
     """
     p = end_to_end_success(model.hops, model.link_erasure)
     lam = model.arrival_rate
     eff = _thinned_effective_model(model)
-    e_ty = expected_wy(eff) + eff.service_sum_by_interarrival
+    e_ty = expected_ty(eff)
     # cross term of a system time with an earlier interarrival gap, E[T] E[Y]:
     # under Poisson input the gaps ahead of a packet ignore its history
     e_ty_prev = (model.hops / eff.alpha) * (1.0 / lam)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import os
@@ -87,7 +88,7 @@ class ResultRow:
     link_erasure: float
     metric: str
     value: float
-    stderr: float | None      # None for analytic rows
+    stderr: float             # NaN for a single replication
 
 
 class SpecError(ValueError):
@@ -111,7 +112,10 @@ def _repeated(name: str, values) -> list:
 
 def sweep_problems(spec: ExperimentSpec) -> list:
     """Collect sweep-grid values no run can use; empty means usable."""
-    out = []
+    out = [f"{name}: the grid needs at least one value" for name, values in
+           (("rho", spec.rhos), ("hops", spec.hops),
+            ("link erasure", spec.erasures), ("mode", spec.modes))
+           if not values]
     rhos = [r for r in spec.rhos if not 0.0 < r < math.inf]
     if rhos:
         out.append(f"rho {rhos}: every load must be > 0")
@@ -260,21 +264,17 @@ def run_offloading(spec: ExperimentSpec):
 # Backhauling: delay and age versus load
 # ---------------------------------------------------------------------------
 
-def _analytic_rows(spec: ExperimentSpec):
-    """Closed-form overlays for the no-RA regime (and the near-identical
-    single-attempt regime).  Unstable grid points are skipped."""
-    rows = []
-    for rho in spec.rhos:
-        if not 0.0 < rho < 1.0:
-            continue
-        for hops in spec.hops:
-            for eps in spec.erasures:
-                tbar, aoi = ba.chain_metrics(hops, rho, eps)
-                rows.append(ResultRow(spec.figure, "analytic", rho, hops, eps,
-                                      "mean_system_time", tbar, None))
-                rows.append(ResultRow(spec.figure, "analytic", rho, hops, eps,
-                                      "mean_aoi", aoi, None))
-    return rows
+def _closed_forms(spec: ExperimentSpec) -> dict:
+    """The closed-form mean delay and age of every stable grid cell, keyed
+    (rho, hops, link_erasure, metric); unstable loads are skipped."""
+    closed = {}
+    for rho, hops, eps in itertools.product(spec.rhos, spec.hops,
+                                            spec.erasures):
+        if 0.0 < rho < 1.0:
+            tbar, aoi = ba.chain_metrics(hops, rho, eps)
+            closed.update({(rho, hops, eps, "mean_system_time"): tbar,
+                           (rho, hops, eps, "mean_aoi"): aoi})
+    return closed
 
 
 def run_backhauling(spec: ExperimentSpec):
@@ -316,16 +316,17 @@ def run_backhauling(spec: ExperimentSpec):
                "aggregated metrics with Monte Carlo standard errors")
     files.append(agg)
 
-    analytic = _analytic_rows(spec)
+    closed = _closed_forms(spec)
     ov = out / "analytic_overlay.csv"
     _write_csv(ov, ["figure", "mode", "rho", "hops", "link_erasure",
                     "metric", "value"],
-               [[r.figure, r.mode, _fmt(r.rho), r.hops, _fmt(r.link_erasure),
-                 r.metric, _fmt(r.value)] for r in analytic],
+               [[spec.figure, "analytic", _fmt(rho), hops, _fmt(eps), metric,
+                 _fmt(value)] for (rho, hops, eps, metric), value
+                in closed.items()],
                "closed-form overlay (no-RA regime)")
     files.append(ov)
 
-    text, ok = report(result_rows + analytic, spec)
+    text, ok = report(result_rows, closed, spec)
     rp = out / "report.txt"
     rp.write_text(text)
     files.append(rp)
@@ -357,12 +358,24 @@ def _aggregate(spec: ExperimentSpec, rows):
     return out
 
 
-def report(result_rows, spec: ExperimentSpec):
-    """Human-readable metric table with analytic-vs-simulation deltas.
+def _verdict(row: ResultRow, ref) -> tuple:
+    """(delta, verdict) of a summary row against its closed form ``ref``.
+    Only no-ra rows are gated: the ten-attempt feed lies outside the closed
+    forms' validity.  Over tolerance but within 3 standard errors is
+    'noisy', not a failure; a NaN standard error never is."""
+    if ref is None or row.mode != "no-ra" or row.metric not in TOLERANCES:
+        return "", ""
+    rel = abs(row.value - ref) / abs(ref)
+    verdict = ("pass" if rel <= TOLERANCES[row.metric] else "noisy"
+               if abs(row.value - ref) <= 3.0 * row.stderr else "FAIL")
+    return f"{rel:8.2%}", verdict
 
-    Returns (text, all_tolerances_met).  Only the no-RA rows are compared
-    against the closed forms (the single-attempt feed tracks them, and the
-    ten-attempt feed is outside the analytic validity).
+
+def report(result_rows, closed: dict, spec: ExperimentSpec):
+    """Human-readable metric table with each row's closed form ``closed``
+    (as ``_closed_forms`` keys it), delta and verdict.
+
+    Returns (text, no_row_failed).
     """
     lines = [f"leoiot report - figure={spec.figure} seed={spec.config.seed} "
              f"replications={spec.replications} "
@@ -371,33 +384,15 @@ def report(result_rows, spec: ExperimentSpec):
     if unstable:
         lines.append(f"flagged: no analytic overlay for rho in {unstable} "
                      f"(outside the stable range)")
-    if not result_rows:
-        lines.append("no runs")
-        return "\n".join(lines) + "\n", True
-    analytic = {(r.rho, r.hops, r.link_erasure, r.metric): r.value
-                for r in result_rows if r.mode == "analytic"}
     ok = True
     lines.append(f"{'mode':8} {'rho':>5} {'N':>2} {'eps':>5} "
                  f"{'metric':18} {'value':>12} {'analytic':>12} "
                  f"{'delta':>8} verdict")
     for r in sorted(result_rows, key=lambda r: (r.mode, r.rho, r.hops,
                                                 r.link_erasure, r.metric)):
-        if r.mode == "analytic":
-            continue
-        ref = analytic.get((r.rho, r.hops, r.link_erasure, r.metric))
-        delta = verdict = ""
-        if ref is not None and r.mode == "no-ra" and r.metric in TOLERANCES:
-            rel = abs(r.value - ref) / abs(ref)
-            delta = f"{rel:8.2%}"
-            if rel <= TOLERANCES[r.metric]:
-                verdict = "pass"
-            elif (r.stderr is not None and math.isfinite(r.stderr)
-                  and abs(r.value - ref) <= 3.0 * r.stderr):
-                # over tolerance but within Monte Carlo noise: flag, not fail
-                verdict = "noisy"
-            else:
-                verdict = "FAIL"
-                ok = False
+        ref = closed.get((r.rho, r.hops, r.link_erasure, r.metric))
+        delta, verdict = _verdict(r, ref)
+        ok = ok and verdict != "FAIL"
         lines.append(f"{r.mode:8} {r.rho:5.2f} {r.hops:2d} "
                      f"{r.link_erasure:5.2f} {r.metric:18} "
                      f"{r.value:12.5g} "
@@ -439,8 +434,8 @@ def run_analytic(spec: ExperimentSpec):
             [name, "single_attempt_success",
              _fmt(ra.single_attempt_success(ra_cfg, rate))],
         ]
-    rows += [[f"chain rho={r.rho} N={r.hops} eps={r.link_erasure}", r.metric,
-              _fmt(r.value)] for r in _analytic_rows(spec)]
+    rows += [[f"chain rho={rho} N={hops} eps={eps}", metric, _fmt(value)]
+             for (rho, hops, eps, metric), value in _closed_forms(spec).items()]
     path = out / "analytic.csv"
     _write_csv(path, ["subject", "metric", "value"], rows, "closed forms")
     _write_metadata(out, spec, "analytic")

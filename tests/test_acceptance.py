@@ -16,8 +16,7 @@ import pytest
 from leoiot import backhaul_sim as bs
 from leoiot import ra_analytic as ra
 from leoiot import ra_sim
-from leoiot.backhaul_analytic import (TandemModel, average_aoi_lossless,
-                                      expected_ty, mean_network_delay)
+from leoiot.backhaul_analytic import chain_metrics
 from leoiot.backhaul_sim import BackhaulConfig
 from leoiot.experiments import ExperimentSpec, run_backhauling
 from leoiot.scenario import load_config
@@ -146,24 +145,19 @@ def test_criterion_5_tandem_delay_grid():
     # sampling is chunked into independent replications to bound memory.
     plan = {0.3: (1, 200_000), 0.5: (1, 500_000),
             0.7: (3, 1_000_000), 0.9: (16, 1_000_000)}
+    # one pass per (rho, replication) scores every hop count, as the CLI does
     t0 = time.monotonic()
     worst = 0.0
-    for hops in (1, 2, 4, 6):
-        for rho, (reps, n) in plan.items():
-            means = []
-            for rep in range(reps):
-                rng = np.random.default_rng(
-                    np.random.SeedSequence((MASTER_SEED, 5, hops,
-                                            int(rho * 100), rep)))
-                stream = bs.poisson_stream(rho, n, rng)
-                trace = bs.run(stream, BackhaulConfig(hops),
-                               np.random.SeedSequence((MASTER_SEED, 55, hops,
-                                                       int(rho * 100), rep)))
-                assert trace.n_delivered >= 100_000
-                means.append(bs.mean_system_time(trace))
-            sim = float(np.mean(means))
-            law = mean_network_delay(hops, rho, 1.0)
-            worst = max(worst, abs(sim - law) / law)
+    for rho, (reps, n) in plan.items():
+        means = {}
+        for rep in range(reps):
+            for row in bs.run_point("no-ra", rho, (1, 2, 4, 6), 0.0, rep,
+                                    MASTER_SEED, n):
+                assert row.n_delivered >= 100_000
+                means.setdefault(row.hops, []).append(row.mean_system_time)
+        for hops, sims in means.items():
+            law = chain_metrics(hops, rho, 0.0)[0]
+            worst = max(worst, abs(float(np.mean(sims)) - law) / law)
     elapsed = time.monotonic() - t0
     verdict(5, worst <= 0.02 and elapsed < 300.0,
             f"grid N in (1,2,4,6) x rho in (0.3..0.9), >= 1e5 delivered "
@@ -186,7 +180,7 @@ def test_criterion_6_aoi_oracle():
                                                int(rho * 100))))
         sim = bs.average_aoi(trace).time_average_aoi
         exact = (1 + 1 / rho + rho ** 2 / (1 - rho))
-        analytic = average_aoi_lossless(rho, expected_ty(TandemModel(1, rho)))
+        analytic = chain_metrics(1, rho, 0.0)[1]
         worst_exact = max(worst_exact, abs(sim - exact) / exact)
         worst_analytic = max(worst_analytic, abs(sim - analytic) / analytic)
     verdict(6, worst_exact <= 0.03 and worst_analytic <= 0.05,

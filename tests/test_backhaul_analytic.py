@@ -6,11 +6,10 @@ import pytest
 
 from _gamma_reference import upper_regularized_gamma
 from leoiot.backhaul_analytic import (InstabilityError, TandemModel,
-                                      _poisson_tails, average_aoi_lossless,
-                                      average_aoi_with_errors, chain_metrics,
-                                      end_to_end_success, expected_ty,
-                                      expected_wy, mean_delivered_delay,
-                                      mean_network_delay)
+                                      _poisson_tails, average_aoi_with_errors,
+                                      chain_metrics, end_to_end_success,
+                                      expected_ty, expected_wy,
+                                      mean_delivered_delay)
 
 
 def mm1_aoi_exact(rho: float, mu: float = 1.0) -> float:
@@ -102,28 +101,34 @@ class TestEndToEndSuccess:
         assert end_to_end_success(6, 0.01) == pytest.approx(0.94148, abs=1e-5)
 
 
+def network_delay(hops: int, rho: float) -> float:
+    """The lossless chain's mean delay, as ``chain_metrics`` ships it."""
+    return chain_metrics(hops, rho, 0.0)[0]
+
+
 class TestMeanNetworkDelay:
+    """The lossless law N/(mu - lam), the eps = 0 case of the delay form."""
+
     def test_substitutions(self):
-        assert mean_network_delay(2, 0.5, 1.0) == pytest.approx(4.0)
-        assert mean_network_delay(6, 0.9, 1.0) == pytest.approx(60.0)
+        assert network_delay(2, 0.5) == pytest.approx(4.0)
+        assert network_delay(6, 0.9) == pytest.approx(60.0)
 
     def test_light_load_is_pure_service(self):
-        assert mean_network_delay(1, 1e-9, 1.0) == pytest.approx(1.0, rel=1e-6)
+        assert network_delay(1, 1e-9) == pytest.approx(1.0, rel=1e-6)
 
     def test_instability(self):
         with pytest.raises(InstabilityError):
-            mean_network_delay(2, 1.0, 1.0)
+            chain_metrics(2, 1.0, 0.0)
         with pytest.raises(InstabilityError):
-            mean_network_delay(2, 1.5, 1.0)
+            chain_metrics(2, 1.5, 0.0)
 
     def test_increasing_in_load_linear_in_hops(self):
-        delays = [mean_network_delay(2, lam, 1.0)
-                  for lam in np.linspace(0.05, 0.95, 19)]
+        delays = [network_delay(2, lam) for lam in np.linspace(0.05, 0.95, 19)]
         assert all(b > a for a, b in zip(delays, delays[1:]))
         for lam in (0.2, 0.5, 0.8):
-            base = mean_network_delay(1, lam, 1.0)
+            base = network_delay(1, lam)
             for hops in (2, 4, 6):
-                assert mean_network_delay(hops, lam, 1.0) == pytest.approx(
+                assert network_delay(hops, lam) == pytest.approx(
                     hops * base, rel=1e-12)
 
 
@@ -132,7 +137,7 @@ class TestMeanDeliveredDelay:
         for hops in (1, 2, 4):
             model = TandemModel(hops, 0.6, 1.0)
             assert mean_delivered_delay(model) == pytest.approx(
-                mean_network_delay(hops, 0.6, 1.0), rel=1e-12)
+                hops / (1.0 - 0.6), rel=1e-12)
 
     def test_thinned_node_sum(self):
         model = TandemModel(3, 0.5, 1.0, 0.1)
@@ -214,30 +219,32 @@ class TestExpectedTY:
                                                                       rel=0.05)
 
 
+def lossless_aoi(hops: int, rho: float) -> float:
+    """The lossless chain's average age, as ``chain_metrics`` ships it."""
+    return chain_metrics(hops, rho, 0.0)[1]
+
+
 class TestAverageAoiLossless:
+    """Kaul, Yates and Gruteser's lam (E[TY] + 1/lam^2), the eps = 0 case of
+    the age form."""
+
     @pytest.mark.parametrize("rho", [0.3, 0.5, 0.7])
     def test_single_hop_matches_exact_form(self, rho):
-        model = TandemModel(1, rho, 1.0)
-        aoi = average_aoi_lossless(rho, expected_ty(model))
-        assert aoi == pytest.approx(mm1_aoi_exact(rho), rel=1e-10)
+        assert lossless_aoi(1, rho) == pytest.approx(mm1_aoi_exact(rho),
+                                                     rel=1e-10)
 
     def test_low_load_asymptote(self):
-        lam = 1e-3
-        model = TandemModel(1, lam, 1.0)
-        aoi = average_aoi_lossless(lam, expected_ty(model))
-        assert aoi == pytest.approx(1.0 / lam, rel=0.01)
+        assert lossless_aoi(1, 1e-3) == pytest.approx(1e3, rel=0.01)
 
     def test_high_load_divergence(self):
-        a95 = average_aoi_lossless(0.95, expected_ty(TandemModel(1, 0.95, 1.0)))
-        a999 = average_aoi_lossless(0.999,
-                                    expected_ty(TandemModel(1, 0.999, 1.0)))
+        a95, a999 = lossless_aoi(1, 0.95), lossless_aoi(1, 0.999)
         assert a999 > a95 > mm1_aoi_exact(0.5)
 
 
 class TestAverageAoiWithErrors:
     def test_reduces_to_lossless(self):
         model = TandemModel(2, 0.5, 1.0, 0.0)
-        lossless = average_aoi_lossless(0.5, expected_ty(model))
+        lossless = 0.5 * (expected_ty(model) + 1.0 / 0.5 ** 2)
         assert average_aoi_with_errors(model) == pytest.approx(lossless,
                                                                rel=1e-12)
 

@@ -11,8 +11,7 @@ import pytest
 import _age_reference
 from _chain_reference import node_generators, reference_chain
 from leoiot import backhaul_sim as bs
-from leoiot.backhaul_analytic import TandemModel, average_aoi_lossless, \
-    expected_ty, mean_network_delay
+from leoiot.backhaul_analytic import chain_metrics
 from leoiot.backhaul_sim import (MODES, ArrivalStream, BackhaulConfig,
                                  NetworkTrace, average_aoi, mean_system_time,
                                  poisson_stream, run, run_point, sweep)
@@ -643,11 +642,9 @@ class TestAgeInPass:
 class TestSweep:
     def test_no_ra_point_reproduces_analytics(self):
         row = point("no-ra", 0.5, 2, 0.0, 99, 200_000)
-        assert row.mean_system_time == pytest.approx(
-            mean_network_delay(2, 0.5, 1.0), rel=0.02)
-        model = TandemModel(2, 0.5, 1.0)
-        assert row.mean_aoi == pytest.approx(
-            average_aoi_lossless(0.5, expected_ty(model)), rel=0.05)
+        delay, aoi = chain_metrics(2, 0.5, 0.0)
+        assert row.mean_system_time == pytest.approx(delay, rel=0.02)
+        assert row.mean_aoi == pytest.approx(aoi, rel=0.05)
         assert row.ra_success_prob is None
 
     def test_rows_cover_grid_sorted(self):

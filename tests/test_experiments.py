@@ -148,37 +148,62 @@ class TestBackhauling:
 
 
 class TestReport:
-    def test_empty_results_banner(self, tmp_path):
-        text, ok = report([], backhaul_spec(tmp_path))
-        assert ok
-        assert "no runs" in text
+    # the closed-form mean delay of the one cell these rows sit in
+    CLOSED = {(0.5, 2, 0.0, "mean_system_time"): 4.0}
+
+    def verdict(self, tmp_path, value, stderr, mode="no-ra"):
+        """The last column of the row's report line, and the exit flag."""
+        row = ResultRow("fig6", mode, 0.5, 2, 0.0, "mean_system_time", value,
+                        stderr)
+        text, ok = report([row], self.CLOSED, backhaul_spec(tmp_path))
+        line, = (l for l in text.splitlines() if l.startswith(mode))
+        last = line.split()[-1]
+        return (last if last in ("pass", "noisy", "FAIL") else ""), ok
+
+    def test_empty_grid_rejected(self, tmp_path):
+        # the CLI's nargs="+" already stops an empty grid; a library call
+        # meets one error line per empty grid before any file is written
+        for field, name in (("rhos", "rho"), ("hops", "hops"),
+                            ("erasures", "link erasure"), ("modes", "mode")):
+            with pytest.raises(ex.SpecError) as info:
+                run_backhauling(backhaul_spec(tmp_path, **{field: ()}))
+            assert info.value.problems == [
+                f"{name}: the grid needs at least one value"]
+        assert not any(tmp_path.iterdir())
 
     def test_tolerance_failure_flips_exit(self, tmp_path):
-        spec = backhaul_spec(tmp_path)
-        rows = [
-            ResultRow("fig6", "analytic", 0.5, 2, 0.0,
-                      "mean_system_time", 4.0, None),
-            ResultRow("fig6", "no-ra", 0.5, 2, 0.0,
-                      "mean_system_time", 4.5, 0.01),
-        ]
-        text, ok = report(rows, spec)
-        assert not ok
-        assert "FAIL" in text
+        assert self.verdict(tmp_path, 4.5, 0.01) == ("FAIL", False)
 
     def test_within_tolerance_passes(self, tmp_path):
-        spec = backhaul_spec(tmp_path)
-        rows = [
-            ResultRow("fig6", "analytic", 0.5, 2, 0.0,
-                      "mean_system_time", 4.0, None),
-            ResultRow("fig6", "no-ra", 0.5, 2, 0.0,
-                      "mean_system_time", 4.05, 0.01),
-        ]
-        text, ok = report(rows, spec)
-        assert ok
+        assert self.verdict(tmp_path, 4.05, 0.01) == ("pass", True)
+
+    def test_within_three_standard_errors_is_noisy(self, tmp_path):
+        # 2.5% over a 2% tolerance, but 2 standard errors off
+        assert self.verdict(tmp_path, 4.1, 0.05) == ("noisy", True)
+
+    def test_nan_standard_error_fails(self, tmp_path):
+        # one replication has no standard error, so no noise escape
+        assert self.verdict(tmp_path, 4.1, float("nan")) == ("FAIL", False)
+
+    def test_access_feed_rows_get_no_verdict(self, tmp_path):
+        assert self.verdict(tmp_path, 4.5, 0.01, mode="ra-a1") == ("", True)
+
+    def test_report_reads_the_overlay(self, tmp_path):
+        run_backhauling(backhaul_spec(tmp_path, erasures=(0.0, 0.1)))
+        overlay = {(r["rho"], r["hops"], r["link_erasure"], r["metric"]):
+                   float(r["value"])
+                   for r in read_rows(tmp_path / "analytic_overlay.csv")}
+        lines = [w for w in map(str.split, (tmp_path / "report.txt")
+                                .read_text().splitlines())
+                 if w[0] == "no-ra" and w[4] in ex.TOLERANCES]
+        assert len(lines) == len(overlay) == 8
+        for mode, rho, hops, eps, metric, value, analytic, *_ in lines:
+            ref = overlay[f"{float(rho):g}", hops, f"{float(eps):g}", metric]
+            assert float(analytic) == pytest.approx(ref, rel=1e-4)
 
     def test_unstable_points_flagged(self, tmp_path):
         spec = backhaul_spec(tmp_path, rhos=(0.5, 1.0))
-        text, _ = report([], spec)
+        text, _ = report([], {}, spec)
         assert "flagged" in text and "1.0" in text
 
 
