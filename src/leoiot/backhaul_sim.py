@@ -235,14 +235,6 @@ def run(stream: ArrivalStream, cfg: BackhaulConfig, seed) -> NetworkTrace:
                         delivered_index=index[:k], delivery_times=times[:k])
 
 
-def mean_system_time(trace: NetworkTrace) -> float:
-    """Mean generation-to-delivery time over delivered packets only."""
-    if trace.n_delivered == 0:
-        raise ValueError("no delivered packet; mean system time undefined")
-    return float(np.mean(trace.delivery_times
-                         - trace.gen_times[trace.delivered_index]))
-
-
 class _Age:
     """The age integrator, fed the deliveries in order, a chunk at a time.
 

@@ -78,10 +78,9 @@ class ExperimentSpec:
 
 
 @dataclass(frozen=True)
-class ResultRow:
-    """One metric value with its full parameter tuple."""
+class Check:
+    """A summary metric of a sweep cell, its closed form and its gate."""
 
-    figure: str
     mode: str
     rho: float
     hops: int
@@ -89,6 +88,23 @@ class ResultRow:
     metric: str
     value: float
     stderr: float             # NaN for a single replication
+    analytic: float           # NaN where no closed form applies
+    tolerance: float          # NaN where no gate applies
+
+    @property
+    def gap(self) -> float:
+        """The value's relative distance from the closed form."""
+        return abs(self.value - self.analytic) / abs(self.analytic)
+
+    @property
+    def verdict(self) -> str:
+        """'pass' within tolerance, 'noisy' over it but within 3 standard
+        errors (a NaN one never is), else 'FAIL'; '' with no gate."""
+        if math.isnan(self.tolerance):
+            return ""
+        return ("pass" if self.gap <= self.tolerance else "noisy"
+                if abs(self.value - self.analytic) <= 3.0 * self.stderr
+                else "FAIL")
 
 
 class SpecError(ValueError):
@@ -189,11 +205,7 @@ def _write_metadata(out: Path, spec: ExperimentSpec, command: str, extra=None):
 
 
 def _fmt(x: float) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
-    return f"{x:.8g}"
+    return "" if x is None else f"{x:.8g}"    # NaN prints as "nan"
 
 
 # ---------------------------------------------------------------------------
@@ -306,17 +318,17 @@ def run_backhauling(spec: ExperimentSpec):
                "per-replication sweep rows")
     files.append(raw)
 
-    result_rows = _aggregate(spec, rows)
+    closed = _closed_forms(spec)
+    checks = _checks(rows, closed)
     agg = out / "backhaul_summary.csv"
     _write_csv(agg, ["figure", "mode", "rho", "hops", "link_erasure",
                      "metric", "value", "stderr"],
-               [[r.figure, r.mode, _fmt(r.rho), r.hops, _fmt(r.link_erasure),
-                 r.metric, _fmt(r.value), _fmt(r.stderr)]
-                for r in result_rows],
+               [[spec.figure, c.mode, _fmt(c.rho), c.hops,
+                 _fmt(c.link_erasure), c.metric, _fmt(c.value),
+                 _fmt(c.stderr)] for c in checks],
                "aggregated metrics with Monte Carlo standard errors")
     files.append(agg)
 
-    closed = _closed_forms(spec)
     ov = out / "analytic_overlay.csv"
     _write_csv(ov, ["figure", "mode", "rho", "hops", "link_erasure",
                     "metric", "value"],
@@ -326,7 +338,7 @@ def run_backhauling(spec: ExperimentSpec):
                "closed-form overlay (no-RA regime)")
     files.append(ov)
 
-    text, ok = report(result_rows, closed, spec)
+    text, ok = report(checks, spec)
     rp = out / "report.txt"
     rp.write_text(text)
     files.append(rp)
@@ -336,47 +348,34 @@ def run_backhauling(spec: ExperimentSpec):
     return files, ok
 
 
-def _aggregate(spec: ExperimentSpec, rows):
-    """Collapse replications into mean +- standard error per metric."""
-    metrics = ("mean_system_time", "mean_aoi", "delivered_fraction",
-               "ra_success_prob")
+def _checks(rows, closed: dict) -> list:
+    """Collapse the replications of each cell into one ``Check`` per
+    metric, in summary order: mean, standard error and the closed form
+    from ``closed`` (as ``_closed_forms`` keys it).  Only no-ra rows with
+    a closed form are gated: the access feeds lie outside its validity."""
     groups: dict = {}
     for r in rows:
         groups.setdefault((r.mode, r.rho, r.hops, r.link_erasure), []).append(r)
     out = []
     for (mode, rho, hops, eps), grp in sorted(groups.items()):
-        for metric in metrics:
-            vals = [getattr(g, metric) for g in grp
-                    if getattr(g, metric) is not None]
-            if not vals or all(math.isnan(v) for v in vals):
-                continue
-            mean = statistics.fmean(vals)
+        for metric in ("mean_system_time", "mean_aoi", "delivered_fraction",
+                       "ra_success_prob"):
+            vals = [getattr(g, metric) for g in grp]
+            if vals[0] is None or all(math.isnan(v) for v in vals):
+                continue      # a no-ra cell has no ra_success_prob
             se = (statistics.stdev(vals) / math.sqrt(len(vals))
-                  if len(vals) > 1 else float("nan"))
-            out.append(ResultRow(spec.figure, mode, rho, hops, eps, metric,
-                                 mean, se))
+                  if len(vals) > 1 else math.nan)
+            ref = closed.get((rho, hops, eps, metric), math.nan)
+            gated = mode == "no-ra" and not math.isnan(ref)
+            out.append(Check(mode, rho, hops, eps, metric,
+                             statistics.fmean(vals), se, ref,
+                             TOLERANCES[metric] if gated else math.nan))
     return out
 
 
-def _verdict(row: ResultRow, ref) -> tuple:
-    """(delta, verdict) of a summary row against its closed form ``ref``.
-    Only no-ra rows are gated: the ten-attempt feed lies outside the closed
-    forms' validity.  Over tolerance but within 3 standard errors is
-    'noisy', not a failure; a NaN standard error never is."""
-    if ref is None or row.mode != "no-ra" or row.metric not in TOLERANCES:
-        return "", ""
-    rel = abs(row.value - ref) / abs(ref)
-    verdict = ("pass" if rel <= TOLERANCES[row.metric] else "noisy"
-               if abs(row.value - ref) <= 3.0 * row.stderr else "FAIL")
-    return f"{rel:8.2%}", verdict
-
-
-def report(result_rows, closed: dict, spec: ExperimentSpec):
-    """Human-readable metric table with each row's closed form ``closed``
-    (as ``_closed_forms`` keys it), delta and verdict.
-
-    Returns (text, no_row_failed).
-    """
+def report(checks, spec: ExperimentSpec):
+    """The checks as a table sorted by cell and metric, with each row's
+    gap and verdict; returns (text, no_row_failed)."""
     lines = [f"leoiot report - figure={spec.figure} seed={spec.config.seed} "
              f"replications={spec.replications} "
              f"config={config_hash(spec.config, READS['backhaul'])}"]
@@ -384,20 +383,17 @@ def report(result_rows, closed: dict, spec: ExperimentSpec):
     if unstable:
         lines.append(f"flagged: no analytic overlay for rho in {unstable} "
                      f"(outside the stable range)")
-    ok = True
     lines.append(f"{'mode':8} {'rho':>5} {'N':>2} {'eps':>5} "
                  f"{'metric':18} {'value':>12} {'analytic':>12} "
                  f"{'delta':>8} verdict")
-    for r in sorted(result_rows, key=lambda r: (r.mode, r.rho, r.hops,
-                                                r.link_erasure, r.metric)):
-        ref = closed.get((r.rho, r.hops, r.link_erasure, r.metric))
-        delta, verdict = _verdict(r, ref)
-        ok = ok and verdict != "FAIL"
-        lines.append(f"{r.mode:8} {r.rho:5.2f} {r.hops:2d} "
-                     f"{r.link_erasure:5.2f} {r.metric:18} "
-                     f"{r.value:12.5g} "
-                     f"{ref if ref is not None else float('nan'):12.5g} "
-                     f"{delta:>8} {verdict}")
+    for c in sorted(checks, key=lambda c: (c.mode, c.rho, c.hops,
+                                           c.link_erasure, c.metric)):
+        delta = f"{c.gap:8.2%}" if c.verdict else ""
+        lines.append(f"{c.mode:8} {c.rho:5.2f} {c.hops:2d} "
+                     f"{c.link_erasure:5.2f} {c.metric:18} "
+                     f"{c.value:12.5g} {c.analytic:12.5g} "
+                     f"{delta:>8} {c.verdict}")
+    ok = all(c.verdict != "FAIL" for c in checks)
     lines.append("tolerances: " + ", ".join(f"{k} <= {v:.0%}"
                                             for k, v in TOLERANCES.items())
                  + "; 'noisy' = over tolerance but within 3 standard errors"
@@ -497,31 +493,25 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_val = sub.add_parser("validate", help="check a scenario configuration")
-    _add_common(p_val)
-
     p_off = sub.add_parser("offload", help="contention pmfs and latency CDFs")
-    _add_common(p_off)
     p_off.add_argument("--attempts", type=int, nargs="+", default=None)
 
     p_bh = sub.add_parser("backhaul", help="delay and age versus load sweep")
-    _add_common(p_bh)
     p_bh.add_argument("--figure", choices=("fig6", "fig7", "custom"),
                       default="fig6")
-    p_bh.add_argument("--rho", type=float, nargs="+", default=None)
-    p_bh.add_argument("--hops", type=int, nargs="+", default=None)
-    p_bh.add_argument("--link-erasure", type=float, nargs="+", default=None,
-                      dest="link_erasure")
     p_bh.add_argument("--mode", nargs="+", choices=bs.MODES, default=None)
     p_bh.add_argument("--replications", type=int, default=None)
     p_bh.add_argument("--packets", type=int, default=None)
     p_bh.add_argument("--workers", type=int, default=None)
 
     p_an = sub.add_parser("analytic", help="closed-form tables only")
-    _add_common(p_an)
-    p_an.add_argument("--rho", type=float, nargs="+", default=None)
-    p_an.add_argument("--hops", type=int, nargs="+", default=None)
-    p_an.add_argument("--link-erasure", type=float, nargs="+", default=None,
-                      dest="link_erasure")
+    for p in (p_val, p_off, p_bh, p_an):
+        _add_common(p)
+    for p in (p_bh, p_an):
+        p.add_argument("--rho", type=float, nargs="+", default=None)
+        p.add_argument("--hops", type=int, nargs="+", default=None)
+        p.add_argument("--link-erasure", type=float, nargs="+", default=None,
+                       dest="link_erasure")
     for p in (p_off, p_bh):           # the closed forms draw no random number
         p.add_argument("--seed", type=int, default=None)
     for p in (p_off, p_bh, p_an):

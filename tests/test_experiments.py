@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import pytest
 from leoiot import backhaul_sim as bs
 from leoiot import experiments as ex
 from leoiot import ra_analytic as ra
-from leoiot.experiments import (ExperimentSpec, ResultRow, main, report,
+from leoiot.experiments import (ExperimentSpec, main, report,
                                 run_analytic, run_backhauling, run_offloading)
 from leoiot.experiments import READS
 from leoiot.scenario import (SETTABLE, RaConfig, apply_overrides,
@@ -151,14 +152,46 @@ class TestReport:
     # the closed-form mean delay of the one cell these rows sit in
     CLOSED = {(0.5, 2, 0.0, "mean_system_time"): 4.0}
 
+    @staticmethod
+    def rows(delays, mode="no-ra", rho=0.5):
+        """Sweep rows of one cell at 2 hops, one replication per delay."""
+        return [bs.SweepRow(
+            mode=mode, rho=rho, hops=2, link_erasure=0.0, replication=k,
+            n_offered=1000, n_delivered=1000, delivered_fraction=1.0,
+            mean_system_time=t, mean_aoi=5.0, peak_aoi_mean=6.0,
+            ra_success_prob=None if mode == "no-ra" else 0.9)
+            for k, t in enumerate(delays)]
+
     def verdict(self, tmp_path, value, stderr, mode="no-ra"):
-        """The last column of the row's report line, and the exit flag."""
-        row = ResultRow("fig6", mode, 0.5, 2, 0.0, "mean_system_time", value,
-                        stderr)
-        text, ok = report([row], self.CLOSED, backhaul_spec(tmp_path))
-        line, = (l for l in text.splitlines() if l.startswith(mode))
+        """The last column of the mean-delay report line of a cell whose
+        replications read value -+ stderr (one replication when stderr is
+        NaN), and the exit flag."""
+        delays = ([value] if math.isnan(stderr)
+                  else [value - stderr, value + stderr])
+        checks = ex._checks(self.rows(delays, mode), self.CLOSED)
+        text, ok = report(checks, backhaul_spec(tmp_path))
+        line, = (l for l in text.splitlines()
+                 if l.startswith(mode) and "mean_system_time" in l)
         last = line.split()[-1]
         return (last if last in ("pass", "noisy", "FAIL") else ""), ok
+
+    def test_replications_collapse_to_mean_and_standard_error(self):
+        checks = ex._checks(self.rows([4.51, 4.49], mode="ra-a1"),
+                            self.CLOSED)
+        # one check per metric, in the summary's order
+        assert [c.metric for c in checks] == [
+            "mean_system_time", "mean_aoi", "delivered_fraction",
+            "ra_success_prob"]
+        delay = checks[0]
+        assert delay.value == pytest.approx(4.5)
+        assert delay.stderr == pytest.approx(0.01)
+        # an ra cell shows the closed form but is not gated
+        assert delay.analytic == 4.0 and math.isnan(delay.tolerance)
+        no_ra, = (c for c in ex._checks(self.rows([4.51, 4.49]), self.CLOSED)
+                  if c.metric == "mean_system_time")
+        assert no_ra.tolerance == ex.TOLERANCES["mean_system_time"]
+        # a single replication has no standard error
+        assert math.isnan(ex._checks(self.rows([4.5]), self.CLOSED)[0].stderr)
 
     def test_empty_grid_rejected(self, tmp_path):
         # the CLI's nargs="+" already stops an empty grid; a library call
@@ -201,9 +234,26 @@ class TestReport:
             ref = overlay[f"{float(rho):g}", hops, f"{float(eps):g}", metric]
             assert float(analytic) == pytest.approx(ref, rel=1e-4)
 
+    def test_report_prints_the_summary(self, tmp_path):
+        run_backhauling(backhaul_spec(tmp_path, rhos=(0.5, 1.2),
+                                      packets=5_000))
+        summary = {(r["mode"], float(r["rho"]), r["hops"],
+                    float(r["link_erasure"]), r["metric"]): float(r["value"])
+                   for r in read_rows(tmp_path / "backhaul_summary.csv")}
+        lines = [l.split() for l in (tmp_path / "report.txt").read_text()
+                 .splitlines() if l.startswith("no-ra")]
+        assert len(lines) == len(summary) == 6
+        for mode, rho, hops, eps, metric, value, *_ in lines:
+            assert float(value) == pytest.approx(
+                summary[mode, float(rho), hops, float(eps), metric], rel=1e-4)
+        # the unstable load has no closed form and gets no verdict
+        unstable = [w for w in lines if w[1] == "1.20"]
+        assert len(unstable) == 3
+        assert all(len(w) == 7 and w[-1] == "nan" for w in unstable)
+
     def test_unstable_points_flagged(self, tmp_path):
         spec = backhaul_spec(tmp_path, rhos=(0.5, 1.0))
-        text, _ = report([], {}, spec)
+        text, _ = report([], spec)
         assert "flagged" in text and "1.0" in text
 
 

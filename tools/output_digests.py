@@ -1,4 +1,4 @@
-"""Digest every file that four fixed ``leoiot`` runs write, so that two
+"""Digest every file that five fixed ``leoiot`` runs write, so that two
 checkouts can be shown to write byte-identical outputs with one ``diff``.
 
     python3 tools/output_digests.py 1 5 > change.txt
@@ -8,12 +8,14 @@ checkouts can be shown to write byte-identical outputs with one ``diff``.
 For each seed it runs ``offload --set horizon=320000``, a three-load fig6
 backhaul sweep of 2,000 packets and a three-load fig7 sweep of 10^6
 packets, and once ``analytic --preset backhauling``, which draws no
-random number.  Each run is a child process with ``--src`` (default: the
-``src`` of this checkout) first on its ``PYTHONPATH``, writing into a
-temporary directory.  Every written file gives one line ``sha256
-seedN/command/file``, and every run one line ``exit=S  seedN/command``
-with its exit status: fig6 exits 1 when its tolerance report flags a
-row.
+random number; last, for each seed, the fig6 sweep again with two
+replications, whose summary and report carry finite standard errors and
+so can read ``noisy``.  Each run is a child process with ``--src``
+(default: the ``src`` of this checkout) first on its ``PYTHONPATH``,
+writing into a temporary directory.  Every written file gives one line
+``sha256  seedN/command/file``, and every run one line ``exit=S
+seedN/command`` with its exit status: a fig6 sweep exits 1 when its
+tolerance report flags a row.
 """
 from __future__ import annotations
 
@@ -35,6 +37,8 @@ COMMANDS = {
     "fig7": (["backhaul", "--figure", "fig7", "--rho", "0.2", "0.5", "0.8",
               "--replications", "1", "--packets", "1000000"], True),
     "analytic": (["analytic", "--preset", "backhauling"], False),
+    "fig6-r2": (["backhaul", "--figure", "fig6", "--rho", "0.2", "0.4", "0.6",
+                 "--replications", "2", "--packets", "2000"], True),
 }
 
 
