@@ -10,12 +10,12 @@ path exactly: a packet starts service when both it and the server are
 ready, and a dropped packet still consumes service at every node up to
 and including the link that erased it.
 
-A cache-sized chunk of the stream crosses every node before the next one
-enters.  Each node draws from generators of its own, ahead on a second
-thread for a longer stream, so the chain does not depend on the chunk
-size and its first n nodes are the n-hop chain.  A sweep feeds node n's
-survivors straight into the n-hop cell's age integrator: one pass scores
-every hop count, and a cell holds its stream plus chunk buffers.
+A cache-sized chunk read from the stream crosses every node of each link
+erasure's chain before the next is read.  Each node draws from generators
+of its own, ahead on a second thread for a longer stream, so the chain
+does not depend on the chunk size and its first n nodes are the n-hop
+chain.  A sweep scores the n-hop cell on node n's survivors: one read
+serves every hop count and erasure, and a cell holds chunk buffers only.
 """
 from __future__ import annotations
 
@@ -25,8 +25,8 @@ import math
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
-from typing import ClassVar
+from functools import cached_property, partial
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -53,33 +53,53 @@ class BackhaulConfig:
 
 @dataclass(frozen=True)
 class ArrivalStream:
-    """Packets entering the chain: queue arrival times plus the generation
-    times that the age metric is anchored to (they differ when the access
-    procedure sits in front)."""
+    """``n`` packets entering the chain: every call of ``chunks()`` yields
+    the same queue arrival and generation times (the age's anchors, which
+    differ from arrivals behind the access procedure), ``_CHUNK`` packets a
+    chunk but the last; a stream held in memory also keeps ``gen_times``."""
 
-    arrival_times: np.ndarray
-    gen_times: np.ndarray
+    n: int
+    chunks: Callable                    # () -> iterator of the chunks
+    gen_times: np.ndarray | None = None
 
-    def __post_init__(self):
-        if len(self.arrival_times) != len(self.gen_times):
-            raise ValueError("arrival and generation vectors must align")
-        a = self.arrival_times
-        for lo in range(0, len(a) - 1, _CHUNK):
-            # a chunk and the next arrival: no array of the stream's length
-            head = a[lo:lo + _CHUNK + 1]
-            if (head[1:] < head[:-1]).any():
-                raise ValueError("arrival times must be sorted")
-
-    def __len__(self):
-        return len(self.arrival_times)
+    @cached_property
+    def span(self) -> tuple:
+        """The least and the greatest generation time, from one read."""
+        lows, highs = zip((math.inf, -math.inf),
+                          *((g.min(), g.max()) for _, g in self.chunks()))
+        return min(lows), max(highs)
 
 
-def poisson_stream(rate: float, n_packets: int, rng) -> ArrivalStream:
-    """Poisson arrivals at ``rate``; each packet is generated as it
-    arrives, so one array serves as both time vectors."""
-    times = rng.exponential(1.0 / rate, size=n_packets)
-    np.cumsum(times, out=times)
-    return ArrivalStream(arrival_times=times, gen_times=times)
+def array_stream(arrival_times, gen_times) -> ArrivalStream:
+    """A stream held in memory, read in slices; arrivals must be sorted."""
+    a, g, n = arrival_times, gen_times, len(arrival_times)
+    if n != len(g):
+        raise ValueError("arrival and generation vectors must align")
+    for lo in range(0, n - 1, _CHUNK):
+        # a chunk and the next arrival: no array of the stream's length
+        head = a[lo:lo + _CHUNK + 1]
+        if (head[1:] < head[:-1]).any():
+            raise ValueError("arrival times must be sorted")
+    return ArrivalStream(n, lambda: ((a[lo:lo + _CHUNK], g[lo:lo + _CHUNK])
+                                     for lo in range(0, n, _CHUNK)), g)
+
+
+def poisson_stream(rate: float, n_packets: int, seed) -> ArrivalStream:
+    """Poisson arrivals at ``rate``, each generated as it arrives: a read
+    draws the running sums of ``default_rng(seed).exponential(1 / rate,
+    n_packets)`` afresh, a chunk at a time, as both time vectors, so no
+    array of the stream's length is ever held."""
+    seed = (seed if isinstance(seed, np.random.SeedSequence)
+            else np.random.SeedSequence(seed))  # one entropy for every read
+
+    def chunks():
+        rng, carry = np.random.default_rng(seed), 0.0
+        for lo in range(0, n_packets, _CHUNK):
+            times = rng.exponential(1.0 / rate, min(_CHUNK, n_packets - lo))
+            times[0] += carry
+            carry = np.cumsum(times, out=times)[-1]
+            yield times, times
+    return ArrivalStream(n_packets, chunks)
 
 
 @dataclass
@@ -123,13 +143,15 @@ def _node_generators(seed, hops: int) -> list:
         for kind in range(2)] for node in range(hops)]
 
 
-def _draws(seed, n: int, hops: int, link_erasure: float, ring: list):
-    """Every random draw of the chain, a chunk of the stream at a time and
-    node by node within it: the services of the chunk's packets that reach
-    the node, in the buffers of ``ring`` in turn, and on a lossy link the
-    mask of those it keeps (None on a lossless one)."""
-    nodes, slots = _node_generators(seed, hops), itertools.cycle(ring)
-    for lo in range(0, n, _CHUNK):
+def _draws(links, n: int, hops: int, ring: list):
+    """Every random draw of the chains of ``links``, a chunk of the stream
+    at a time, then link by link and node by node: the services of the
+    chunk's packets that reach the node, in the buffers of ``ring`` in
+    turn, and on a lossy link the mask of those it keeps (else None)."""
+    chains = [(eps, _node_generators(seed, hops)) for eps, seed in links]
+    slots = itertools.cycle(ring)
+    for lo, (link_erasure, nodes) in itertools.product(range(0, n, _CHUNK),
+                                                       chains):
         k = min(_CHUNK, n - lo)
         for services, erasures in nodes:
             slot, keep = next(slots)[:k], None
@@ -157,37 +179,41 @@ def _ahead(items, depth: int):
         pool.shutdown(cancel_futures=True)
 
 
-def _chain(stream: ArrivalStream, hops: int, link_erasure: float, seed,
-           sink) -> None:
-    """Push a packet stream through ``hops`` nodes, a chunk at a time.
+def _chain(stream: ArrivalStream, hops: int, links, sink) -> None:
+    """Push one read of a packet stream, a chunk at a time, through ``hops``
+    nodes of the chain of each (link erasure, seed) pair of ``links``: one
+    read serves every erasure, in chunk buffers only, whatever its length.
 
     Per node the random draws are the service times of the packets that
     reach it, in arrival order, then (on a lossy link) one uniform per
     served packet deciding whether the link erases it.  A node's waits
     W_i = max(0, W_{i-1} + S_{i-1} - Y_i) are C - min.accumulate(C), C the
     running sum of S_{i-1} - Y_i; a leading slot carries the sum and the
-    minimum on from chunk to chunk.  After each node, ``sink(node, alive,
-    times)`` gets the chunk's survivors in order, by stream index and
-    departure time, in buffers that the next node reuses.
+    minimum on from chunk to chunk.  After each node, ``sink(link, node,
+    lo, gen, alive, times)`` gets the chunk's offset in the stream and its
+    generation times, and its survivors in order, by index in the chunk
+    and departure time, in buffers that the next node reuses.
     """
-    n, size = len(stream), min(len(stream), _CHUNK)
+    n, size = stream.n, min(stream.n, _CHUNK)
     times, cum, low = np.empty(size), np.empty(size + 1), np.empty(size + 1)
     # a buffer per chunk drawn ahead, one for the chunk in the scan
     ring = [np.empty(size) for _ in range(1 + _AHEAD * (n > _CHUNK))]
-    # per node: running sum and minimum, last arrival and last service;
-    # each node starts idle at the stream's first arrival
-    first = stream.arrival_times[0] if n else 0.0
-    carry = [[0.0, 0.0, first, 0.0] for _ in range(hops)]
-    # the stream indices of a chunk and of its survivors past a lossy link
-    index = np.arange(-_CHUNK, size - _CHUNK)
-    kept = np.empty(size if link_erasure > 0.0 else 0, np.intp)
-    draws = _draws(seed, n, hops, link_erasure, ring)
+    # the indices of a chunk and of its survivors past a lossy link
+    index = np.arange(size)
+    kept = np.empty(size * any(eps > 0.0 for eps, _ in links), np.intp)
+    draws = _draws(links, n, hops, ring)
     with (_ahead(draws, _AHEAD) if n > _CHUNK
           else contextlib.nullcontext(draws)) as draws:
-        for lo in range(0, n, _CHUNK):
-            a = stream.arrival_times[lo:lo + _CHUNK]
-            alive = np.add(index, _CHUNK, out=index)[:len(a)]
-            for node, state in enumerate(carry):
+        for lo, (arrivals, gen) in zip(range(0, n, _CHUNK), stream.chunks()):
+            if not lo:
+                # per link and node: running sum and minimum, last arrival
+                # and last service; each node starts idle at the first arrival
+                carry = [[0.0, 0.0, arrivals[0], 0.0]
+                         for _ in range(len(links) * hops)]
+            for i, state in enumerate(carry):
+                link, node = divmod(i, hops)
+                if not node:
+                    a, alive = arrivals, index[:len(arrivals)]
                 s, keep = next(draws)
                 if len(s):
                     carry_sum, carry_min, last_a, last_s = state
@@ -210,28 +236,31 @@ def _chain(stream: ArrivalStream, hops: int, link_erasure: float, seed,
                     alive = np.take(alive, keep, out=kept[:len(keep)],
                                     mode="clip")
                     a = np.take(a, keep, out=times[:len(keep)], mode="clip")
-                sink(node, alive, a)
+                sink(link, node, lo, gen, alive, a)
 
 
 def run(stream: ArrivalStream, cfg: BackhaulConfig, seed) -> NetworkTrace:
     """Push a packet stream through the chain and keep its trace: the
     node whose link erased each packet, and the stream index and delivery
     time of each survivor in delivery order."""
-    n, lossy, last = len(stream), cfg.link_erasure > 0.0, cfg.hops - 1
+    n, lossy, last = stream.n, cfg.link_erasure > 0.0, cfg.hops - 1
     # every packet is at risk at node 1, and a survivor of node j at j + 1
     drop_node = np.full(n, int(lossy), dtype=np.min_scalar_type(cfg.hops))
     index, times, k = np.empty(n, dtype=np.intp), np.empty(n), 0
+    gen_times = (stream.gen_times if stream.gen_times is not None else
+                 np.concatenate([g for _, g in stream.chunks()] or [[]]))
 
-    def collect(node, alive, departures):
+    def collect(link, node, lo, gen, alive, departures):
         nonlocal k
         if lossy:
-            drop_node[alive] = node + 2 if node < last else 0
+            drop_node[lo:][alive] = node + 2 if node < last else 0
         if node == last:
             span, k = slice(k, k + len(alive)), k + len(alive)
-            index[span], times[span] = alive, departures
+            np.add(alive, lo, out=index[span])
+            times[span] = departures
 
-    _chain(stream, cfg.hops, cfg.link_erasure, seed, collect)
-    return NetworkTrace(cfg, stream.gen_times, drop_node,
+    _chain(stream, cfg.hops, [(cfg.link_erasure, seed)], collect)
+    return NetworkTrace(cfg, gen_times, drop_node,
                         delivered_index=index[:k], delivery_times=times[:k])
 
 
@@ -245,15 +274,12 @@ class _Age:
     from one anchor to the next the age grows with slope one.
     """
 
-    def __init__(self, gen: np.ndarray, warmup_fraction: float):
-        size = min(len(gen), _CHUNK)
-        self.gen, self.buf, self.seg = gen, np.empty(size), np.empty(size)
-        self.flags = np.empty(size, bool)
+    def __init__(self, span: tuple, warmup_fraction: float, scratch: tuple):
+        self.buf, self.seg, self.flags = scratch
         # the warm-up share of the span of the offered generation times
-        self.cut = -math.inf
-        if warmup_fraction > 0.0 and len(gen):
-            lo, hi = float(gen.min()), float(gen.max())
-            self.cut = lo + warmup_fraction * (hi - lo)
+        lo, hi = span
+        self.cut = (lo + warmup_fraction * (hi - lo)
+                    if warmup_fraction > 0.0 and lo <= hi else -math.inf)
         # the deliveries' count and summed system time, the newest update,
         # the first and last anchor, the area under the sawtooth between
         # them, and the sum and count of its peaks (pre-reset ages)
@@ -261,15 +287,21 @@ class _Age:
         self.start, self.end, self.end_age = None, math.nan, math.nan
         self.area, self.peak_sum, self.peak_n = 0.0, 0.0, 0
 
-    def add(self, index, deliv):
-        """Add the next deliveries, at most ``_CHUNK`` of them: the stream
-        indices of their updates and their delivery times."""
+    @staticmethod
+    def scratch(n: int) -> tuple:
+        """Buffers that integrators share, each within one ``add``."""
+        size = min(n, _CHUNK)
+        return np.empty(size), np.empty(size), np.empty(size, bool)
+
+    def add(self, gen, index, deliv):
+        """Add the next deliveries, at most ``_CHUNK`` of them: the indices
+        of their updates in ``gen`` and their delivery times."""
         k = len(index)
         if not k:
             return
-        # the indices are the stream's own, and "clip" lets take write
-        # straight into the buffer
-        g = np.take(self.gen, index, out=self.buf[:k], mode="clip")
+        # the indices are into gen, and "clip" lets take write straight
+        # into the buffer
+        g = np.take(gen, index, out=self.buf[:k], mode="clip")
         top, cut, flags = self.top, self.cut, self.flags[:k]
         if g[0] > top and np.greater(g[1:], g[:-1], out=flags[1:]).all():
             # every delivery is fresh, so the anchors run from the cut on
@@ -336,9 +368,11 @@ def average_aoi(trace: NetworkTrace,
     warmup_fraction (g_max - g_min) over the offered updates.  This feeds
     the trace to the integrator that a sweep runs inside the chain pass.
     """
-    age = _Age(trace.gen_times, warmup_fraction)
+    gen = trace.gen_times
+    age = _Age((gen.min(initial=math.inf), gen.max(initial=-math.inf)),
+               warmup_fraction, _Age.scratch(len(gen)))
     for lo in range(0, trace.n_delivered, _CHUNK):
-        age.add(trace.delivered_index[lo:lo + _CHUNK],
+        age.add(gen, trace.delivered_index[lo:lo + _CHUNK],
                 trace.delivery_times[lo:lo + _CHUNK])
     return age.summary(trace.n_offered)
 
@@ -482,68 +516,14 @@ def rescale_feed(access: AccessFeed, rho: float) -> ArrivalStream:
     """The access feed on the chain's clock, at mean arrival rate rho.
 
     Generation times scale with the departures, so the handshake latency
-    stays in front of the queueing network in chain units.
+    stays in front of the queueing network in chain units; a read scales
+    the feed a slice at a time.
     """
-    dep_ms = access.departures_ms
-    rate_ms = len(dep_ms) / float(dep_ms[-1])
+    feed = array_stream(access.departures_ms, access.gen_times_ms)
+    rate_ms = feed.n / float(access.departures_ms[-1])
     scale = rate_ms / rho            # chain units per millisecond
-    return ArrivalStream(arrival_times=dep_ms * scale,
-                         gen_times=access.gen_times_ms * scale)
-
-
-def _cell_stream(mode: str, rho: float, replication: int, master_seed: int,
-                 n_packets: int, access: AccessFeed | None) -> ArrivalStream:
-    """The arrival stream of every cell of (mode, rho, replication)."""
-    if mode == "no-ra":
-        return poisson_stream(rho, n_packets, np.random.default_rng(
-            _poisson_seed(master_seed, rho, replication)))
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    if access is None:
-        raise ValueError(f"a {mode} cell needs its access feed")
-    return rescale_feed(access, rho)
-
-
-def run_point(mode: str, rho: float, hops, link_erasure: float,
-              replication: int, master_seed: int, n_packets: int,
-              access: AccessFeed | None = None,
-              stream: ArrivalStream | None = None) -> list:
-    """The sweep cells of every hop count in ``hops`` at one (mode, rho,
-    link erasure, replication), in that order: build the stream (unless
-    given), pass it once through ``max(hops)`` nodes, and score the n-hop
-    cell on node n's survivors as they leave it.  An ra cell rescales
-    ``access``, the feed that ``sweep`` simulated once for every load.
-    """
-    if stream is None:
-        stream = _cell_stream(mode, rho, replication, master_seed, n_packets,
-                              access)
-    ages = {n: _Age(stream.gen_times, WARMUP_FRACTION) for n in hops}
-
-    def integrate(node, alive, departures):
-        if node + 1 in ages:
-            ages[node + 1].add(alive, departures)
-
-    _chain(stream, max(hops, default=0), link_erasure,
-           _net_seed(master_seed, mode, rho, link_erasure, replication),
-           integrate)
-    rows = []
-    for n in hops:
-        try:
-            summary = ages[n].summary(len(stream))
-        except ValueError as exc:
-            raise ShortCellError(
-                f"{mode} cell rho={rho:g} hops={n} link erasure="
-                f"{link_erasure:g} replication={replication}: {exc}") from None
-        rows.append(SweepRow(
-            mode=mode, rho=rho, hops=n, link_erasure=link_erasure,
-            replication=replication, n_offered=len(stream),
-            n_delivered=ages[n].count,
-            delivered_fraction=summary.delivered_fraction,
-            mean_system_time=summary.mean_system_time,
-            mean_aoi=summary.time_average_aoi,
-            peak_aoi_mean=summary.peak_aoi_mean,
-            ra_success_prob=None if mode == "no-ra" else access.success_prob))
-    return rows
+    return ArrivalStream(feed.n, lambda: ((a * scale, g * scale)
+                                          for a, g in feed.chunks()))
 
 
 # access feeds of the running sweep, installed once in each pool worker
@@ -554,15 +534,57 @@ def _install_feeds(feeds: dict):
     _POOL_FEEDS.update(feeds)
 
 
-def _run_cells(task, feeds=_POOL_FEEDS) -> list:
-    """The cells (hops, link erasure) of one (mode, rho, replication): a
-    chain pass per link erasure scores every hop count."""
-    mode, rho, rep, hops, erasures, master_seed, n_packets = task
-    access = feeds.get((mode, rep))
-    stream = _cell_stream(mode, rho, rep, master_seed, n_packets, access)
-    return [row for eps in erasures
-            for row in run_point(mode, rho, hops, eps, rep, master_seed,
-                                 n_packets, access, stream)]
+def run_point(mode: str, rho: float, hops, erasures, replication: int,
+              master_seed: int, n_packets: int,
+              access: AccessFeed | None = None,
+              stream: ArrivalStream | None = None) -> list:
+    """The sweep cells of every link erasure in ``erasures`` and hop count
+    in ``hops`` at one (mode, rho, replication), in that order.  One read
+    of the stream (built unless given) crosses ``max(hops)`` nodes of each
+    erasure's chain a chunk at a time, and node n's survivors score the
+    n-hop cell: a cell holds chunk buffers only, whatever its length.  An
+    ra cell rescales ``access``, the feed that ``sweep`` simulated once for
+    every load (or the one a pool worker holds)."""
+    access = access or _POOL_FEEDS.get((mode, replication))
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode != "no-ra" and access is None:
+        raise ValueError(f"a {mode} cell needs its access feed")
+    if stream is None:
+        stream = (rescale_feed(access, rho) if mode != "no-ra" else
+                  poisson_stream(rho, n_packets,
+                                 _poisson_seed(master_seed, rho, replication)))
+    cells = list(itertools.product(range(len(erasures)), hops))
+    scratch = _Age.scratch(stream.n)
+    ages = {cell: _Age(stream.span, WARMUP_FRACTION, scratch)
+            for cell in cells}
+
+    def integrate(link, node, lo, gen, alive, departures):
+        if (link, node + 1) in ages:
+            ages[link, node + 1].add(gen, alive, departures)
+
+    _chain(stream, max(hops, default=0),
+           [(eps, _net_seed(master_seed, mode, rho, eps, replication))
+            for eps in erasures], integrate)
+    rows = []
+    for link, n in cells:
+        eps, age = erasures[link], ages[link, n]
+        try:
+            summary = age.summary(stream.n)
+        except ValueError as exc:
+            raise ShortCellError(
+                f"{mode} cell rho={rho:g} hops={n} link erasure="
+                f"{eps:g} replication={replication}: {exc}") from None
+        rows.append(SweepRow(
+            mode=mode, rho=rho, hops=n, link_erasure=eps,
+            replication=replication, n_offered=stream.n,
+            n_delivered=age.count,
+            delivered_fraction=summary.delivered_fraction,
+            mean_system_time=summary.mean_system_time,
+            mean_aoi=summary.time_average_aoi,
+            peak_aoi_mean=summary.peak_aoi_mean,
+            ra_success_prob=None if mode == "no-ra" else access.success_prob))
+    return rows
 
 
 def sweep(rhos, hops_list, erasures, modes, replications: int,
@@ -572,8 +594,8 @@ def sweep(rhos, hops_list, erasures, modes, replications: int,
 
     Each access feed is simulated once per (mode, replication), before
     the cells fan out, and rescaled to every load (``feed`` is needed for
-    ra modes); the cells of one (mode, rho, replication) share one arrival
-    stream.  The result order and content depend only on the grid and the
+    ra modes); the cells of one (mode, rho, replication) share one read of
+    one arrival stream.  The result order and content depend only on the grid and the
     master seed, never on the worker count.
     """
     unknown = [m for m in modes if m not in MODES]
@@ -585,7 +607,7 @@ def sweep(rhos, hops_list, erasures, modes, replications: int,
         raise ValueError("ra modes need the access feed settings")
     simulate = partial(ra_departure_stream, master_seed=master_seed,
                        n_packets=n_packets, feed=feed)
-    tasks = [(m, rho, rep, tuple(hops_list), tuple(erasures), master_seed,
+    tasks = [(m, rho, tuple(hops_list), tuple(erasures), rep, master_seed,
               n_packets)
              for m in modes for rho in rhos for rep in range(replications)]
     if workers > 1:
@@ -598,11 +620,11 @@ def sweep(rhos, hops_list, erasures, modes, replications: int,
         with ProcessPoolExecutor(max_workers=workers, mp_context=spawn,
                                  initializer=_install_feeds,
                                  initargs=(feeds,)) as pool:
-            rows = [row for part in pool.map(_run_cells, tasks, chunksize=1)
-                    for row in part]
+            parts = list(pool.map(run_point, *zip(*tasks), chunksize=1))
     else:
         feeds = dict(zip(keys, map(simulate, keys)))
-        rows = [row for t in tasks for row in _run_cells(t, feeds)]
+        parts = [run_point(*t, feeds.get((t[0], t[4]))) for t in tasks]
+    rows = [row for part in parts for row in part]
     rows.sort(key=lambda r: (r.mode, r.rho, r.hops, r.link_erasure,
                              r.replication))
     return rows

@@ -546,6 +546,9 @@ def main(argv=None) -> int:
         return _rejected(exc.problems)
     except (bs.ShortCellError, ba.InstabilityError) as exc:
         return _rejected([exc])
+    except MemoryError as exc:
+        return _rejected([f"leoiot {args.command}: "
+                          f"{str(exc) or 'out of memory'}"])
     for f in files:
         print(f"wrote {f}")
     if not ok:

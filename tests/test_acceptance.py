@@ -151,7 +151,7 @@ def test_criterion_5_tandem_delay_grid():
     for rho, (reps, n) in plan.items():
         means = {}
         for rep in range(reps):
-            for row in bs.run_point("no-ra", rho, (1, 2, 4, 6), 0.0, rep,
+            for row in bs.run_point("no-ra", rho, (1, 2, 4, 6), (0.0,), rep,
                                     MASTER_SEED, n):
                 assert row.n_delivered >= 100_000
                 means.setdefault(row.hops, []).append(row.mean_system_time)
@@ -172,9 +172,8 @@ def test_criterion_5_tandem_delay_grid():
 def test_criterion_6_aoi_oracle():
     worst_exact = worst_analytic = 0.0
     for rho in (0.3, 0.5, 0.7):
-        rng = np.random.default_rng(
-            np.random.SeedSequence((MASTER_SEED, 6, int(rho * 100))))
-        stream = bs.poisson_stream(rho, 400_000, rng)
+        stream = bs.poisson_stream(rho, 400_000, np.random.SeedSequence(
+            (MASTER_SEED, 6, int(rho * 100))))
         trace = bs.run(stream, BackhaulConfig(1),
                        np.random.SeedSequence((MASTER_SEED, 66,
                                                int(rho * 100))))
@@ -193,10 +192,8 @@ def test_criterion_6_aoi_oracle():
 # ---------------------------------------------------------------------------
 
 def _erasure_point(rho, eps, n=250_000):
-    rng = np.random.default_rng(
-        np.random.SeedSequence((MASTER_SEED, 7, int(rho * 100),
-                                int(eps * 100))))
-    stream = bs.poisson_stream(rho, n, rng)
+    stream = bs.poisson_stream(rho, n, np.random.SeedSequence(
+        (MASTER_SEED, 7, int(rho * 100), int(eps * 100))))
     trace = bs.run(stream, BackhaulConfig(4, eps),
                    np.random.SeedSequence((MASTER_SEED, 77, int(rho * 100),
                                            int(eps * 100))))

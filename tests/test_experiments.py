@@ -715,6 +715,26 @@ class TestShortCells:
         assert "3 hops" in err[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("pipeline, argv", [
+        ("run_offloading", ["offload", "--set", "horizon=1e12"]),
+        ("run_backhauling", ["backhaul", "--figure", "custom", "--mode",
+                             "ra-a1", "--rho", "0.5", "--hops", "1",
+                             "--packets", "100000000000"]),
+    ])
+    def test_out_of_memory_ends_in_one_error_line(self, tmp_path, capsys,
+                                                  monkeypatch, pipeline,
+                                                  argv):
+        # exit 1 means tolerance failures, so a run that memory cannot hold
+        # ends in one error line and exit 2; the stand-in allocates nothing
+        def allocate(spec):
+            raise MemoryError("Unable to allocate 745. GiB for an array")
+
+        monkeypatch.setattr(ex, pipeline, allocate)
+        assert main([*argv, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: leoiot {argv[0]}: Unable to allocate 745. GiB "
+                       f"for an array"]
+
     def test_cell_short_by_chance_ends_in_one_error_line(self, tmp_path,
                                                          capsys):
         # 1000 packets at erasure 0.99 deliver 10 on average; at seed 1062
