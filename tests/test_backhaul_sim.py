@@ -457,13 +457,17 @@ class TestPeakMemory:
     A sweep cell reads its stream a chunk at a time, so it holds chunk
     buffers only, whatever its length: a 4-hop ``run_point`` over erasures
     0, 0.01 and 0.1 peaked at 3.58 MB traced both at 2^17 and at 2^20
-    packets.  ``run`` keeps the trace, 2.125 float arrays of the stream's
-    length (8 n bytes) beside the generation times a stream holds: at
-    400,000 packets it read 2.71 arrays at eps 0 and 2.96 at eps 0.1.  Each
-    bound is its case's reading plus at most 10%.
+    packets.  Counted in float arrays of the cell's length (8 n bytes), a
+    one-erasure cell of 200,000 packets read 1.84 at eps 0 and 2.19 at eps
+    0.1, and one of 10^6 packets given its stream read 0.30 and 0.41 above
+    it.  ``run`` keeps the trace, 2.125 arrays beside the generation times
+    a stream holds: at 400,000 packets it read 2.71 at eps 0 and 2.96 at
+    eps 0.1.  Each bound is its case's reading plus at most 10%.
     """
 
     CELL_PEAK_MB = 3.9
+    PEAK_ARRAYS = {0.0: 2.0, 0.1: 2.4}
+    ABOVE_STREAM_ARRAYS = {0.0: 0.33, 0.1: 0.45}
     CHAIN_ARRAYS = {0.0: 2.75, 0.1: 3.1}
 
     @staticmethod
@@ -484,6 +488,22 @@ class TestPeakMemory:
             for n in (1 << 17, 1 << 20))
         assert max(short, long) <= 1.1 * min(short, long)
         assert max(short, long) <= self.CELL_PEAK_MB * 1e6
+
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    def test_cell_peak_in_arrays(self, eps):
+        n = 200_000
+        assert self.peak_bytes(
+            lambda: run_point("no-ra", 0.5, (4,), (eps,), 0, 1, n)) \
+            <= self.PEAK_ARRAYS[eps] * 8 * n
+
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    def test_cell_holds_its_stream_and_chunk_buffers(self, eps):
+        n = 10 ** 6
+        times, _ = arrays(poisson_stream(0.5, n, 73))
+        s = array_stream(times, times)
+        assert self.peak_bytes(
+            lambda: run_point("no-ra", 0.5, (4,), (eps,), 0, 1, n, stream=s)) \
+            <= self.ABOVE_STREAM_ARRAYS[eps] * 8 * n
 
     @pytest.mark.parametrize("eps", [0.0, 0.1])
     def test_chain_peak_in_arrays(self, eps):
