@@ -526,14 +526,6 @@ def rescale_feed(access: AccessFeed, rho: float) -> ArrivalStream:
                                           for a, g in feed.chunks()))
 
 
-# access feeds of the running sweep, installed once in each pool worker
-_POOL_FEEDS: dict = {}
-
-
-def _install_feeds(feeds: dict):
-    _POOL_FEEDS.update(feeds)
-
-
 def run_point(mode: str, rho: float, hops, erasures, replication: int,
               master_seed: int, n_packets: int,
               access: AccessFeed | None = None,
@@ -544,8 +536,7 @@ def run_point(mode: str, rho: float, hops, erasures, replication: int,
     erasure's chain a chunk at a time, and node n's survivors score the
     n-hop cell: a cell holds chunk buffers only, whatever its length.  An
     ra cell rescales ``access``, the feed that ``sweep`` simulated once for
-    every load (or the one a pool worker holds)."""
-    access = access or _POOL_FEEDS.get((mode, replication))
+    every load."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if mode != "no-ra" and access is None:
@@ -592,11 +583,11 @@ def sweep(rhos, hops_list, erasures, modes, replications: int,
           feed: RaFeedSettings | None = None, workers: int = 1):
     """Cross product of the grid, deterministically seeded per cell.
 
-    Each access feed is simulated once per (mode, replication), before
-    the cells fan out, and rescaled to every load (``feed`` is needed for
-    ra modes); the cells of one (mode, rho, replication) share one read of
-    one arrival stream.  The result order and content depend only on the grid and the
-    master seed, never on the worker count.
+    One map, over a spawned pool of ``min(workers, cells)`` processes if
+    ``workers > 1``, first simulates each access feed once per (mode,
+    replication) (ra modes need ``feed``), then runs ``run_point`` per
+    (mode, rho, replication), handing an ra cell its feed as ``access``.
+    The rows depend only on the grid and the master seed, not ``workers``.
     """
     unknown = [m for m in modes if m not in MODES]
     if unknown:
@@ -610,21 +601,15 @@ def sweep(rhos, hops_list, erasures, modes, replications: int,
     tasks = [(m, rho, tuple(hops_list), tuple(erasures), rep, master_seed,
               n_packets)
              for m in modes for rho in rhos for rep in range(replications)]
-    if workers > 1:
-        spawn = multiprocessing.get_context("spawn")
-        feeds = {}
-        if keys:
-            with ProcessPoolExecutor(max_workers=min(workers, len(keys)),
-                                     mp_context=spawn) as pool:
-                feeds = dict(zip(keys, pool.map(simulate, keys)))
-        with ProcessPoolExecutor(max_workers=workers, mp_context=spawn,
-                                 initializer=_install_feeds,
-                                 initargs=(feeds,)) as pool:
-            parts = list(pool.map(run_point, *zip(*tasks), chunksize=1))
-    else:
-        feeds = dict(zip(keys, map(simulate, keys)))
-        parts = [run_point(*t, feeds.get((t[0], t[4]))) for t in tasks]
-    rows = [row for part in parts for row in part]
-    rows.sort(key=lambda r: (r.mode, r.rho, r.hops, r.link_erasure,
-                             r.replication))
-    return rows
+    if not tasks:
+        return []
+    with (ProcessPoolExecutor(min(workers, len(tasks)),
+                              multiprocessing.get_context("spawn"))
+          if workers > 1 else contextlib.nullcontext()) as pool:
+        fan_out = pool.map if pool else map
+        feeds = dict(zip(keys, fan_out(simulate, keys)))
+        parts = fan_out(run_point, *zip(*[
+            t + (feeds.get((t[0], t[4])),) for t in tasks]))
+        return sorted(itertools.chain.from_iterable(parts),
+                      key=lambda r: (r.mode, r.rho, r.hops, r.link_erasure,
+                                     r.replication))

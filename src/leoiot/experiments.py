@@ -17,7 +17,7 @@ import math
 import os
 import statistics
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -306,15 +306,9 @@ def run_backhauling(spec: ExperimentSpec):
                     spec.workers)
     files = []
     raw = out / "backhaul_rows.csv"
-    _write_csv(raw, ["mode", "rho", "hops", "link_erasure", "replication",
-                     "n_offered", "n_delivered", "delivered_fraction",
-                     "mean_system_time", "mean_aoi", "peak_aoi_mean",
-                     "ra_success_prob"],
-               [[r.mode, _fmt(r.rho), r.hops, _fmt(r.link_erasure),
-                 r.replication, r.n_offered, r.n_delivered,
-                 _fmt(r.delivered_fraction), _fmt(r.mean_system_time),
-                 _fmt(r.mean_aoi), _fmt(r.peak_aoi_mean),
-                 _fmt(r.ra_success_prob)] for r in rows],
+    _write_csv(raw, [f.name for f in fields(bs.SweepRow)],
+               [[_fmt(v) if v is None or isinstance(v, float) else v
+                 for v in astuple(r)] for r in rows],
                "per-replication sweep rows")
     files.append(raw)
 

@@ -748,6 +748,28 @@ class TestSweep:
         parallel = sweep(**kwargs, workers=4)
         assert serial == parallel
 
+    def test_one_pool_runs_feeds_and_cells(self, monkeypatch):
+        pools = []
+
+        class Counting(bs.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(bs, "ProcessPoolExecutor", Counting)
+        kwargs = dict(rhos=(0.3, 0.6), hops_list=(1, 2), erasures=(0.0,),
+                      modes=("ra-a1", "ra-a10"), replications=1,
+                      master_seed=13, n_packets=2_000, feed=FEED)
+        parallel = sweep(**kwargs, workers=2)
+        assert len(pools) == 1
+        assert parallel == sweep(**kwargs, workers=1)
+        assert len(pools) == 1
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_empty_grid_gives_no_rows(self, workers):
+        assert sweep((), (1, 2), (0.0,), MODES, 1, 5, n_packets=2_000,
+                     feed=FEED, workers=workers) == []
+
     def test_ra_feed_modes(self):
         row1 = ra_point("ra-a1", 0.5, 2, 7, 20_000)
         row10 = ra_point("ra-a10", 0.5, 2, 7, 20_000)

@@ -32,3 +32,18 @@ def test_same_runs_give_same_digests():
         files["seed4/chain/backhaul_rows.csv"]
     assert files["seed3/chain/analytic_overlay.csv"] == \
         files["seed4/chain/analytic_overlay.csv"]
+
+
+def test_pool_writes_the_serial_bytes():
+    a10 = ["backhaul", "--figure", "custom", "--mode", "ra-a10", "--rho",
+           "0.3", "0.6", "--hops", "1", "2", "--replications", "2",
+           "--packets", "2000"]
+    lines = output_digests.digest_lines([3], {
+        "w1": ([*a10, "--workers", "1"], True),
+        "w2": ([*a10, "--workers", "2"], True)})
+    files = {line.split("  ")[1]: line.split("  ")[0] for line in lines}
+    assert files["seed3/w1"] == files["seed3/w2"]
+    for name in ("backhaul_rows.csv", "backhaul_summary.csv", "report.txt"):
+        assert files[f"seed3/w1/{name}"] == files[f"seed3/w2/{name}"]
+    # metadata.json records the worker count
+    assert files["seed3/w1/metadata.json"] != files["seed3/w2/metadata.json"]

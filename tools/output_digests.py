@@ -1,4 +1,4 @@
-"""Digest every file that five fixed ``leoiot`` runs write, so that two
+"""Digest every file that six fixed ``leoiot`` runs write, so that two
 checkouts can be shown to write byte-identical outputs with one ``diff``.
 
     python3 tools/output_digests.py 1 5 > change.txt
@@ -8,14 +8,16 @@ checkouts can be shown to write byte-identical outputs with one ``diff``.
 For each seed it runs ``offload --set horizon=320000``, a three-load fig6
 backhaul sweep of 2,000 packets and a three-load fig7 sweep of 10^6
 packets, and once ``analytic --preset backhauling``, which draws no
-random number; last, for each seed, the fig6 sweep again with two
+random number; then, for each seed, the fig6 sweep again with two
 replications, whose summary and report carry finite standard errors and
-so can read ``noisy``.  Each run is a child process with ``--src``
-(default: the ``src`` of this checkout) first on its ``PYTHONPATH``,
-writing into a temporary directory.  Every written file gives one line
-``sha256  seedN/command/file``, and every run one line ``exit=S
-seedN/command`` with its exit status: a fig6 sweep exits 1 when its
-tolerance report flags a row.
+so can read ``noisy``; last, for each seed, that sweep on a pool of two
+worker processes, whose data files and report digest as the serial
+run's do (its ``metadata.json`` records the worker count).  Each run is
+a child process with ``--src`` (default: the ``src`` of this checkout)
+first on its ``PYTHONPATH``, writing into a temporary directory.  Every
+written file gives one line ``sha256  seedN/command/file``, and every
+run one line ``exit=S  seedN/command`` with its exit status: a fig6
+sweep exits 1 when its tolerance report flags a row.
 """
 from __future__ import annotations
 
@@ -39,6 +41,9 @@ COMMANDS = {
     "analytic": (["analytic", "--preset", "backhauling"], False),
     "fig6-r2": (["backhaul", "--figure", "fig6", "--rho", "0.2", "0.4", "0.6",
                  "--replications", "2", "--packets", "2000"], True),
+    "fig6-w2": (["backhaul", "--figure", "fig6", "--rho", "0.2", "0.4", "0.6",
+                 "--replications", "2", "--packets", "2000", "--workers", "2"],
+                True),
 }
 
 
