@@ -496,9 +496,10 @@ def ra_departure_stream(key, master_seed: int, n_packets: int,
     trace = ra_sim.run(cfg, attempts, rate, horizon, seed)
     if trace.success_count < n_packets:
         # aim five Poisson standard deviations past the departures needed
+        got = trace.success_count
+        del trace       # so the retry does not hold both traces at once
         target = n_packets + 5.0 * math.sqrt(n_packets)
-        horizon *= min(target / max(trace.success_count, 1),
-                       MAX_HORIZON_GROWTH)
+        horizon *= min(target / max(got, 1), MAX_HORIZON_GROWTH)
         trace = ra_sim.run(cfg, attempts, rate, horizon, seed)
     if trace.success_count < n_packets:
         raise ShortCellError(

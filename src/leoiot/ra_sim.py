@@ -4,14 +4,15 @@ Updates are independent contenders: each one transmits a preamble in
 periodic RAOs until it is granted or exhausts its attempt budget.  An
 update's state is one row of a few arrays (generation time, attempt
 count, backoff sum, grant offset, outcome), and the simulator takes one
-array step per occupied RAO, in RAO order, skipping idle ones, so both
-congested cells and near-idle feeds are cheap.  A retry always lands in a
-later RAO, so RAO order is the only sequential dependency.
+array step per occupied RAO, in RAO order, skipping idle ones, and keeps
+its six counts in one int64 buffer, not a Python object.  A retry always
+lands in a later RAO, so RAO order is the only sequential dependency.
 """
 from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,7 @@ _CENSORED, _SUCCESS, _FAILED = 0, 1, 2
 
 @dataclass(frozen=True)
 class RaoRecord:
-    """Contention outcome of one RAO (grant demotions tracked separately)."""
+    """Contention outcome of one RAO: a row of ``RaTrace.rao_counts``."""
 
     index: int
     transmissions: int
@@ -37,17 +38,23 @@ class RaoRecord:
 
 @dataclass
 class RaTrace:
-    """Resolved updates as columns in generation order, and one record per
-    occupied RAO.  A failed update has ``latency_ms`` inf and ``departure``
-    nan; censored updates are only counted."""
+    """Resolved updates as columns in generation order, and a read-only
+    int64 row of ``RaoRecord``'s fields per occupied RAO.  A failed update has
+    ``latency_ms`` inf and ``departure`` nan; censored ones are only counted."""
 
     n_raos: int
     gen_time: np.ndarray
     attempts: np.ndarray
     latency_ms: np.ndarray
     departure: np.ndarray
-    rao_records: list       # only RAOs with at least one transmission
+    rao_counts: np.ndarray  # (occupied RAOs, 6), in RAO order
     censored: int = 0       # updates unresolved within the horizon
+
+    @property
+    def rao_records(self) -> list:
+        """``rao_counts`` as records of Python ints, built on each read: a
+        view kept until the benchmark's tracer reads ``rao_counts``."""
+        return [RaoRecord(*row) for row in self.rao_counts.tolist()]
 
     @property
     def n_records(self) -> int:
@@ -124,12 +131,14 @@ def run(cfg: RaConfig, max_attempts: int, rate_per_s: float,
     # fresh arrivals come in RAO order: those of one RAO are one slice
     first = _rao_index(gen, t_rao)
     n_in = int(np.searchsorted(first, n_raos))
-    edges = np.flatnonzero(np.diff(first[:n_in], prepend=-1)).tolist()
-    fresh = iter(zip(first[edges].tolist(), edges, edges[1:] + [n_in]))
+    edges = np.flatnonzero(np.diff(first[:n_in], prepend=-1))
+    # memoryviews of int64 arrays hand out one Python int at a time
+    fresh = iter(zip(*map(memoryview, (first[edges], edges,
+                                       np.append(edges[1:], n_in)))))
     nxt = next(fresh, None)
     retries: dict = {}       # RAO index -> updates retrying there, in order
     heap: list = []          # the keys of ``retries``
-    rao_records: list = []
+    counts = array("q")      # RaoRecord's six fields per occupied RAO
 
     while nxt is not None or heap:
         k = heap[0] if nxt is None or (heap and heap[0] < nxt[0]) else nxt[0]
@@ -175,11 +184,9 @@ def run(cfg: RaConfig, max_attempts: int, rate_per_s: float,
                 heapq.heappush(heap, kr)
             retries[kr].append(i)
 
-        rao_records.append(RaoRecord(
-            index=k, transmissions=x, successes=len(won),
-            collided=int(np.count_nonzero(collided)),
-            erased=int(np.count_nonzero(erased)),
-            demoted=len(won) - int(np.count_nonzero(fits))))
+        counts.extend((k, x, len(won), np.count_nonzero(collided),
+                       np.count_nonzero(erased),
+                       len(won) - np.count_nonzero(fits)))
 
     ok = outcome == _SUCCESS
     latency = np.full(n, np.inf)
@@ -189,9 +196,10 @@ def run(cfg: RaConfig, max_attempts: int, rate_per_s: float,
     departure[ok] = gen[ok] + latency[ok]
     outcome[departure > horizon_ms] = _CENSORED
     done = outcome != _CENSORED
+    rao_counts = np.frombuffer(memoryview(counts).toreadonly(), np.int64)
     return RaTrace(n_raos=n_raos, gen_time=gen[done], attempts=attempts[done],
                    latency_ms=latency[done], departure=departure[done],
-                   rao_records=rao_records,
+                   rao_counts=rao_counts.reshape(-1, 6),
                    censored=n - int(np.count_nonzero(done)))
 
 
@@ -212,11 +220,8 @@ def empirical_pmf(trace: RaTrace) -> PmfTriple:
     """Normalized per-RAO histograms; empty RAOs contribute mass at zero."""
     if trace.n_raos < 1:
         raise ValueError("trace holds no RAO")
-    occupied = len(trace.rao_records)
-    idle = trace.n_raos - occupied
-    tx = np.array([r.transmissions for r in trace.rao_records], dtype=np.int64)
-    co = np.array([r.collided for r in trace.rao_records], dtype=np.int64)
-    su = np.array([r.successes for r in trace.rao_records], dtype=np.int64)
+    idle = trace.n_raos - len(trace.rao_counts)
+    _, tx, su, co = trace.rao_counts[:, :4].T
     width = int(max(tx.max(initial=0), 1)) + 1
 
     def pmf(values):

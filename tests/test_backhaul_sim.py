@@ -881,6 +881,30 @@ class TestFeedReuse:
         assert len(access.departures_ms) == 1_000
         assert len(calls) == 2 and calls[0] < 1_000 <= calls[1]
 
+    def test_retried_feed_holds_one_trace_at_a_time(self, monkeypatch):
+        horizons = []
+        real = bs.ra_sim.run
+
+        def recording(*args):
+            horizons.append(args[3])
+            return real(*args)
+
+        monkeypatch.setattr(bs.ra_sim, "run", recording)
+        # a guess 1.5 times the true success undersizes the first horizon,
+        # whose trace holds about 70% of the retried one's updates: holding
+        # both traced at 1.45 times one run's peak, one at a time at 1.00
+        true = bs.single_attempt_success
+        monkeypatch.setattr(bs, "single_attempt_success",
+                            lambda cfg, rate: 1.5 * true(cfg, rate))
+        peak_bytes = TestPeakMemory.peak_bytes
+        feed = peak_bytes(
+            lambda: bs.ra_departure_stream(("ra-a1", 0), 3, 1_000, FEED))
+        assert len(horizons) == 4 and horizons[1] > horizons[0]
+        seed = bs._access_seed(3, "ra-a1", 0)
+        one = peak_bytes(lambda: real(FEED.config, 1, FEED.a1_rate_per_s,
+                                      horizons[1], seed))
+        assert feed <= 1.15 * one
+
     def test_feed_still_short_after_second_pass_raises(self, monkeypatch):
         calls = []
         real = bs.ra_sim.run

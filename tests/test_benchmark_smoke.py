@@ -3,8 +3,10 @@ current engine.
 
 Its tracer reads ``ra_sim.run``'s signature, the trace's counters and RAO
 records, and the chain's ``config.hops`` and ``drop_node``, and writes
-them to JSON, so a change of types or shapes there (say numpy integers in
-``RaoRecord``) breaks ``--trace 1`` but no unit test.
+them to JSON, so a change of types or shapes there breaks ``--trace 1``
+but no unit test.  Say ``RaTrace.rao_records``, the view built from the
+int64 ``rao_counts`` when it is read, handed out numpy integers in place
+of Python ints.
 """
 import json
 import subprocess
