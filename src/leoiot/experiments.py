@@ -298,6 +298,7 @@ def run_backhauling(spec: ExperimentSpec):
     """
     cfg = spec.config
     _check(backhaul_problems(spec))
+    closed = _closed_forms(spec)      # a cell with no finite form fails here
     out = spec.out_dir
     out.mkdir(parents=True, exist_ok=True)
     feed = bs.RaFeedSettings(config=cfg.ground_ra)
@@ -312,7 +313,6 @@ def run_backhauling(spec: ExperimentSpec):
                "per-replication sweep rows")
     files.append(raw)
 
-    closed = _closed_forms(spec)
     checks = _checks(rows, closed)
     agg = out / "backhaul_summary.csv"
     _write_csv(agg, ["figure", "mode", "rho", "hops", "link_erasure",

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -5,10 +6,9 @@ import numpy as np
 import pytest
 
 from _gamma_reference import upper_regularized_gamma
-from leoiot.backhaul_analytic import (InstabilityError, TandemModel,
-                                      _poisson_tails, average_aoi_with_errors,
-                                      chain_metrics, end_to_end_success,
-                                      expected_ty, expected_wy,
+from leoiot import backhaul_sim, experiments
+from leoiot.backhaul_analytic import (InstabilityError, _poisson_tails,
+                                      chain_metrics, expected_wy,
                                       mean_delivered_delay)
 
 
@@ -90,17 +90,6 @@ class TestGammaReference:
         assert peak < 50_000
 
 
-class TestEndToEndSuccess:
-    def test_lossless(self):
-        assert end_to_end_success(2, 0.0) == 1.0
-
-    def test_two_links(self):
-        assert end_to_end_success(2, 0.1) == pytest.approx(0.81)
-
-    def test_six_links(self):
-        assert end_to_end_success(6, 0.01) == pytest.approx(0.94148, abs=1e-5)
-
-
 def network_delay(hops: int, rho: float) -> float:
     """The lossless chain's mean delay, as ``chain_metrics`` ships it."""
     return chain_metrics(hops, rho, 0.0)[0]
@@ -135,23 +124,38 @@ class TestMeanNetworkDelay:
 class TestMeanDeliveredDelay:
     def test_lossless_reduces_to_network_delay(self):
         for hops in (1, 2, 4):
-            model = TandemModel(hops, 0.6, 1.0)
-            assert mean_delivered_delay(model) == pytest.approx(
+            assert mean_delivered_delay(hops, 0.6, 0.0) == pytest.approx(
                 hops / (1.0 - 0.6), rel=1e-12)
 
     def test_thinned_node_sum(self):
-        model = TandemModel(3, 0.5, 1.0, 0.1)
         expected = (1 / (1 - 0.5) + 1 / (1 - 0.45) + 1 / (1 - 0.405))
-        assert mean_delivered_delay(model) == pytest.approx(expected,
-                                                            rel=1e-12)
+        assert mean_delivered_delay(3, 0.5, 0.1) == pytest.approx(expected,
+                                                                  rel=1e-12)
 
     def test_matches_simulated_delivered_mean(self):
         n = 400_000
         gen_d, out_d = simulate_tandem_lossy(n, 4, 0.9, 1.0, 0.1, 29)
         skip = len(gen_d) // 10
         sim = float(np.mean((out_d - gen_d)[skip:]))
-        model = TandemModel(4, 0.9, 1.0, 0.1)
-        assert mean_delivered_delay(model) == pytest.approx(sim, rel=0.03)
+        assert mean_delivered_delay(4, 0.9, 0.1) == pytest.approx(sim,
+                                                                  rel=0.03)
+
+    def test_exact_at_every_erasure(self):
+        # the thinned-rate sum is exact: 16 replications of 5 * 10^5 packets
+        # through the sweep's path agree within 4 standard errors, and one
+        # call per replication scores the 2- and 6-hop cells of one chain
+        cells = {}
+        for rep in range(16):
+            for rho, hops, eps in ((0.5, (4,), 0.1), (0.8, (2, 6), 0.3)):
+                for row in backhaul_sim.run_point("no-ra", rho, hops, (eps,),
+                                                  rep, 11, 500_000):
+                    cells.setdefault((row.hops, rho, eps), []).append(
+                        row.mean_system_time)
+        assert sorted(cells) == [(2, 0.8, 0.3), (4, 0.5, 0.1), (6, 0.8, 0.3)]
+        for (hops, rho, eps), means in cells.items():
+            stderr = np.std(means, ddof=1) / math.sqrt(len(means))
+            gap = np.mean(means) - mean_delivered_delay(hops, rho, eps)
+            assert abs(gap) < 4.0 * stderr, (hops, rho, eps, gap / stderr)
 
 
 class TestExpectedWY:
@@ -161,16 +165,14 @@ class TestExpectedWY:
         # E[WY] = age/lam - 1/lam^2 - 1/(mu lam)
         lam = rho
         exact = mm1_aoi_exact(rho) / lam - 1.0 / lam ** 2 - 1.0 / lam
-        model = TandemModel(1, lam, 1.0)
-        assert expected_wy(model) == pytest.approx(exact, rel=1e-10)
+        assert expected_wy(1, lam, 1.0) == pytest.approx(exact, rel=1e-10)
 
     def test_single_hop_monte_carlo(self):
         y, t_sys, services = simulate_tandem_lossless(2_000_000, 1, 0.5,
                                                       1.0, 7)
         w = np.maximum(t_sys[:-1] - y[1:], 0.0)
         mc = float(np.mean(w[200_000:] * y[1:][200_000:]))
-        assert expected_wy(TandemModel(1, 0.5, 1.0)) == pytest.approx(mc,
-                                                                      rel=0.03)
+        assert expected_wy(1, 0.5, 1.0) == pytest.approx(mc, rel=0.03)
 
     def test_four_hop_monte_carlo(self):
         n = 2_000_000
@@ -178,45 +180,43 @@ class TestExpectedWY:
         s_excl = sum(services[:-1])
         w = np.maximum(t_sys[:-1] - y[1:] - s_excl[1:], 0.0)
         mc = float(np.mean(w[n // 10:] * y[1:][n // 10:]))
-        assert expected_wy(TandemModel(4, 0.7, 1.0)) == pytest.approx(mc,
-                                                                      rel=0.05)
+        assert expected_wy(4, 0.7, 1.0) == pytest.approx(mc, rel=0.05)
 
     def test_vanishes_at_light_load(self):
-        assert expected_wy(TandemModel(1, 1e-4, 1.0)) == pytest.approx(
-            0.0, abs=1e-3)
-        assert expected_wy(TandemModel(3, 1e-3, 1.0)) < 0.01
+        assert expected_wy(1, 1e-4, 1.0) == pytest.approx(0.0, abs=1e-3)
+        assert expected_wy(3, 1e-3, 1.0) < 0.01
 
     def test_large_chain_stays_finite(self):
-        value = expected_wy(TandemModel(60, 0.5, 1.0))
+        value = expected_wy(60, 0.5, 1.0)
         assert math.isfinite(value)
         assert value > 0
 
     def test_model_validation(self):
+        # chain_metrics checks the grid cell before any form is evaluated
         with pytest.raises(InstabilityError):
-            TandemModel(2, 1.0, 1.0)
+            chain_metrics(2, 1.0, 0.0)
         with pytest.raises(ValueError):
-            TandemModel(0, 0.5, 1.0)
+            chain_metrics(0, 0.5, 0.0)
         with pytest.raises(ValueError):
-            TandemModel(2, 0.5, 1.0, -0.1)
+            chain_metrics(2, 0.5, -0.1)
+
+
+def expected_ty(n: int, lam: float) -> float:
+    """E[TY] = E[WY] + sum of mean service times x mean interarrival time,
+    for ``n`` unit-rate nodes."""
+    return expected_wy(n, lam, 1.0) + n / lam
 
 
 class TestExpectedTY:
-    def test_decomposition(self):
-        model = TandemModel(2, 0.5, 1.0)
-        assert expected_ty(model) == pytest.approx(expected_wy(model) + 4.0,
-                                                   rel=1e-12)
-
     def test_light_load_limit(self):
         lam = 1e-3
-        model = TandemModel(1, lam, 1.0)
-        assert expected_ty(model) == pytest.approx(1.0 / lam, rel=1e-2)
+        assert expected_ty(1, lam) == pytest.approx(1.0 / lam, rel=1e-2)
 
     def test_monte_carlo_cross_check(self):
         n = 1_500_000
         y, t_sys, _ = simulate_tandem_lossless(n, 2, 0.6, 1.0, 17)
         mc = float(np.mean(t_sys[n // 10:] * y[n // 10:]))
-        assert expected_ty(TandemModel(2, 0.6, 1.0)) == pytest.approx(mc,
-                                                                      rel=0.05)
+        assert expected_ty(2, 0.6) == pytest.approx(mc, rel=0.05)
 
 
 def lossless_aoi(hops: int, rho: float) -> float:
@@ -241,16 +241,20 @@ class TestAverageAoiLossless:
         assert a999 > a95 > mm1_aoi_exact(0.5)
 
 
+def lossy_aoi(hops: int, rho: float, eps: float) -> float:
+    """The lossy chain's renewal age, as ``chain_metrics`` ships it."""
+    return chain_metrics(hops, rho, eps)[1]
+
+
 class TestAverageAoiWithErrors:
     def test_reduces_to_lossless(self):
-        model = TandemModel(2, 0.5, 1.0, 0.0)
-        lossless = 0.5 * (expected_ty(model) + 1.0 / 0.5 ** 2)
-        assert average_aoi_with_errors(model) == pytest.approx(lossless,
-                                                               rel=1e-12)
+        # E[TY] = E[WY] + N/lam of the lossless chain, in lam (E[TY] + 1/lam^2)
+        lossless = 0.5 * (expected_ty(2, 0.5) + 1.0 / 0.5 ** 2)
+        assert lossy_aoi(2, 0.5, 0.0) == pytest.approx(lossless, rel=1e-12)
 
     def test_continuity_in_erasure(self):
-        base = average_aoi_with_errors(TandemModel(2, 0.5, 1.0, 0.0))
-        nearby = average_aoi_with_errors(TandemModel(2, 0.5, 1.0, 1e-9))
+        base = lossy_aoi(2, 0.5, 0.0)
+        nearby = lossy_aoi(2, 0.5, 1e-9)
         assert nearby == pytest.approx(base, rel=1e-6)
 
     def test_matches_simulation(self):
@@ -262,24 +266,19 @@ class TestAverageAoiWithErrors:
         gaps = np.diff(out_d)
         area = float(np.sum(ages[:-1] * gaps + 0.5 * gaps ** 2))
         sim = area / float(out_d[-1] - out_d[0])
-        model = TandemModel(2, 0.5, 1.0, eps)
-        assert average_aoi_with_errors(model) == pytest.approx(sim, rel=0.05)
+        assert lossy_aoi(2, 0.5, eps) == pytest.approx(sim, rel=0.05)
 
     def test_losses_help_at_high_load(self):
         for hops in (2, 4):
-            lossy = average_aoi_with_errors(TandemModel(hops, 0.9, 1.0, 0.1))
-            clean = average_aoi_with_errors(TandemModel(hops, 0.9, 1.0, 0.0))
-            assert lossy < clean
+            assert lossy_aoi(hops, 0.9, 0.1) < lossy_aoi(hops, 0.9, 0.0)
 
     def test_losses_hurt_at_low_load(self):
         for hops in (2, 4):
-            lossy = average_aoi_with_errors(TandemModel(hops, 0.1, 1.0, 0.1))
-            clean = average_aoi_with_errors(TandemModel(hops, 0.1, 1.0, 0.0))
-            assert clean <= lossy
+            assert lossy_aoi(hops, 0.1, 0.0) <= lossy_aoi(hops, 0.1, 0.1)
 
     def test_total_loss_rejected(self):
         with pytest.raises(ValueError):
-            TandemModel(1, 0.5, 1.0, 1.0)
+            chain_metrics(1, 0.5, 1.0)
 
 
 # repr of chain_metrics where Q(N, x) came from scipy.special.gammaincc
@@ -338,6 +337,16 @@ class TestPinnedValues:
     def test_chain_metrics(self, hops, rho, eps):
         assert chain_metrics(hops, rho, eps) == pytest.approx(
             CHAIN_METRICS[hops, rho, eps], rel=1e-12)
+
+    def test_digest(self):
+        # every value of the fig6/fig7 grids and a 60-hop chain, bit for bit
+        digest = hashlib.sha256()
+        for n in (1, 2, 4, 6, 60):
+            for rho in experiments.DEFAULT_RHO_GRID:
+                for eps in (0.0, 0.01, 0.1):
+                    digest.update(repr(chain_metrics(n, rho, eps)).encode())
+        assert digest.hexdigest() == (
+            "8ecb4090ae82f8f892c5794bc0ac3008725abf30d1be92c51c0db5ab516a868b")
 
     def test_long_chain(self):
         # 10^5 nodes: two sums of 10^5 Poisson terms, each kept in no list

@@ -702,6 +702,34 @@ class TestShortCells:
                        f"links erasing {flags[-1]} each"]
         assert not (out / "analytic.csv").exists()
 
+    @pytest.mark.parametrize("rho", ["1e-160", "1e-200"])
+    def test_tiny_load_ends_in_one_error_line(self, tmp_path, capsys, rho):
+        # 1/lam^2 underflows to 0 at 1e-200, and E[WY] overflows at 1e-160
+        out = tmp_path / "out"
+        code = main(["analytic", "--preset", "backhauling", "--rho", rho,
+                     "--hops", "2", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: closed forms overflow at load rho={rho} "
+                       f"over 2 links"]
+        assert not (out / "analytic.csv").exists()
+
+    def test_tiny_load_fails_before_any_simulation(self, tmp_path, capsys,
+                                                   monkeypatch):
+        def sweep(*args, **kwargs):
+            raise AssertionError("simulated a grid with no closed form")
+
+        monkeypatch.setattr(bs, "sweep", sweep)
+        out = tmp_path / "out"
+        code = main(["backhaul", "--figure", "custom", "--mode", "no-ra",
+                     "--rho", "1e-200", "--hops", "1", "--replications", "1",
+                     "--packets", "2000", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: closed forms overflow at load rho=1e-200 "
+                       "over 1 links"]
+        assert not out.exists()
+
     def test_grid_that_delivers_too_few_rejected(self, tmp_path, capsys):
         # 1000 packets over 3 links that each erase 90% deliver 1
         out = tmp_path / "out"

@@ -1,4 +1,4 @@
-"""Digest every file that six fixed ``leoiot`` runs write, so that two
+"""Digest every file that seven fixed ``leoiot`` runs write, so that two
 checkouts can be shown to write byte-identical outputs with one ``diff``.
 
     python3 tools/output_digests.py 1 5 > change.txt
@@ -8,7 +8,9 @@ checkouts can be shown to write byte-identical outputs with one ``diff``.
 For each seed it runs ``offload --set horizon=320000``, a three-load fig6
 backhaul sweep of 2,000 packets and a three-load fig7 sweep of 10^6
 packets, and once ``analytic --preset backhauling``, which draws no
-random number; then, for each seed, the fig6 sweep again with two
+random number, and once that table over 1, 2, 4 and 6 hops at link
+erasures 0, 0.01 and 0.1, so the lossy closed forms are compared beyond
+fig7's four hops; then, for each seed, the fig6 sweep again with two
 replications, whose summary and report carry finite standard errors and
 so can read ``noisy``; last, for each seed, that sweep on a pool of two
 worker processes, whose data files and report digest as the serial
@@ -39,6 +41,9 @@ COMMANDS = {
     "fig7": (["backhaul", "--figure", "fig7", "--rho", "0.2", "0.5", "0.8",
               "--replications", "1", "--packets", "1000000"], True),
     "analytic": (["analytic", "--preset", "backhauling"], False),
+    "analytic-lossy": (["analytic", "--preset", "backhauling", "--hops", "1",
+                        "2", "4", "6", "--link-erasure", "0", "0.01", "0.1"],
+                       False),
     "fig6-r2": (["backhaul", "--figure", "fig6", "--rho", "0.2", "0.4", "0.6",
                  "--replications", "2", "--packets", "2000"], True),
     "fig6-w2": (["backhaul", "--figure", "fig6", "--rho", "0.2", "0.4", "0.6",
