@@ -16,6 +16,8 @@ of its own, ahead on a second thread for a longer stream, so the chain
 does not depend on the chunk size and its first n nodes are the n-hop
 chain.  A sweep scores the n-hop cell on node n's survivors: one read
 serves every hop count and erasure, and a cell holds chunk buffers only.
+Its delay and age leave out the deliveries of the first ceil(0.05 n)
+packets, a prefix of them, since the chain delivers in arrival order.
 """
 from __future__ import annotations
 
@@ -25,7 +27,7 @@ import math
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 from typing import Callable, ClassVar
 
 import numpy as np
@@ -34,7 +36,8 @@ from . import ra_sim
 from .ra_analytic import single_attempt_success
 from .scenario import RaConfig
 
-# leading share of each cell's generation times left out of its age average
+# leading share of a cell's packets, by arrival index, whose deliveries its
+# delay and age averages leave out
 WARMUP_FRACTION = 0.05
 # packets per chunk of the stream, and chunks drawn ahead of the scan
 _CHUNK = 1 << 15
@@ -61,13 +64,6 @@ class ArrivalStream:
     n: int
     chunks: Callable                    # () -> iterator of the chunks
     gen_times: np.ndarray | None = None
-
-    @cached_property
-    def span(self) -> tuple:
-        """The least and the greatest generation time, from one read."""
-        lows, highs = zip((math.inf, -math.inf),
-                          *((g.min(), g.max()) for _, g in self.chunks()))
-        return min(lows), max(highs)
 
 
 def array_stream(arrival_times, gen_times) -> ArrivalStream:
@@ -255,9 +251,9 @@ def run(stream: ArrivalStream, cfg: BackhaulConfig, seed) -> NetworkTrace:
         if lossy:
             drop_node[lo:][alive] = node + 2 if node < last else 0
         if node == last:
-            span, k = slice(k, k + len(alive)), k + len(alive)
-            np.add(alive, lo, out=index[span])
-            times[span] = departures
+            part, k = slice(k, k + len(alive)), k + len(alive)
+            np.add(alive, lo, out=index[part])
+            times[part] = departures
 
     _chain(stream, cfg.hops, [(cfg.link_erasure, seed)], collect)
     return NetworkTrace(cfg, gen_times, drop_node,
@@ -269,21 +265,20 @@ class _Age:
 
     A delivery is fresh when its update is newer than every one delivered
     before it; a stale one (on access feeds, whose departure order is not
-    generation order) never resets the age.  The sawtooth's anchors are
-    the fresh deliveries of updates generated at or after the warm-up cut;
-    from one anchor to the next the age grows with slope one.
+    generation order) never resets the age.  The deliveries of the
+    stream's packets from index ``first`` on make the delay mean, and
+    their fresh ones are the sawtooth's anchors; from one anchor to the
+    next the age grows with slope one.
     """
 
-    def __init__(self, span: tuple, warmup_fraction: float, scratch: tuple):
+    def __init__(self, first: int, scratch: tuple):
+        self.first = first
         self.buf, self.seg, self.flags = scratch
-        # the warm-up share of the span of the offered generation times
-        lo, hi = span
-        self.cut = (lo + warmup_fraction * (hi - lo)
-                    if warmup_fraction > 0.0 and lo <= hi else -math.inf)
-        # the deliveries' count and summed system time, the newest update,
-        # the first and last anchor, the area under the sawtooth between
-        # them, and the sum and count of its peaks (pre-reset ages)
-        self.count, self.system, self.top = 0, 0.0, -math.inf
+        # every delivery's count and the newest update; past the warm-up,
+        # the deliveries' count and summed system time, the first and last
+        # anchor, the area under the sawtooth between them, and the sum and
+        # count of its peaks (pre-reset ages)
+        self.count, self.top, self.timed, self.system = 0, -math.inf, 0, 0.0
         self.start, self.end, self.end_age = None, math.nan, math.nan
         self.area, self.peak_sum, self.peak_n = 0.0, 0.0, 0
 
@@ -293,31 +288,33 @@ class _Age:
         size = min(n, _CHUNK)
         return np.empty(size), np.empty(size), np.empty(size, bool)
 
-    def add(self, gen, index, deliv):
+    def add(self, lo, gen, index, deliv):
         """Add the next deliveries, at most ``_CHUNK`` of them: the indices
-        of their updates in ``gen`` and their delivery times."""
+        of their updates in ``gen``, whose first packet is the stream's
+        ``lo``-th, and their delivery times."""
         k = len(index)
         if not k:
             return
         # the indices are into gen, and "clip" lets take write straight
         # into the buffer
         g = np.take(gen, index, out=self.buf[:k], mode="clip")
-        top, cut, flags = self.top, self.cut, self.flags[:k]
+        top, flags = self.top, self.flags[:k]
+        # deliveries come in arrival order: the warm-up's are a prefix
+        past = int(np.searchsorted(index, self.first - lo))
         if g[0] > top and np.greater(g[1:], g[:-1], out=flags[1:]).all():
             # every delivery is fresh, so the anchors run from the cut on
-            self.top = g[-1]
-            anchors = slice(np.searchsorted(g, cut) if top < cut else 0, None)
+            self.top, anchors = g[-1], slice(past, None)
         else:
             newest = np.maximum(g, top, out=self.seg[:k])
             np.maximum.accumulate(newest, out=newest)
             flags[0] = g[0] > top
             np.greater(g[1:], newest[:-1], out=flags[1:])
             self.top, anchors = newest[-1], np.flatnonzero(flags)
-            if top < cut:
-                anchors = anchors[g[anchors] >= cut]
+            anchors = anchors[np.searchsorted(anchors, past):]
         age = np.subtract(deliv, g, out=g)
         self.count += k
-        self.system += float(age.sum())
+        self.timed += k - past
+        self.system += float(age[past:].sum())
         self._anchor(deliv[anchors], age[anchors])
 
     def _anchor(self, t, age):
@@ -345,14 +342,14 @@ class _Age:
         """The sawtooth's time-average from its first anchor to its last."""
         if self.count < 2:
             raise ValueError("need at least two deliveries for an age average")
-        if self.peak_n == 0 and self.cut > -math.inf:
+        if self.peak_n == 0 and self.first:
             raise ValueError("warm-up discards all deliveries")
         duration = self.end - self.start
         if duration <= 0:
             raise ValueError("empty observation window")
         return AoiSummary(
             time_average_aoi=self.area / duration,
-            mean_system_time=self.system / self.count,
+            mean_system_time=self.system / self.timed,
             delivered_fraction=self.count / n_offered,
             peak_aoi_mean=self.peak_sum / self.peak_n)
 
@@ -363,16 +360,18 @@ def average_aoi(trace: NetworkTrace,
 
     The clock starts at the first delivery, whose post-reset age is that
     update's system time, and stops at the last fresh delivery.  With a
-    ``warmup_fraction`` (steady-state summaries) it starts at the first
-    fresh delivery of an update generated at or after g_min +
-    warmup_fraction (g_max - g_min) over the offered updates.  This feeds
-    the trace to the integrator that a sweep runs inside the chain pass.
+    ``warmup_fraction`` (steady-state summaries) the deliveries of the
+    first ceil(warmup_fraction n) of the n offered updates, by index, are
+    left out of the delay mean, and the clock starts at the first fresh
+    delivery of a later one; the delivered count and fraction keep them.
+    This feeds the trace to the integrator that a sweep runs inside the
+    chain pass.
     """
     gen = trace.gen_times
-    age = _Age((gen.min(initial=math.inf), gen.max(initial=-math.inf)),
-               warmup_fraction, _Age.scratch(len(gen)))
+    age = _Age(math.ceil(warmup_fraction * trace.n_offered),
+               _Age.scratch(len(gen)))
     for lo in range(0, trace.n_delivered, _CHUNK):
-        age.add(gen, trace.delivered_index[lo:lo + _CHUNK],
+        age.add(0, gen, trace.delivered_index[lo:lo + _CHUNK],
                 trace.delivery_times[lo:lo + _CHUNK])
     return age.summary(trace.n_offered)
 
@@ -548,12 +547,12 @@ def run_point(mode: str, rho: float, hops, erasures, replication: int,
                                  _poisson_seed(master_seed, rho, replication)))
     cells = list(itertools.product(range(len(erasures)), hops))
     scratch = _Age.scratch(stream.n)
-    ages = {cell: _Age(stream.span, WARMUP_FRACTION, scratch)
+    ages = {cell: _Age(math.ceil(WARMUP_FRACTION * stream.n), scratch)
             for cell in cells}
 
     def integrate(link, node, lo, gen, alive, departures):
         if (link, node + 1) in ages:
-            ages[link, node + 1].add(gen, alive, departures)
+            ages[link, node + 1].add(lo, gen, alive, departures)
 
     _chain(stream, max(hops, default=0),
            [(eps, _net_seed(master_seed, mode, rho, eps, replication))

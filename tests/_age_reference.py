@@ -6,18 +6,21 @@ and carries its state from chunk to chunk; this version keeps every
 delivery's generation time, age and segment in memory at once, so the
 chunked pass has a second opinion to be checked against.
 """
+import math
+
 import numpy as np
 
 from leoiot.backhaul_sim import AoiSummary
 
 
-def fresh_deliveries(gen: np.ndarray, deliv: np.ndarray):
-    """Drop stale deliveries: an update no newer than the freshest one
-    already delivered never resets the age.  They happen on access feeds,
-    whose departure order is not their generation order."""
+def fresh_deliveries(gen: np.ndarray) -> np.ndarray:
+    """Which deliveries are not stale: an update no newer than the
+    freshest one already delivered never resets the age.  Stale ones
+    happen on access feeds, whose departure order is not their generation
+    order."""
     keep = np.ones(len(gen), dtype=bool)
     keep[1:] = gen[1:] > np.maximum.accumulate(gen)[:-1]
-    return gen[keep], deliv[keep]
+    return keep
 
 
 def sawtooth_stats(anchor_t: np.ndarray, anchor_age: np.ndarray):
@@ -35,21 +38,22 @@ def sawtooth_stats(anchor_t: np.ndarray, anchor_age: np.ndarray):
 
 def average_aoi(trace, warmup_fraction: float = 0.0) -> AoiSummary:
     """Time-average of the sawtooth age from the first delivery to the
-    last fresh one; with a ``warmup_fraction``, from the first fresh
-    delivery of an update generated at or after that share of the span of
-    the offered generation times.  The same contract as
+    last fresh one.  With a ``warmup_fraction``, the deliveries of the
+    first ceil(warmup_fraction n) of the n offered updates, by index, are
+    masked out of the delay mean and the sawtooth, which then starts at
+    the first fresh delivery of a later update; freshness and the
+    delivered fraction still count them.  The same contract as
     ``backhaul_sim.average_aoi``."""
     if trace.n_delivered < 2:
         raise ValueError("need at least two deliveries for an age average")
     all_gen = trace.gen_times[trace.delivered_index]
-    system_time = float(np.mean(trace.delivery_times - all_gen))
-    gen, deliv = fresh_deliveries(all_gen, trace.delivery_times)
-    if warmup_fraction > 0.0:
-        lo, hi = trace.gen_times.min(), trace.gen_times.max()
-        window = gen >= lo + warmup_fraction * (hi - lo)
-        if window.sum() < 2:
-            raise ValueError("warm-up discards all deliveries")
-        gen, deliv = gen[window], deliv[window]
+    first = math.ceil(warmup_fraction * trace.n_offered)
+    past = trace.delivered_index >= first
+    anchors = fresh_deliveries(all_gen) & past
+    if first and anchors.sum() < 2:
+        raise ValueError("warm-up discards all deliveries")
+    system_time = float(np.mean((trace.delivery_times - all_gen)[past]))
+    gen, deliv = all_gen[anchors], trace.delivery_times[anchors]
     duration = float(deliv[-1] - deliv[0])
     if duration <= 0:
         raise ValueError("empty observation window")

@@ -141,21 +141,25 @@ class TestMeanDeliveredDelay:
                                                                   rel=0.03)
 
     def test_exact_at_every_erasure(self):
-        # the thinned-rate sum is exact: 16 replications of 5 * 10^5 packets
-        # through the sweep's path agree within 4 standard errors, and one
-        # call per replication scores the 2- and 6-hop cells of one chain
+        # the thinned-rate sum is exact, and so is the peak age 1/(rho p)
+        # plus it, p the delivered share: 16 replications of 5 * 10^5
+        # packets through the sweep's path agree within 4 standard errors,
+        # and one call per replication scores the 2- and 6-hop cells of one
+        # chain
         cells = {}
         for rep in range(16):
             for rho, hops, eps in ((0.5, (4,), 0.1), (0.8, (2, 6), 0.3)):
                 for row in backhaul_sim.run_point("no-ra", rho, hops, (eps,),
                                                   rep, 11, 500_000):
                     cells.setdefault((row.hops, rho, eps), []).append(
-                        row.mean_system_time)
+                        (row.mean_system_time, row.peak_aoi_mean))
         assert sorted(cells) == [(2, 0.8, 0.3), (4, 0.5, 0.1), (6, 0.8, 0.3)]
         for (hops, rho, eps), means in cells.items():
-            stderr = np.std(means, ddof=1) / math.sqrt(len(means))
-            gap = np.mean(means) - mean_delivered_delay(hops, rho, eps)
-            assert abs(gap) < 4.0 * stderr, (hops, rho, eps, gap / stderr)
+            delay = mean_delivered_delay(hops, rho, eps)
+            exact = (delay, 1.0 / (rho * (1.0 - eps) ** hops) + delay)
+            stderr = np.std(means, axis=0, ddof=1) / math.sqrt(len(means))
+            z = (np.mean(means, axis=0) - exact) / stderr
+            assert (abs(z) < 4.0).all(), (hops, rho, eps, z)
 
 
 class TestExpectedWY:

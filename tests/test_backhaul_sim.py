@@ -106,8 +106,6 @@ class TestStreamReader:
         assert arrival_times.tobytes() == (dep * scale).tobytes()
         assert gen_times.tobytes() == (gen * scale).tobytes()
         assert (gen_times < arrival_times).all()
-        assert s.span == (float((gen * scale).min()),
-                          float((gen * scale).max()))
         assert [a.tobytes() for a in arrays(s)] == [
             arrival_times.tobytes(), gen_times.tobytes()]
 
@@ -117,9 +115,6 @@ class TestStreamReader:
         s = array_stream(a, g)
         assert s.gen_times is g
         assert all(np.array_equal(x, y) for x, y in zip(arrays(s), (a, g)))
-        assert s.span == (g.min(), g.max())
-        assert array_stream(np.empty(0), np.empty(0)).span == (math.inf,
-                                                               -math.inf)
 
 
 class TestRun:
@@ -413,6 +408,21 @@ class TestChunkMajorChain:
         assert [(r.link_erasure, r.hops) for r in rows] == [
             (eps, h) for eps in erasures for h in hops]
 
+    def test_a_no_ra_cell_reads_its_stream_once(self, monkeypatch):
+        # the warm-up cut comes from the stream's length, not from a read
+        monkeypatch.setattr(bs, "_CHUNK", 1000)
+        n, erasures, hops = 3 * bs._CHUNK + 7, (0.0, 0.1), (1, 2, 4, 6)
+        s, reads = poisson_stream(0.6, n, bs._poisson_seed(85, 0.6, 0)), []
+
+        def chunks():
+            reads.append(1)
+            return s.chunks()
+
+        rows = run_point("no-ra", 0.6, hops, erasures, 0, 85, n,
+                         stream=bs.ArrivalStream(n, chunks))
+        assert len(reads) == 1
+        assert rows == run_point("no-ra", 0.6, hops, erasures, 0, 85, n)
+
 
 class TestInputsUntouched:
     """``run`` and ``average_aoi`` work in buffers of their own: the
@@ -577,6 +587,23 @@ class TestAverageAoi:
         with pytest.raises(ValueError):
             average_aoi(manual_trace([0.0], [1.0]))
 
+    def test_delay_average_leaves_out_the_warm_up(self):
+        # the first ceil(0.05 n) = 10 of 200 updates take 100 to cross,
+        # the rest 1, and every other one of those is erased
+        n, first = 200, 10
+        i = np.arange(n)
+        drop = (i >= first) & (i % 2 == 1)
+        index = np.flatnonzero(~drop)
+        gen = 200.0 * i
+        deliv = gen[index] + np.where(index < first, 100.0, 1.0)
+        trace = NetworkTrace(BackhaulConfig(1), gen, drop.astype(np.uint8),
+                             index, deliv)
+        assert math.ceil(0.05 * n) == first and trace.n_delivered == 105
+        summary = average_aoi(trace, warmup_fraction=0.05)
+        assert summary.mean_system_time == 1.0
+        assert summary.delivered_fraction == 105 / 200
+        assert average_aoi(trace).mean_system_time > 1.0
+
 
 class TestAgeReference:
     """The chunked ``average_aoi`` against the full-length integrator of
@@ -630,16 +657,15 @@ class TestAgeReference:
         self.check(trace, warmup)
 
     def test_cut_on_a_chunk_boundary(self):
-        # generation times 0.5..200.5 with warm-up 0.3175 cut at 64: the
-        # window opens at delivery 64, the first of the second chunk
-        trace = self.steps(201)
-        assert np.searchsorted(trace.gen_times,
-                               0.5 + 0.3175 * 200) == self.CHUNK
-        self.check(trace, 0.3175)
+        # the 5% cut of 1,280 updates is update 64: the window opens at
+        # delivery 64, the first of the second chunk
+        assert math.ceil(0.05 * 1280) == self.CHUNK
+        self.check(self.steps(1280), 0.05)
 
     @pytest.mark.parametrize("warmup", [0.0, 0.3175])
     def test_stale_first_in_a_chunk(self, warmup):
         # with the cut on delivery 64 too, the window opens at delivery 66
+        assert math.ceil(0.3175 * 201) == self.CHUNK
         self.check(self.steps(201, stale=(64, 65)), warmup)
         self.check(self.steps(201, stale=(128,)), warmup)
 
@@ -650,9 +676,10 @@ class TestAgeReference:
 
     @pytest.mark.parametrize("warmup", [0.05, 0.5])
     def test_newest_update_before_the_last_chunk(self, warmup):
-        # every delivery after 100 is stale, so the window ends more than
-        # a chunk before the last delivery
-        self.check(self.steps(300, stale=range(101, 300)), warmup)
+        # every delivery after 160 is stale, so the window, which opens
+        # before it, ends more than a chunk before the last delivery
+        assert math.ceil(warmup * 300) < 160
+        self.check(self.steps(300, stale=range(161, 300)), warmup)
 
     def test_access_feed_cell(self):
         access = bs.ra_departure_stream(("ra-a10", 0), 7, 3000, FEED)
@@ -712,11 +739,11 @@ class TestAgeInPass:
 
     @pytest.mark.parametrize("eps", [0.0, 0.1])
     def test_cut_on_a_chunk_boundary(self, monkeypatch, eps):
-        # updates at 0..1280: the 5% cut is update 64, the first of the
-        # second chunk, and the window opens on it
+        # 1,280 updates: the 5% cut is update 64, the first of the second
+        # chunk, and the window opens on it
         monkeypatch.setattr(bs, "_CHUNK", 64)
-        times = np.arange(1281.0)
-        assert np.searchsorted(times, bs.WARMUP_FRACTION * 1280) == 64
+        times = np.arange(1280.0)
+        assert math.ceil(bs.WARMUP_FRACTION * len(times)) == 64
         self.check("no-ra", array_stream(times, times), None, eps)
 
     def test_poisson_cells(self):
