@@ -528,23 +528,20 @@ def rescale_feed(access: AccessFeed, rho: float) -> ArrivalStream:
 
 def run_point(mode: str, rho: float, hops, erasures, replication: int,
               master_seed: int, n_packets: int,
-              access: AccessFeed | None = None,
-              stream: ArrivalStream | None = None) -> list:
+              access: AccessFeed | None = None) -> list:
     """The sweep cells of every link erasure in ``erasures`` and hop count
     in ``hops`` at one (mode, rho, replication), in that order.  One read
-    of the stream (built unless given) crosses ``max(hops)`` nodes of each
-    erasure's chain a chunk at a time, and node n's survivors score the
-    n-hop cell: a cell holds chunk buffers only, whatever its length.  An
-    ra cell rescales ``access``, the feed that ``sweep`` simulated once for
-    every load."""
+    of the stream crosses ``max(hops)`` nodes of each erasure's chain a
+    chunk at a time, and node n's survivors score the n-hop cell: a cell
+    holds chunk buffers only, whatever its length.  An ra cell rescales
+    ``access``, the feed that ``sweep`` simulated once for every load."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if mode != "no-ra" and access is None:
         raise ValueError(f"a {mode} cell needs its access feed")
-    if stream is None:
-        stream = (rescale_feed(access, rho) if mode != "no-ra" else
-                  poisson_stream(rho, n_packets,
-                                 _poisson_seed(master_seed, rho, replication)))
+    stream = (rescale_feed(access, rho) if mode != "no-ra" else
+              poisson_stream(rho, n_packets,
+                             _poisson_seed(master_seed, rho, replication)))
     cells = list(itertools.product(range(len(erasures)), hops))
     scratch = _Age.scratch(stream.n)
     ages = {cell: _Age(math.ceil(WARMUP_FRACTION * stream.n), scratch)

@@ -27,8 +27,9 @@ from . import backhaul_analytic as ba
 from . import backhaul_sim as bs
 from . import ra_analytic as ra
 from . import ra_sim
-from .scenario import (PRESETS, SETTABLE, ScenarioConfig, apply_overrides,
-                       config_hash, load_config, split_rates, validate)
+from .scenario import (PRESETS, RULES, SETTABLE, ScenarioConfig,
+                       apply_overrides, config_hash, load_config, split_rates,
+                       validate)
 
 OUTPUT_ENV_VAR = "LEOIOT_OUT"
 DEFAULT_RHO_GRID = tuple(round(0.05 * k, 2) for k in range(1, 20))
@@ -39,11 +40,6 @@ FIG7_ERASURES = (0.0, 0.01, 0.1)
 FIGURE_DEFAULTS = {
     "fig7": dict(hops=FIG7_HOPS, erasures=FIG7_ERASURES, modes=("no-ra",)),
 }
-# command-line flag -> the ExperimentSpec field it sets
-SPEC_FLAGS = {"rho": "rhos", "hops": "hops", "link_erasure": "erasures",
-              "mode": "modes", "attempts": "attempts",
-              "replications": "replications", "packets": "packets",
-              "workers": "workers"}
 
 # report tolerances for simulation-vs-closed-form agreement (no-ra rows)
 TOLERANCES = {"mean_system_time": 0.02, "mean_aoi": 0.10}
@@ -53,7 +49,7 @@ MIN_PACKETS = 10
 PMF_RAO_PERIOD = 160.0
 # the dotted config keys each subcommand reads: a ``--set`` of any other
 # key is rejected, and a run's config hash covers only these
-READS = {"offload": SETTABLE, "validate": SETTABLE - {"run.seed"},
+READS = {"offload": SETTABLE, "validate": frozenset(RULES),
          "backhaul": frozenset(k for k in SETTABLE if k == "run.seed"
                                or k.startswith("ground_ra.")),
          "analytic": frozenset(k for k in SETTABLE if k.startswith("traffic.")
@@ -436,41 +432,38 @@ def run_analytic(spec: ExperimentSpec):
 # CLI
 # ---------------------------------------------------------------------------
 
-def _add_common(p):
+def _add_common(p, preset: str, figure: str):
+    # a parser default, so a --preset that names it still excludes --config
+    p.set_defaults(preset=preset, figure=figure)
     source = p.add_mutually_exclusive_group()
-    source.add_argument("--preset", choices=PRESETS, default=None,
-                        help="a packaged scenario")
-    source.add_argument("--config", type=Path, default=None,
-                        help="scenario INI file")
+    source.add_argument("--preset", choices=PRESETS, default=argparse.SUPPRESS,
+                        help=f"a packaged scenario (default: {preset})")
+    source.add_argument("--config", type=Path, dest="config_file",
+                        metavar="CONFIG", help="scenario INI file")
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                    dest="overrides",
                    help="override a config key the subcommand reads, by "
                         "dotted path, e.g. traffic.total_rate=250")
 
 
-def _load_spec(args, figure: str) -> ExperimentSpec:
-    """The run's spec: scenario, then figure defaults, then the flags.
+def _load_spec(args) -> ExperimentSpec:
+    """The run's spec: scenario, then figure defaults, then the flags,
+    each of which sets the ``ExperimentSpec`` field it is named after.
 
     A config that cannot be read or holds an unknown section, key or
     malformed value raises ``OSError`` or ``ValueError``.
     """
-    name = args.preset or args.config
-    if name is None:
-        name = "offloading" if figure == "fig4" else "backhauling"
-    config = apply_overrides(load_config(name), args.overrides,
-                             READS[args.command])
+    config = apply_overrides(load_config(args.config_file or args.preset),
+                             args.overrides, READS[args.command])
     if getattr(args, "seed", None) is not None:
         config = replace(config, seed=args.seed)
     out = Path(getattr(args, "out", None)
                or os.environ.get(OUTPUT_ENV_VAR, "results"))
-    spec = ExperimentSpec(config=config, figure=figure, out_dir=out,
-                          **FIGURE_DEFAULTS.get(figure, {}))
-    for flag, field_name in SPEC_FLAGS.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            spec = replace(spec, **{field_name: tuple(value)
-                                    if isinstance(value, list) else value})
-    return spec
+    flags = {f.name: tuple(v) if isinstance(v, list) else v
+             for f in fields(ExperimentSpec)
+             if (v := getattr(args, f.name, None)) is not None}
+    return ExperimentSpec(config=config, out_dir=out, **{
+        **FIGURE_DEFAULTS.get(args.figure, {}), **flags})
 
 
 def _rejected(problems) -> int:
@@ -487,37 +480,36 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_val = sub.add_parser("validate", help="check a scenario configuration")
+    _add_common(p_val, "backhauling", "custom")
     p_off = sub.add_parser("offload", help="contention pmfs and latency CDFs")
-    p_off.add_argument("--attempts", type=int, nargs="+", default=None)
+    p_off.add_argument("--attempts", type=int, nargs="+")
+    _add_common(p_off, "offloading", "fig4")
 
     p_bh = sub.add_parser("backhaul", help="delay and age versus load sweep")
-    p_bh.add_argument("--figure", choices=("fig6", "fig7", "custom"),
-                      default="fig6")
-    p_bh.add_argument("--mode", nargs="+", choices=bs.MODES, default=None)
-    p_bh.add_argument("--replications", type=int, default=None)
-    p_bh.add_argument("--packets", type=int, default=None)
-    p_bh.add_argument("--workers", type=int, default=None)
+    p_bh.add_argument("--figure", choices=("fig6", "fig7", "custom"))
+    p_bh.add_argument("--mode", nargs="+", choices=bs.MODES, dest="modes")
+    p_bh.add_argument("--replications", type=int)
+    p_bh.add_argument("--packets", type=int)
+    p_bh.add_argument("--workers", type=int)
+    _add_common(p_bh, "backhauling", "fig6")
 
     p_an = sub.add_parser("analytic", help="closed-form tables only")
-    for p in (p_val, p_off, p_bh, p_an):
-        _add_common(p)
+    _add_common(p_an, "backhauling", "custom")
     for p in (p_bh, p_an):
-        p.add_argument("--rho", type=float, nargs="+", default=None)
-        p.add_argument("--hops", type=int, nargs="+", default=None)
-        p.add_argument("--link-erasure", type=float, nargs="+", default=None,
-                       dest="link_erasure")
+        p.add_argument("--rho", type=float, nargs="+", dest="rhos",
+                       metavar="RHO")
+        p.add_argument("--hops", type=int, nargs="+")
+        p.add_argument("--link-erasure", type=float, nargs="+",
+                       dest="erasures", metavar="LINK_ERASURE")
     for p in (p_off, p_bh):           # the closed forms draw no random number
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=int)
     for p in (p_off, p_bh, p_an):
-        p.add_argument("--out", default=None,
-                       help=f"output directory (default ${OUTPUT_ENV_VAR} "
-                            f"or ./results)")
+        p.add_argument("--out", help=f"output directory (default "
+                                     f"${OUTPUT_ENV_VAR} or ./results)")
 
     args = parser.parse_args(argv)
-    figure = getattr(args, "figure",
-                     "fig4" if args.command == "offload" else "custom")
     try:
-        spec = _load_spec(args, figure)
+        spec = _load_spec(args)
     except (OSError, ValueError) as exc:
         return _rejected([f"leoiot {args.command}: {exc}"])
 

@@ -111,6 +111,5 @@ def access_delay(attempts, cfg: RaConfig, backoff_sum, t_extra=0.0):
     if np.any((s < 0) | (s > (a - 1) * cfg.max_backoff)):
         raise ValueError(f"backoff sum outside [0, (attempts - 1) x "
                          f"{cfg.max_backoff}]")
-    retry_overhead = cfg.preamble_duration + cfg.t_proc1 + cfg.rar_window_ms
     return (min_access_delay(cfg) + t_extra
-            + backoff_sum + (attempts - 1) * retry_overhead)
+            + backoff_sum + (attempts - 1) * cfg.retry_lag)

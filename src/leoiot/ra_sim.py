@@ -119,7 +119,7 @@ def run(cfg: RaConfig, max_attempts: int, rate_per_s: float,
     n_raos = int(horizon_ms // t_rao)
     if n_raos < 1:
         raise ValueError(f"horizon {horizon_ms} ms holds no RAO (period {t_rao} ms)")
-    detect_lag = cfg.preamble_duration + cfg.t_proc1 + cfg.rar_window_ms
+    detect_lag = cfg.retry_lag
 
     gen = generate_arrivals(rate_per_s / 1000.0, horizon_ms, rng)
     n = len(gen)

@@ -6,14 +6,15 @@ milliseconds, matching how the evaluation parameters are usually quoted.
 There is one configuration path.  A scenario is a ``ScenarioConfig``; the
 INI format holds one section per part of it (``[traffic]``,
 ``[ground_ra]``, the optional ``[space_ra]``, and ``[run]`` for the
-top-level ``seed`` and ``horizon``).  ``load_config`` reads that format
-and rejects unknown sections and keys, ``dump_config`` writes every field
-back, and ``apply_overrides`` (the CLI ``--set section.key=value``; the
-``[run]`` keys may also go bare, as ``--set horizon=4e5``) can set every
-field; given a key set, ``apply_overrides`` and ``config_hash`` take only
-those keys.  The two evaluation columns, ``offloading`` and
-``backhauling``, exist only as the packaged INI files under
-``leoiot/presets``; ``load_config`` resolves either bare name to its file.
+top-level ``seed`` and ``horizon``).  ``load_config`` alone reads that
+format and rejects unknown sections, ``[DEFAULT]`` too, and keys;
+``dump_config`` writes every field back, ``apply_overrides`` (the CLI
+``--set section.key=value``; the ``[run]`` keys may also go bare, as
+``--set horizon=4e5``) can set every field, and ``validate`` checks each
+key by its rule in the one table ``RULES``; given a key set, these three
+and ``config_hash`` take only those keys.  The two evaluation columns,
+``offloading`` and ``backhauling``, exist only as the packaged INI files
+under ``leoiot/presets``; ``load_config`` resolves either name to its file.
 
 The relay chain is not part of the scenario: its unit-rate servers are
 fixed, and its load, hop count and link erasure come from the sweep grid
@@ -27,6 +28,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
+import math
 import os
 from dataclasses import dataclass, field, fields, replace
 from importlib import resources
@@ -86,6 +88,11 @@ class RaConfig:
         return float(self.rar_window * self.repetitions)
 
     @property
+    def retry_lag(self) -> float:
+        """ms from an RAO to the close of its RAR window, the backoff start."""
+        return self.preamble_duration + self.t_proc1 + self.rar_window_ms
+
+    @property
     def grant_capacity(self) -> int:
         return self.grants_per_subframe * self.rar_window
 
@@ -104,27 +111,6 @@ def split_rates(traffic: TrafficConfig):
     earth = traffic.ground_ratio * traffic.total_rate
     space = (1.0 - traffic.ground_ratio) * traffic.total_rate
     return earth, space
-
-
-def _check_ra(cfg: RaConfig, prefix: str, out: list):
-    if cfg.preambles not in VALID_PREAMBLE_COUNTS:
-        out.append(f"{prefix}.preambles: {cfg.preambles} not in {VALID_PREAMBLE_COUNTS}")
-    if cfg.rao_period not in VALID_RAO_PERIODS:
-        out.append(f"{prefix}.rao_period: {cfg.rao_period} not a valid period "
-                   f"{VALID_RAO_PERIODS}")
-    if cfg.repetitions < 1:
-        out.append(f"{prefix}.repetitions: must be >= 1")
-    if cfg.rar_window < 1:
-        out.append(f"{prefix}.rar_window: must be >= 1")
-    if cfg.grants_per_subframe < 1:
-        out.append(f"{prefix}.grants_per_subframe: must be >= 1")
-    if not 0.0 <= cfg.erasure_prob < 1.0:
-        out.append(f"{prefix}.erasure_prob: {cfg.erasure_prob} outside [0, 1)")
-    for name in ("max_backoff", "extended_prefix", "max_prop_delay",
-                 "t_preamble_base", "t_rar_base", "t_msg3", "t_msg4",
-                 "t_proc1", "t_proc2", "t_proc3"):
-        if getattr(cfg, name) < 0:
-            out.append(f"{prefix}.{name}: must be >= 0")
 
 
 # ---------------------------------------------------------------------------
@@ -146,25 +132,53 @@ def _keys(cls) -> dict:
 SETTABLE = frozenset(f"{section}.{key}" for section, cls in SECTIONS.items()
                      for key in _keys(cls))
 
+# an access path's rules, key -> (test, message); ``{}`` in a message
+# takes the value
+_RA_RULES = {
+    "preambles": (lambda v: v in VALID_PREAMBLE_COUNTS,
+                  f"{{}} not in {VALID_PREAMBLE_COUNTS}"),
+    "rao_period": (lambda v: v in VALID_RAO_PERIODS,
+                   f"{{}} not a valid period {VALID_RAO_PERIODS}"),
+    **dict.fromkeys(("repetitions", "rar_window", "grants_per_subframe"),
+                    (lambda v: v >= 1, "must be >= 1")),
+    "erasure_prob": (lambda v: 0.0 <= v < 1.0, "{} outside [0, 1)"),
+    **dict.fromkeys(("max_backoff", "extended_prefix", "max_prop_delay",
+                     "t_preamble_base", "t_rar_base", "t_msg3", "t_msg4",
+                     "t_proc1", "t_proc2", "t_proc3"),
+                    (lambda v: v >= 0, "must be >= 0")),
+}
+# every key ``validate`` checks, dotted, in report order -> its rule
+RULES = {"traffic.total_rate": (lambda v: v > 0, "{} must be > 0"),
+         "traffic.ground_ratio": (lambda v: 0.0 <= v <= 1.0,
+                                  "{} outside [0, 1]"),
+         **{f"{path}.{key}": rule for path in ("ground_ra", "space_ra")
+            for key, rule in _RA_RULES.items()},
+         "run.horizon": (lambda v: v > 0, "{} must be > 0")}
+
+
+def _section_objects(config: ScenarioConfig) -> dict:
+    objects = {"traffic": config.traffic, "ground_ra": config.ground_ra,
+               "space_ra": config.space_ra, "run": config}
+    return {name: obj for name, obj in objects.items() if obj is not None}
+
 
 def validate(config: ScenarioConfig, keys=SETTABLE) -> list:
-    """Collect the invariant violations of the dotted ``keys``, one line
-    each that starts with its key; an empty list means a run that reads
-    only those keys can use the config."""
-    out: list = []
-    t = config.traffic
-    if t.total_rate <= 0:
-        out.append(f"traffic.total_rate: {t.total_rate} must be > 0")
-    if not 0.0 <= t.ground_ratio <= 1.0:
-        out.append(f"traffic.ground_ratio: {t.ground_ratio} outside [0, 1]")
-    _check_ra(config.ground_ra, "ground_ra", out)
-    if config.space_ra is not None:
-        _check_ra(config.space_ra, "space_ra", out)
-    if config.horizon <= 0:
-        out.append(f"horizon: {config.horizon} must be > 0")
-    # the keys of [run] go bare, as in ``--set``
-    return [p for p in out
-            if (key := p.partition(":")[0]) in keys or f"run.{key}" in keys]
+    """Check the dotted ``keys`` by their ``RULES``, in the table's order:
+    one line per violation, starting with its key (a ``[run]`` key goes
+    bare, as in ``--set``), and a float that is not finite fails on a line
+    of its own.  Empty means a run that reads only ``keys`` can use it."""
+    objects = _section_objects(config)
+    out = []
+    for key, (test, message) in RULES.items():
+        section, _, name = key.partition(".")
+        if key in keys and section in objects:
+            value = getattr(objects[section], name)
+            if isinstance(value, float) and not math.isfinite(value):
+                message = "{} is not finite"
+            elif test(value):
+                continue
+            out.append(f"{key.removeprefix('run.')}: {message.format(value)}")
+    return out
 
 
 def _typed(section: str, items) -> dict:
@@ -186,7 +200,26 @@ def _typed(section: str, items) -> dict:
     return out
 
 
-def config_from_dict(parser: configparser.ConfigParser) -> ScenarioConfig:
+def load_config(path_or_preset: str | os.PathLike) -> ScenarioConfig:
+    """Load an INI scenario file; the bare preset names ``offloading`` and
+    ``backhauling``, given as strings, resolve to the packaged
+    ``leoiot/presets/<name>.ini``.  A path object is always opened, even
+    when it names a file called like a preset.  An unparsable file, an
+    unknown section (``[DEFAULT]`` too) or key, or a malformed number
+    raises ``ValueError``."""
+    if isinstance(path_or_preset, str) and path_or_preset in PRESETS:
+        preset = resources.files("leoiot.presets") / f"{path_or_preset}.ini"
+        text, source = preset.read_text(), preset.name
+    else:
+        with open(path_or_preset) as fh:
+            text, source = fh.read(), str(path_or_preset)
+    # no header names "", so [DEFAULT] is an unknown section and shares no key
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"),
+                                       default_section="")
+    try:
+        parser.read_string(text, source)
+    except configparser.Error as exc:
+        raise ValueError(" ".join(str(exc).split())) from None
     unknown = [s for s in parser.sections() if s not in SECTIONS]
     if unknown:
         raise ValueError(f"unknown section(s) {unknown}; known: "
@@ -199,33 +232,6 @@ def config_from_dict(parser: configparser.ConfigParser) -> ScenarioConfig:
         ground_ra=RaConfig(**values.get("ground_ra", {})),
         space_ra=None if space is None else RaConfig(**space),
         **values.get("run", {}))
-
-
-def _parse(text: str, source: str) -> ScenarioConfig:
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    try:
-        parser.read_string(text, source)
-    except configparser.Error as exc:
-        raise ValueError(" ".join(str(exc).split())) from None
-    return config_from_dict(parser)
-
-
-def load_config(path_or_preset: str | os.PathLike) -> ScenarioConfig:
-    """Load an INI scenario file; the bare preset names ``offloading`` and
-    ``backhauling``, given as strings, resolve to the packaged
-    ``leoiot/presets/<name>.ini``.  A path object is always opened, even
-    when it names a file called like a preset."""
-    if isinstance(path_or_preset, str) and path_or_preset in PRESETS:
-        preset = resources.files("leoiot.presets") / f"{path_or_preset}.ini"
-        return _parse(preset.read_text(), preset.name)
-    with open(path_or_preset) as fh:
-        return _parse(fh.read(), str(path_or_preset))
-
-
-def _section_objects(config: ScenarioConfig) -> dict:
-    objects = {"traffic": config.traffic, "ground_ra": config.ground_ra,
-               "space_ra": config.space_ra, "run": config}
-    return {name: obj for name, obj in objects.items() if obj is not None}
 
 
 def dump_config(config: ScenarioConfig, keys=SETTABLE) -> str:

@@ -412,14 +412,20 @@ class TestChunkMajorChain:
         # the warm-up cut comes from the stream's length, not from a read
         monkeypatch.setattr(bs, "_CHUNK", 1000)
         n, erasures, hops = 3 * bs._CHUNK + 7, (0.0, 0.1), (1, 2, 4, 6)
-        s, reads = poisson_stream(0.6, n, bs._poisson_seed(85, 0.6, 0)), []
+        reads = []
 
-        def chunks():
-            reads.append(1)
-            return s.chunks()
+        def counted(rate, n_packets, seed):
+            s = poisson_stream(rate, n_packets, seed)
 
-        rows = run_point("no-ra", 0.6, hops, erasures, 0, 85, n,
-                         stream=bs.ArrivalStream(n, chunks))
+            def chunks():
+                reads.append(1)
+                return s.chunks()
+
+            return bs.ArrivalStream(s.n, chunks)
+
+        with monkeypatch.context() as m:
+            m.setattr(bs, "poisson_stream", counted)
+            rows = run_point("no-ra", 0.6, hops, erasures, 0, 85, n)
         assert len(reads) == 1
         assert rows == run_point("no-ra", 0.6, hops, erasures, 0, 85, n)
 
@@ -507,12 +513,13 @@ class TestPeakMemory:
             <= self.PEAK_ARRAYS[eps] * 8 * n
 
     @pytest.mark.parametrize("eps", [0.0, 0.1])
-    def test_cell_holds_its_stream_and_chunk_buffers(self, eps):
+    def test_cell_holds_its_stream_and_chunk_buffers(self, monkeypatch, eps):
         n = 10 ** 6
         times, _ = arrays(poisson_stream(0.5, n, 73))
         s = array_stream(times, times)
+        monkeypatch.setattr(bs, "poisson_stream", lambda *_: s)
         assert self.peak_bytes(
-            lambda: run_point("no-ra", 0.5, (4,), (eps,), 0, 1, n, stream=s)) \
+            lambda: run_point("no-ra", 0.5, (4,), (eps,), 0, 1, n)) \
             <= self.ABOVE_STREAM_ARRAYS[eps] * 8 * n
 
     @pytest.mark.parametrize("eps", [0.0, 0.1])
@@ -713,9 +720,11 @@ class TestAgeInPass:
               ("peak_aoi_mean", "peak_aoi_mean"),
               ("delivered_fraction", "delivered_fraction"))
 
-    def check(self, mode, stream, access, eps, hops=(1, 2, 4, 6)):
-        rows = run_point(mode, 0.6, hops, (eps,), 0, 81, stream.n, access,
-                         stream)
+    def check(self, monkeypatch, mode, stream, access, eps,
+              hops=(1, 2, 4, 6)):
+        # a no-ra cell reads ``stream``; an ra cell rescales ``access`` to it
+        monkeypatch.setattr(bs, "poisson_stream", lambda *_: stream)
+        rows = run_point(mode, 0.6, hops, (eps,), 0, 81, stream.n, access)
         for row in rows:
             trace = run(stream, BackhaulConfig(row.hops, eps),
                         bs._net_seed(81, mode, 0.6, eps, 0))
@@ -735,7 +744,7 @@ class TestAgeInPass:
         access = bs.ra_departure_stream(("ra-a10", 0), 81, 3_000, FEED)
         stream = bs.rescale_feed(access, 0.6)
         assert (np.diff(arrays(stream)[1]) < 0).any()
-        self.check("ra-a10", stream, access, eps)
+        self.check(monkeypatch, "ra-a10", stream, access, eps)
 
     @pytest.mark.parametrize("eps", [0.0, 0.1])
     def test_cut_on_a_chunk_boundary(self, monkeypatch, eps):
@@ -744,11 +753,12 @@ class TestAgeInPass:
         monkeypatch.setattr(bs, "_CHUNK", 64)
         times = np.arange(1280.0)
         assert math.ceil(bs.WARMUP_FRACTION * len(times)) == 64
-        self.check("no-ra", array_stream(times, times), None, eps)
+        self.check(monkeypatch, "no-ra", array_stream(times, times), None,
+                   eps)
 
-    def test_poisson_cells(self):
+    def test_poisson_cells(self, monkeypatch):
         s = poisson_stream(0.6, 50_000, 82)
-        self.check("no-ra", s, None, 0.1)
+        self.check(monkeypatch, "no-ra", s, None, 0.1)
 
 
 class TestSweep:

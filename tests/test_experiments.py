@@ -330,12 +330,21 @@ class TestCli:
         (["--config", "{missing}"], "No such file"),
         (["--config", "{stale}"], "unknown section(s) ['backhaul']"),
         (["--set", "traffic.total_rate=abc"], "not a number"),
+        # alone it read as the default config: a run on seed 1
+        (["--config", "{default_alone}"], "unknown section(s) ['DEFAULT']"),
+        # beside other sections its keys went into each of them
+        (["--config", "{default_beside}"], "unknown section(s) ['DEFAULT']"),
     ])
     def test_bad_config_fails_at_boundary(self, tmp_path, capsys, command,
                                           flags, text):
-        stale = tmp_path / "stale.ini"
-        stale.write_text("[traffic]\nusers = 10\n\n[backhaul]\nhops = 2\n")
-        flags = [f.format(missing=tmp_path / "missing.ini", stale=stale)
+        files = {"stale": "[traffic]\nusers = 10\n\n[backhaul]\nhops = 2\n",
+                 "default_alone": "[DEFAULT]\nseed = 7\nbogus = 1\n",
+                 "default_beside": "[DEFAULT]\ntotal_rate = 5\n\n"
+                                   "[ground_ra]\npreambles = 36\n"}
+        for name, body in files.items():
+            (tmp_path / f"{name}.ini").write_text(body)
+        flags = [f.format(missing=tmp_path / "missing.ini",
+                          **{name: tmp_path / f"{name}.ini" for name in files})
                  for f in flags]
         out = tmp_path / "out"
         if command != "validate":        # validate writes nothing
@@ -345,6 +354,24 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("error: ") and text in err[0]
+        assert not out.exists()          # rejected before any work
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("key", [
+        "traffic.total_rate", "horizon",
+        *(f"{path}.{name}" for path in ("ground_ra", "space_ra")
+          for name in ("max_backoff", "extended_prefix", "max_prop_delay",
+                       "t_preamble_base", "t_rar_base", "t_msg3", "t_msg4",
+                       "t_proc1", "t_proc2", "t_proc3"))])
+    def test_non_finite_value_fails_at_boundary(self, tmp_path, capsys, key,
+                                                value):
+        line = f"{key}: {value} is not finite"
+        sets = ["--preset", "offloading", "--set", f"{key}={value}"]
+        assert main(["validate", *sets]) == 1
+        assert capsys.readouterr().out.splitlines() == [f"violation: {line}"]
+        out = tmp_path / "out"
+        assert main(["offload", *sets, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {line}"]
         assert not out.exists()          # rejected before any work
 
     def test_offload_needs_space_path(self, tmp_path, capsys):
@@ -486,6 +513,8 @@ class TestCli:
         (["--preset", "offloading", "--config", "{ini}"], "not allowed"),
         # a preset is a packaged name, a file goes through --config
         (["--preset", "{ini}"], "invalid choice"),
+        # also when the preset named is the subcommand's default
+        (["--preset", "backhauling", "--config", "{ini}"], "not allowed"),
     ])
     def test_scenario_source_flags(self, tmp_path, capsys, flags, text):
         ini = tmp_path / "my.ini"

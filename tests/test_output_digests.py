@@ -1,5 +1,6 @@
 """The byte-identity tool gives the same digests for the same runs, and
 different ones where a run's output differs."""
+import hashlib
 import importlib.util
 from pathlib import Path
 
@@ -47,3 +48,19 @@ def test_pool_writes_the_serial_bytes():
         assert files[f"seed3/w1/{name}"] == files[f"seed3/w2/{name}"]
     # metadata.json records the worker count
     assert files["seed3/w1/metadata.json"] != files["seed3/w2/metadata.json"]
+
+
+def test_bad_input_prints_are_digested():
+    lines = output_digests.bad_input_lines({
+        "unknown": ["offload", "--set", "traffic.bogus=1"],
+        "validate": ["validate", "--set", "horizon=-1"]})
+    unknown = ("error: leoiot offload: traffic.bogus: unknown key 'bogus'; "
+               "known: total_rate, ground_ratio\n")
+    violation = "violation: horizon: -1.0 must be > 0\n"
+    digest = {text: hashlib.sha256(text.encode()).hexdigest()
+              for text in ("", unknown, violation)}
+    assert lines == [
+        "exit=2  bad/unknown", f"{digest['']}  bad/unknown/stdout",
+        f"{digest[unknown]}  bad/unknown/stderr",
+        "exit=1  bad/validate", f"{digest[violation]}  bad/validate/stdout",
+        f"{digest['']}  bad/validate/stderr"]

@@ -1,4 +1,5 @@
 import configparser
+import math
 from dataclasses import fields, replace
 from importlib import resources
 
@@ -66,6 +67,56 @@ class TestValidate:
                                         erasure_prob=1.0))
         assert any("erasure_prob" in p for p in validate(cfg))
 
+    def test_whole_report_in_rule_order(self):
+        # every checked key of the offloading column bad, each finite
+        times = ("max_backoff", "extended_prefix", "max_prop_delay",
+                 "t_preamble_base", "t_rar_base", "t_msg3", "t_msg4",
+                 "t_proc1", "t_proc2", "t_proc3")
+        bad_ra = dict(preambles=13, rao_period=100.0, repetitions=0,
+                      rar_window=0, grants_per_subframe=0, erasure_prob=1.0,
+                      **dict.fromkeys(times, -1.0))
+        config = load_config("offloading")
+        config = replace(
+            config, horizon=0.0,
+            traffic=TrafficConfig(total_rate=0.0, ground_ratio=1.5),
+            ground_ra=replace(config.ground_ra, **bad_ra),
+            space_ra=replace(config.space_ra, **bad_ra))
+        ra_lines = ["preambles: 13 not in (12, 24, 36, 48)",
+                    "rao_period: 100.0 not a valid period "
+                    "(40, 80, 160, 320, 640, 1280, 2560, 5120)",
+                    "repetitions: must be >= 1", "rar_window: must be >= 1",
+                    "grants_per_subframe: must be >= 1",
+                    "erasure_prob: 1.0 outside [0, 1)",
+                    *(f"{name}: must be >= 0" for name in times)]
+        expected = ["traffic.total_rate: 0.0 must be > 0",
+                    "traffic.ground_ratio: 1.5 outside [0, 1]",
+                    *(f"{path}.{line}" for path in ("ground_ra", "space_ra")
+                      for line in ra_lines),
+                    "horizon: 0.0 must be > 0"]
+        assert len(expected) == 35
+        assert validate(config) == expected
+        # given keys, the same lines of only those keys
+        keys = {"space_ra.t_msg4", "run.horizon", "traffic.ground_ratio"}
+        assert validate(config, keys) == [
+            "traffic.ground_ratio: 1.5 outside [0, 1]",
+            "space_ra.t_msg4: must be >= 0", "horizon: 0.0 must be > 0"]
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("key", [
+        *(f"{section}.{f.name}" for section, obj in (
+            ("traffic", TrafficConfig()), ("ground_ra", RaConfig()),
+            ("space_ra", RaConfig()))
+          for f in fields(obj) if isinstance(getattr(obj, f.name), float)),
+        "run.horizon"])
+    def test_non_finite_float_is_one_line(self, key, value):
+        section, _, name = key.rpartition(".")
+        config = load_config("offloading")
+        config = (replace(config, **{name: value}) if section == "run" else
+                  replace(config, **{section: replace(
+                      getattr(config, section), **{name: value})}))
+        assert validate(config) == [
+            f"{key.removeprefix('run.')}: {value} is not finite"]
+
 
 class TestPresets:
     def test_offloading_column(self):
@@ -129,6 +180,12 @@ class TestConfigFiles:
         ("[traffic]\ntotal_rate = many\n",
          "traffic.total_rate: 'many' is not"),
         ("users = 5\n", "no section headers"),
+        # alone it read as the default config, keys and all
+        ("[DEFAULT]\nseed = 7\nbogus = 1\n",
+         r"unknown section\(s\) \['DEFAULT'\]"),
+        # beside other sections its keys went into each of them
+        ("[DEFAULT]\ntotal_rate = 5\n\n[traffic]\nground_ratio = 1.0\n",
+         r"unknown section\(s\) \['DEFAULT'\]"),
     ])
     def test_bad_file_rejected(self, tmp_path, text, match):
         path = tmp_path / "scenario.ini"

@@ -1,5 +1,6 @@
-"""Digest every file that seven fixed ``leoiot`` runs write, so that two
-checkouts can be shown to write byte-identical outputs with one ``diff``.
+"""Digest every file that seven fixed ``leoiot`` runs write, and what five
+runs on bad input print, so that two checkouts can be shown to behave
+byte for byte alike with one ``diff``.
 
     python3 tools/output_digests.py 1 5 > change.txt
     python3 tools/output_digests.py 1 5 --src ../parent/src > parent.txt
@@ -20,6 +21,14 @@ first on its ``PYTHONPATH``, writing into a temporary directory.  Every
 written file gives one line ``sha256  seedN/command/file``, and every
 run one line ``exit=S  seedN/command`` with its exit status: a fig6
 sweep exits 1 when its tolerance report flags a row.
+
+Last come the bad-input runs of ``BAD_INPUTS``, which the command line
+stops before any work: ``validate`` on finite values that break its
+rules, ``--set`` of a key the subcommand does not read or does not know,
+and grid and attempt values no run can use.  Each gives its exit line
+``exit=S  bad/name`` and one digest line each for what it printed,
+``bad/name/stdout`` and ``bad/name/stderr``; they name no file, so
+no temporary path reaches the digests.
 """
 from __future__ import annotations
 
@@ -50,28 +59,64 @@ COMMANDS = {
                  "--replications", "2", "--packets", "2000", "--workers", "2"],
                 True),
 }
+# name -> arguments of a run that bad input stops before any work
+BAD_INPUTS = {
+    "validate": ["validate", "--preset", "offloading",
+                 "--set", "traffic.ground_ratio=1.5",
+                 "--set", "ground_ra.preambles=13",
+                 "--set", "ground_ra.erasure_prob=1",
+                 "--set", "space_ra.rao_period=100",
+                 "--set", "space_ra.t_msg3=-2", "--set", "horizon=-1"],
+    "backhaul-unread": ["backhaul", "--set", "run.horizon=1"],
+    "offload-unknown": ["offload", "--set", "traffic.bogus=1"],
+    "offload-attempts": ["offload", "--set", "horizon=100",
+                         "--attempts", "0", "1", "1"],
+    "backhaul-grid": ["backhaul", "--set", "ground_ra.repetitions=0",
+                      "--rho", "0", "0.5", "0.5", "--hops", "0"],
+}
+
+
+def _leoiot(argv: list, src: Path, cwd) -> subprocess.CompletedProcess:
+    """Run ``leoiot <argv>`` from ``src`` in ``cwd``, its output captured."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "leoiot.experiments", *argv],
+                          cwd=cwd, env=env, capture_output=True)
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 def run_digests(label: str, argv: list, src: Path) -> list:
     """Run ``leoiot <argv>`` from ``src`` into a fresh directory; return
     its exit line and one digest line per file it wrote, by path."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(src), env.get("PYTHONPATH")) if p)
     with tempfile.TemporaryDirectory(prefix="leoiot-digests-") as tmp:
         out = Path(tmp) / "out"
-        done = subprocess.run(
-            [sys.executable, "-m", "leoiot.experiments", *argv,
-             "--out", str(out)],
-            cwd=tmp, env=env, stdout=subprocess.DEVNULL,
-            stderr=subprocess.PIPE, text=True)
+        done = _leoiot([*argv, "--out", str(out)], src, tmp)
         if done.returncode not in (0, 1):
             raise RuntimeError(f"leoiot {' '.join(argv)} exited "
-                               f"{done.returncode}: {done.stderr.strip()}")
+                               f"{done.returncode}: "
+                               f"{done.stderr.decode().strip()}")
         lines = [f"exit={done.returncode}  {label}"]
         for path in sorted(p for p in out.rglob("*") if p.is_file()):
-            digest = hashlib.sha256(path.read_bytes()).hexdigest()
-            lines.append(f"{digest}  {label}/{path.relative_to(out)}")
+            lines.append(f"{_sha(path.read_bytes())}  "
+                         f"{label}/{path.relative_to(out)}")
+    return lines
+
+
+def bad_input_lines(bad_inputs=BAD_INPUTS, src: Path = SRC) -> list:
+    """The exit line and the stdout and stderr digest lines of each run
+    in ``bad_inputs``, each run in a fresh directory."""
+    lines = []
+    for name, argv in bad_inputs.items():
+        with tempfile.TemporaryDirectory(prefix="leoiot-digests-") as tmp:
+            done = _leoiot(argv, src, tmp)
+        label = f"bad/{name}"
+        lines += [f"exit={done.returncode}  {label}",
+                  f"{_sha(done.stdout)}  {label}/stdout",
+                  f"{_sha(done.stderr)}  {label}/stderr"]
     return lines
 
 
@@ -95,7 +140,8 @@ def main(argv=None) -> int:
     parser.add_argument("--src", type=Path, default=SRC,
                         help="the package source to run (default: %(default)s)")
     args = parser.parse_args(argv)
-    for line in digest_lines(args.seeds, src=args.src.resolve()):
+    src = args.src.resolve()
+    for line in digest_lines(args.seeds, src=src) + bad_input_lines(src=src):
         print(line, flush=True)
     return 0
 
