@@ -14,10 +14,12 @@ A cache-sized chunk read from the stream crosses every node of each link
 erasure's chain before the next is read.  Each node draws from generators
 of its own, ahead on a second thread for a longer stream, so the chain
 does not depend on the chunk size and its first n nodes are the n-hop
-chain.  A sweep scores the n-hop cell on node n's survivors: one read
-serves every hop count and erasure, and a cell holds chunk buffers only.
-Its delay and age leave out the deliveries of the first ceil(0.05 n)
-packets, a prefix of them, since the chain delivers in arrival order.
+chain.  The thread overlaps the draws with the scan and the age
+integrator: drawn inline, they made fig7-long's 10^6-packet cells 35%
+slower on 2 CPUs (CHANGES.md).  A sweep scores the n-hop cell on node
+n's survivors, so one read serves every hop count and erasure in chunk
+buffers only.  Its delay and age leave out the deliveries of the first
+ceil(0.05 n) packets, a prefix, since the chain delivers in arrival order.
 """
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ import itertools
 import math
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Callable, ClassVar
 
@@ -122,9 +124,12 @@ class NetworkTrace:
 
 @dataclass(frozen=True)
 class AoiSummary:
-    time_average_aoi: float
-    mean_system_time: float
+    """A cell's metrics, under ``SweepRow``'s names and in its order."""
+
+    n_delivered: int
     delivered_fraction: float
+    mean_system_time: float
+    mean_aoi: float
     peak_aoi_mean: float
 
 
@@ -265,14 +270,14 @@ class _Age:
 
     A delivery is fresh when its update is newer than every one delivered
     before it; a stale one (on access feeds, whose departure order is not
-    generation order) never resets the age.  The deliveries of the
-    stream's packets from index ``first`` on make the delay mean, and
-    their fresh ones are the sawtooth's anchors; from one anchor to the
-    next the age grows with slope one.
+    generation order) never resets the age.  Of a stream of ``n`` packets,
+    the deliveries of those from index ceil(warmup_fraction n) on make the
+    delay mean, and their fresh ones are the sawtooth's anchors; from one
+    anchor to the next the age grows with slope one.
     """
 
-    def __init__(self, first: int, scratch: tuple):
-        self.first = first
+    def __init__(self, n: int, warmup_fraction: float, scratch: tuple):
+        self.n, self.first = n, math.ceil(warmup_fraction * n)
         self.buf, self.seg, self.flags = scratch
         # every delivery's count and the newest update; past the warm-up,
         # the deliveries' count and summed system time, the first and last
@@ -338,8 +343,8 @@ class _Age:
         self.peak_n += k + 1
         self.end, self.end_age = float(t[-1]), float(age[-1])
 
-    def summary(self, n_offered: int) -> AoiSummary:
-        """The sawtooth's time-average from its first anchor to its last."""
+    def summary(self) -> AoiSummary:
+        """The metrics, the age averaged from the first anchor to the last."""
         if self.count < 2:
             raise ValueError("need at least two deliveries for an age average")
         if self.peak_n == 0 and self.first:
@@ -348,9 +353,9 @@ class _Age:
         if duration <= 0:
             raise ValueError("empty observation window")
         return AoiSummary(
-            time_average_aoi=self.area / duration,
+            n_delivered=self.count, delivered_fraction=self.count / self.n,
             mean_system_time=self.system / self.timed,
-            delivered_fraction=self.count / n_offered,
+            mean_aoi=self.area / duration,
             peak_aoi_mean=self.peak_sum / self.peak_n)
 
 
@@ -367,13 +372,11 @@ def average_aoi(trace: NetworkTrace,
     This feeds the trace to the integrator that a sweep runs inside the
     chain pass.
     """
-    gen = trace.gen_times
-    age = _Age(math.ceil(warmup_fraction * trace.n_offered),
-               _Age.scratch(len(gen)))
+    age = _Age(trace.n_offered, warmup_fraction, _Age.scratch(trace.n_offered))
     for lo in range(0, trace.n_delivered, _CHUNK):
-        age.add(0, gen, trace.delivered_index[lo:lo + _CHUNK],
+        age.add(0, trace.gen_times, trace.delivered_index[lo:lo + _CHUNK],
                 trace.delivery_times[lo:lo + _CHUNK])
-    return age.summary(trace.n_offered)
+    return age.summary()
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +509,8 @@ def ra_departure_stream(key, master_seed: int, n_packets: int,
             f"departures in {horizon:.6g} ms: {rate:g} updates/s on "
             f"{cfg.preambles} preambles every {cfg.rao_period:g} ms")
     ok = np.isfinite(trace.latency_ms)
-    dep_ms, gen_ms = trace.departure[ok], trace.gen_time[ok]
+    gen_ms = trace.gen_time[ok]
+    dep_ms = gen_ms + trace.latency_ms[ok]
     first = np.argsort(dep_ms, kind="stable")[:n_packets]
     return AccessFeed(departures_ms=dep_ms[first], gen_times_ms=gen_ms[first],
                       success_prob=trace.success_probability)
@@ -542,10 +546,9 @@ def run_point(mode: str, rho: float, hops, erasures, replication: int,
     stream = (rescale_feed(access, rho) if mode != "no-ra" else
               poisson_stream(rho, n_packets,
                              _poisson_seed(master_seed, rho, replication)))
-    cells = list(itertools.product(range(len(erasures)), hops))
     scratch = _Age.scratch(stream.n)
-    ages = {cell: _Age(math.ceil(WARMUP_FRACTION * stream.n), scratch)
-            for cell in cells}
+    ages = {cell: _Age(stream.n, WARMUP_FRACTION, scratch)
+            for cell in itertools.product(range(len(erasures)), hops)}
 
     def integrate(link, node, lo, gen, alive, departures):
         if (link, node + 1) in ages:
@@ -555,22 +558,17 @@ def run_point(mode: str, rho: float, hops, erasures, replication: int,
            [(eps, _net_seed(master_seed, mode, rho, eps, replication))
             for eps in erasures], integrate)
     rows = []
-    for link, n in cells:
-        eps, age = erasures[link], ages[link, n]
+    for (link, n), age in ages.items():
+        eps = erasures[link]
         try:
-            summary = age.summary(stream.n)
+            summary = age.summary()
         except ValueError as exc:
             raise ShortCellError(
                 f"{mode} cell rho={rho:g} hops={n} link erasure="
                 f"{eps:g} replication={replication}: {exc}") from None
         rows.append(SweepRow(
             mode=mode, rho=rho, hops=n, link_erasure=eps,
-            replication=replication, n_offered=stream.n,
-            n_delivered=age.count,
-            delivered_fraction=summary.delivered_fraction,
-            mean_system_time=summary.mean_system_time,
-            mean_aoi=summary.time_average_aoi,
-            peak_aoi_mean=summary.peak_aoi_mean,
+            replication=replication, n_offered=stream.n, **asdict(summary),
             ra_success_prob=None if mode == "no-ra" else access.success_prob))
     return rows
 

@@ -39,14 +39,14 @@ class RaoRecord:
 @dataclass
 class RaTrace:
     """Resolved updates as columns in generation order, and a read-only
-    int64 row of ``RaoRecord``'s fields per occupied RAO.  A failed update has
-    ``latency_ms`` inf and ``departure`` nan; censored ones are only counted."""
+    int64 row of ``RaoRecord``'s fields per occupied RAO.  A success departs
+    at ``gen_time + latency_ms``, a failure has ``latency_ms`` inf, and
+    censored ones are only counted."""
 
     n_raos: int
     gen_time: np.ndarray
     attempts: np.ndarray
     latency_ms: np.ndarray
-    departure: np.ndarray
     rao_counts: np.ndarray  # (occupied RAOs, 6), in RAO order
     censored: int = 0       # updates unresolved within the horizon
 
@@ -74,13 +74,17 @@ class RaTrace:
 def generate_arrivals(rate_per_ms: float, horizon_ms: float, rng):
     """Arrival times on [0, horizon) of the aggregate Poisson stream of
     updates, in increasing order.  The stream is not split into devices:
-    every update is an independent contender."""
+    every update is an independent contender.  A first block of draws too
+    large for an array raises ``MemoryError``."""
     if rate_per_ms < 0:
         raise ValueError("rate must be >= 0")
     if rate_per_ms == 0.0:
         return np.empty(0)
     n_guess = rate_per_ms * horizon_ms
-    block = max(int(n_guess + 6.0 * math.sqrt(n_guess + 1.0)), 64)
+    block = n_guess + 6.0 * math.sqrt(n_guess + 1.0)
+    if not block * 8.0 <= np.iinfo(np.intp).max:    # its bytes; inf fails
+        raise MemoryError(f"{n_guess:.3g} arrivals: too many for an array")
+    block = max(int(block), 64)
     times = []
     t = 0.0
     while True:
@@ -192,14 +196,11 @@ def run(cfg: RaConfig, max_attempts: int, rate_per_s: float,
     latency = np.full(n, np.inf)
     latency[ok] = access_delay(attempts[ok], cfg, backoff_sum[ok],
                                grant_offset[ok])
-    departure = np.full(n, np.nan)
-    departure[ok] = gen[ok] + latency[ok]
-    outcome[departure > horizon_ms] = _CENSORED
+    outcome[ok & (gen + latency > horizon_ms)] = _CENSORED
     done = outcome != _CENSORED
-    rao_counts = np.frombuffer(memoryview(counts).toreadonly(), np.int64)
+    rows = np.frombuffer(memoryview(counts).toreadonly(), np.int64)
     return RaTrace(n_raos=n_raos, gen_time=gen[done], attempts=attempts[done],
-                   latency_ms=latency[done], departure=departure[done],
-                   rao_counts=rao_counts.reshape(-1, 6),
+                   latency_ms=latency[done], rao_counts=rows.reshape(-1, 6),
                    censored=n - int(np.count_nonzero(done)))
 
 

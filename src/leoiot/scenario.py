@@ -10,8 +10,8 @@ top-level ``seed`` and ``horizon``).  ``load_config`` alone reads that
 format and rejects unknown sections, ``[DEFAULT]`` too, and keys;
 ``dump_config`` writes every field back, ``apply_overrides`` (the CLI
 ``--set section.key=value``; the ``[run]`` keys may also go bare, as
-``--set horizon=4e5``) can set every field, and ``validate`` checks each
-key by its rule in the one table ``RULES``; given a key set, these three
+``--set horizon=4e5``) can set every field, and ``validate`` checks every
+field by its rule in the one table ``RULES``; given a key set, these three
 and ``config_hash`` take only those keys.  The two evaluation columns,
 ``offloading`` and ``backhauling``, exist only as the packaged INI files
 under ``leoiot/presets``; ``load_config`` resolves either name to its file.
@@ -147,12 +147,13 @@ _RA_RULES = {
                      "t_proc1", "t_proc2", "t_proc3"),
                     (lambda v: v >= 0, "must be >= 0")),
 }
-# every key ``validate`` checks, dotted, in report order -> its rule
+# every settable key, dotted, in report order -> its rule for ``validate``
 RULES = {"traffic.total_rate": (lambda v: v > 0, "{} must be > 0"),
          "traffic.ground_ratio": (lambda v: 0.0 <= v <= 1.0,
                                   "{} outside [0, 1]"),
          **{f"{path}.{key}": rule for path in ("ground_ra", "space_ra")
             for key, rule in _RA_RULES.items()},
+         "run.seed": (lambda v: v >= 0, "{} must be >= 0"),
          "run.horizon": (lambda v: v > 0, "{} must be > 0")}
 
 

@@ -59,8 +59,9 @@ def average_aoi(trace, warmup_fraction: float = 0.0) -> AoiSummary:
         raise ValueError("empty observation window")
     area, peak_sum, peak_n = sawtooth_stats(deliv, deliv - gen)
     return AoiSummary(
-        time_average_aoi=area / duration,
-        mean_system_time=system_time,
+        n_delivered=trace.n_delivered,
         delivered_fraction=trace.delivered_fraction,
+        mean_system_time=system_time,
+        mean_aoi=area / duration,
         peak_aoi_mean=peak_sum / peak_n if peak_n else float("nan"),
     )

@@ -176,7 +176,7 @@ def test_criterion_6_aoi_oracle():
         trace = bs.run(stream, BackhaulConfig(1),
                        np.random.SeedSequence((MASTER_SEED, 66,
                                                int(rho * 100))))
-        sim = bs.average_aoi(trace).time_average_aoi
+        sim = bs.average_aoi(trace).mean_aoi
         exact = (1 + 1 / rho + rho ** 2 / (1 - rho))
         analytic = chain_metrics(1, rho, 0.0)[1]
         worst_exact = max(worst_exact, abs(sim - exact) / exact)
@@ -209,16 +209,15 @@ def test_criterion_7_erasure_orderings():
     sigma = math.sqrt(p * (1 - p) / n)
     frac_ok = abs(lossy_trace.delivered_fraction - p) <= 3 * sigma
     ok = (hi_lossy.mean_system_time < hi_clean.mean_system_time
-          and hi_lossy.time_average_aoi < hi_clean.time_average_aoi
-          and lo_clean.time_average_aoi <= lo_lossy.time_average_aoi
+          and hi_lossy.mean_aoi < hi_clean.mean_aoi
+          and lo_clean.mean_aoi <= lo_lossy.mean_aoi
           and frac_ok)
     verdict(7, ok,
             f"rho=0.9: T {hi_lossy.mean_system_time:.1f} < "
             f"{hi_clean.mean_system_time:.1f}, age "
-            f"{hi_lossy.time_average_aoi:.1f} < "
-            f"{hi_clean.time_average_aoi:.1f}; rho=0.1: age "
-            f"{lo_clean.time_average_aoi:.2f} <= "
-            f"{lo_lossy.time_average_aoi:.2f}; delivered fraction "
+            f"{hi_lossy.mean_aoi:.1f} < {hi_clean.mean_aoi:.1f}; rho=0.1: "
+            f"age {lo_clean.mean_aoi:.2f} <= {lo_lossy.mean_aoi:.2f}; "
+            f"delivered fraction "
             f"{lossy_trace.delivered_fraction:.4f} vs {p:.4f} (3sigma)")
 
 
@@ -275,8 +274,7 @@ def test_criterion_9_reproducibility(tmp_path):
     t2 = ra_sim.run(cfg, 1, 50.0, 3.2e5, MASTER_SEED)
     traces_same = (all(np.array_equal(getattr(t1, c), getattr(t2, c),
                                       equal_nan=True)
-                       for c in ("gen_time", "attempts", "latency_ms",
-                                 "departure"))
+                       for c in ("gen_time", "attempts", "latency_ms"))
                    and np.array_equal(t1.rao_counts, t2.rao_counts)
                    and t1.censored == t2.censored)
     verdict(9, same and traces_same,

@@ -4,6 +4,7 @@ import math
 import signal
 import threading
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -12,9 +13,9 @@ import _age_reference
 from _chain_reference import node_generators, reference_chain
 from leoiot import backhaul_sim as bs
 from leoiot.backhaul_analytic import chain_metrics
-from leoiot.backhaul_sim import (MODES, BackhaulConfig, NetworkTrace,
-                                 array_stream, average_aoi, poisson_stream,
-                                 run, run_point, sweep)
+from leoiot.backhaul_sim import (MODES, AoiSummary, BackhaulConfig,
+                                 NetworkTrace, array_stream, average_aoi,
+                                 poisson_stream, run, run_point, sweep)
 from leoiot.scenario import load_config
 
 FEED = bs.RaFeedSettings(load_config("backhauling").ground_ra)
@@ -557,7 +558,7 @@ class TestAverageAoi:
         # window ends; area = 4 + 1.5 over a window of 3, peaks 3 and 2.
         trace = manual_trace([0.0, 2.0, 3.0], [1.0, 3.0, 4.0])
         s = average_aoi(trace)
-        assert s.time_average_aoi == pytest.approx(5.5 / 3.0, rel=1e-12)
+        assert s.mean_aoi == pytest.approx(5.5 / 3.0, rel=1e-12)
         assert s.peak_aoi_mean == pytest.approx(2.5)
 
     def test_stale_delivery_never_raises_age(self):
@@ -566,29 +567,27 @@ class TestAverageAoi:
         stale = manual_trace([0.0, 5.0, 2.0], [10.0, 11.0, 12.0])
         a = average_aoi(fifo)
         b = average_aoi(stale)
-        assert b.time_average_aoi == pytest.approx(a.time_average_aoi)
+        assert b.mean_aoi == pytest.approx(a.mean_aoi)
 
     def test_single_queue_matches_exact_age(self):
         s = poisson_stream(0.5, 400_000, 23)
         trace = run(s, BackhaulConfig(1), 24)
         summary = average_aoi(trace)
-        assert summary.time_average_aoi == pytest.approx(mm1_aoi_exact(0.5),
-                                                         rel=0.03)
+        assert summary.mean_aoi == pytest.approx(mm1_aoi_exact(0.5), rel=0.03)
 
     def test_age_dominates_system_time(self):
         for rho, hops in ((0.3, 1), (0.5, 2), (0.8, 4)):
             s = poisson_stream(rho, 150_000, 25)
             trace = run(s, BackhaulConfig(hops), 26)
             summary = average_aoi(trace)
-            assert summary.time_average_aoi > summary.mean_system_time
+            assert summary.mean_aoi > summary.mean_system_time
 
     def test_warmup_discard(self):
         s = poisson_stream(0.5, 200_000, 27)
         trace = run(s, BackhaulConfig(1), 28)
         full = average_aoi(trace)
         trimmed = average_aoi(trace, warmup_fraction=0.05)
-        assert trimmed.time_average_aoi == pytest.approx(
-            full.time_average_aoi, rel=0.02)
+        assert trimmed.mean_aoi == pytest.approx(full.mean_aoi, rel=0.02)
 
     def test_requires_two_deliveries(self):
         with pytest.raises(ValueError):
@@ -628,8 +627,7 @@ class TestAgeReference:
                 average_aoi(trace, warmup_fraction)
             return
         got = average_aoi(trace, warmup_fraction)
-        for name in ("time_average_aoi", "mean_system_time",
-                     "delivered_fraction", "peak_aoi_mean"):
+        for name in (f.name for f in fields(AoiSummary)):
             assert getattr(got, name) == pytest.approx(
                 getattr(expected, name), rel=1e-12), name
 
@@ -715,11 +713,6 @@ class TestAgeInPass:
     ``average_aoi`` on the trace that ``run`` collects from the same
     chain, and both equal the full-length ``_age_reference``."""
 
-    FIELDS = (("mean_aoi", "time_average_aoi"),
-              ("mean_system_time", "mean_system_time"),
-              ("peak_aoi_mean", "peak_aoi_mean"),
-              ("delivered_fraction", "delivered_fraction"))
-
     def check(self, monkeypatch, mode, stream, access, eps,
               hops=(1, 2, 4, 6)):
         # a no-ra cell reads ``stream``; an ra cell rescales ``access`` to it
@@ -731,10 +724,10 @@ class TestAgeInPass:
             assert row.n_delivered == trace.n_delivered
             summaries = (average_aoi(trace, bs.WARMUP_FRACTION),
                          _age_reference.average_aoi(trace, bs.WARMUP_FRACTION))
-            for name, summary_name in self.FIELDS:
+            for name in (f.name for f in fields(AoiSummary)):
                 for summary in summaries:
                     assert getattr(row, name) == pytest.approx(
-                        getattr(summary, summary_name), rel=1e-12), name
+                        getattr(summary, name), rel=1e-12), name
 
     @pytest.mark.parametrize("chunk", [64, 1 << 15])
     @pytest.mark.parametrize("eps", [0.0, 0.1])

@@ -267,6 +267,8 @@ class TestCli:
                      "--set", "traffic.ground_ratio=1.2"])
         assert code == 1
         assert "ground_ratio" in capsys.readouterr().out
+        assert main(["validate", "--set", "seed=-1"]) == 1
+        assert capsys.readouterr().out == "violation: seed: -1 must be >= 0\n"
 
     def test_analytic_subcommand(self, tmp_path, capsys):
         code = main(["analytic", "--preset", "backhauling",
@@ -439,6 +441,9 @@ class TestCli:
         # shorter than the 320 ms RAO period of the terrestrial path
         (["offload", "--set", "horizon=100"], "horizon"),
         (["offload", "--attempts", "1", "1"], "attempts"),
+        (["offload", "--seed", "-1"], "seed: -1 must be >= 0"),
+        (["offload", "--set", "seed=-1"], "seed: -1 must be >= 0"),
+        (["backhaul", "--seed", "-1"], "seed: -1 must be >= 0"),
     ])
     def test_unusable_run_rejected(self, tmp_path, capsys, argv, field):
         out = tmp_path / "out"
@@ -579,8 +584,9 @@ class TestKeyTable:
 
     def test_key_counts(self):
         assert {command: len(keys) for command, keys in READS.items()} == {
-            "offload": 36, "backhaul": 17, "analytic": 26, "validate": 35}
+            "offload": 36, "backhaul": 17, "analytic": 26, "validate": 36}
         assert all(keys <= SETTABLE for keys in READS.values())
+        assert READS["validate"] == SETTABLE
 
     def test_analytic_reads_the_tabled_ra_fields(self, tmp_path,
                                                  monkeypatch):
@@ -791,6 +797,26 @@ class TestShortCells:
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: leoiot {argv[0]}: Unable to allocate 745. GiB "
                        f"for an array"]
+
+    @pytest.mark.parametrize("argv", [
+        ["offload", "--set", "horizon=1e300"],
+        ["offload", "--set", "traffic.total_rate=1e300"],
+        # an expected count of inf
+        ["offload", "--set", "horizon=1e300", "--set",
+         "traffic.total_rate=1e300"],
+        # past an array's byte size, though under its largest index
+        ["offload", "--set", "horizon=1e20"],
+        ["backhaul", "--figure", "custom", "--mode", "ra-a1", "--rho", "0.5",
+         "--hops", "1", "--replications", "1",
+         "--packets", "1000000000000000000000000000000"],
+    ])
+    def test_run_too_large_to_index_ends_in_one_error_line(self, tmp_path,
+                                                           capsys, argv):
+        assert main([*argv, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: leoiot {argv[0]}: ")
+        assert err[0].endswith("arrivals: too many for an array")
 
     def test_cell_short_by_chance_ends_in_one_error_line(self, tmp_path,
                                                          capsys):

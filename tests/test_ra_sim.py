@@ -134,7 +134,6 @@ class TestRun:
         assert ok.sum() > 10
         assert trace.latency_ms[ok] == pytest.approx(22.1, abs=1e-9)
         assert trace.latency_ms[ok].min() == min_access_delay(cfg)
-        assert trace.departure[ok] == pytest.approx(trace.gen_time[ok] + 22.1)
 
     def test_horizon_too_short(self):
         with pytest.raises(ValueError):
@@ -145,7 +144,6 @@ class TestRun:
         b = run(GROUND, 1, 50.0, 3.2e5, 123)
         for col in ("gen_time", "attempts", "latency_ms"):
             assert np.array_equal(getattr(a, col), getattr(b, col))
-        assert np.array_equal(a.departure, b.departure, equal_nan=True)
         assert a.rao_records == b.rao_records
         assert a.censored == b.censored
 
@@ -177,11 +175,8 @@ class TestRun:
         horizon = 3.2e5
         trace = run(GROUND, 1, 50.0, horizon, 9)
         ok = np.isfinite(trace.latency_ms)
-        succ = np.sort(trace.departure[ok])
+        succ = np.sort(trace.gen_time[ok] + trace.latency_ms[ok])
         assert len(succ) == trace.success_count
-        assert np.array_equal(np.isnan(trace.departure), ~ok)
-        assert np.allclose(succ, np.sort(trace.gen_time[ok]
-                                         + trace.latency_ms[ok]))
         assert succ[0] >= 0.0
         assert succ[-1] <= horizon
 
@@ -207,7 +202,6 @@ class TestRun:
         failed = ~np.isfinite(trace.latency_ms)
         assert failed.any()
         assert np.isinf(trace.latency_ms[failed]).all()
-        assert np.isnan(trace.departure[failed]).all()
         assert (trace.attempts[failed] == 1).all()
 
 
@@ -267,9 +261,6 @@ def _reference_columns(trace):
         "gen_time": np.array([r.gen_time for r in rec], dtype=float),
         "attempts": np.array([r.attempts for r in rec], dtype=np.int64),
         "latency_ms": np.array([r.latency_ms for r in rec], dtype=float),
-        "departure": np.array([np.nan if r.departure_time is None
-                               else r.departure_time for r in rec],
-                              dtype=float),
     }
 
 
@@ -305,8 +296,10 @@ class TestReference:
         assert trace.rao_records == oracle.rao_records
         assert trace.censored == oracle.censored
         assert trace.n_raos == oracle.n_raos
-        assert np.array_equal(np.sort(trace.departure[np.isfinite(
-            trace.latency_ms)]), oracle.departures)
+        ok = np.isfinite(trace.latency_ms)
+        assert np.array_equal(np.sort(trace.gen_time[ok]
+                                      + trace.latency_ms[ok]),
+                              oracle.departures)
 
     def test_grid_reaches_every_branch(self):
         # the grid above sees demotions, retries and final failures, and

@@ -77,7 +77,7 @@ class TestValidate:
                       **dict.fromkeys(times, -1.0))
         config = load_config("offloading")
         config = replace(
-            config, horizon=0.0,
+            config, seed=-1, horizon=0.0,
             traffic=TrafficConfig(total_rate=0.0, ground_ratio=1.5),
             ground_ra=replace(config.ground_ra, **bad_ra),
             space_ra=replace(config.space_ra, **bad_ra))
@@ -92,8 +92,8 @@ class TestValidate:
                     "traffic.ground_ratio: 1.5 outside [0, 1]",
                     *(f"{path}.{line}" for path in ("ground_ra", "space_ra")
                       for line in ra_lines),
-                    "horizon: 0.0 must be > 0"]
-        assert len(expected) == 35
+                    "seed: -1 must be >= 0", "horizon: 0.0 must be > 0"]
+        assert len(expected) == 36
         assert validate(config) == expected
         # given keys, the same lines of only those keys
         keys = {"space_ra.t_msg4", "run.horizon", "traffic.ground_ratio"}

@@ -1,4 +1,4 @@
-"""Digest every file that seven fixed ``leoiot`` runs write, and what five
+"""Digest every file that seven fixed ``leoiot`` runs write, and what seven
 runs on bad input print, so that two checkouts can be shown to behave
 byte for byte alike with one ``diff``.
 
@@ -22,10 +22,11 @@ written file gives one line ``sha256  seedN/command/file``, and every
 run one line ``exit=S  seedN/command`` with its exit status: a fig6
 sweep exits 1 when its tolerance report flags a row.
 
-Last come the bad-input runs of ``BAD_INPUTS``, which the command line
-stops before any work: ``validate`` on finite values that break its
+Last come the bad-input runs of ``BAD_INPUTS``, which end in an error
+before any output file: ``validate`` on finite values that break its
 rules, ``--set`` of a key the subcommand does not read or does not know,
-and grid and attempt values no run can use.  Each gives its exit line
+grid and attempt values no run can use, a negative seed, and a horizon
+whose arrivals no array can hold.  Each gives its exit line
 ``exit=S  bad/name`` and one digest line each for what it printed,
 ``bad/name/stdout`` and ``bad/name/stderr``; they name no file, so
 no temporary path reaches the digests.
@@ -59,7 +60,7 @@ COMMANDS = {
                  "--replications", "2", "--packets", "2000", "--workers", "2"],
                 True),
 }
-# name -> arguments of a run that bad input stops before any work
+# name -> arguments of a run that bad input stops before any output file
 BAD_INPUTS = {
     "validate": ["validate", "--preset", "offloading",
                  "--set", "traffic.ground_ratio=1.5",
@@ -73,12 +74,15 @@ BAD_INPUTS = {
                          "--attempts", "0", "1", "1"],
     "backhaul-grid": ["backhaul", "--set", "ground_ra.repetitions=0",
                       "--rho", "0", "0.5", "0.5", "--hops", "0"],
+    "offload-seed": ["offload", "--seed", "-1"],
+    "offload-huge": ["offload", "--set", "horizon=1e300"],
 }
 
 
 def _leoiot(argv: list, src: Path, cwd) -> subprocess.CompletedProcess:
     """Run ``leoiot <argv>`` from ``src`` in ``cwd``, its output captured."""
     env = dict(os.environ)
+    env.pop("LEOIOT_OUT", None)     # a default output stays in ``cwd``
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(src), env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-m", "leoiot.experiments", *argv],
