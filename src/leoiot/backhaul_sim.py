@@ -27,6 +27,7 @@ import contextlib
 import itertools
 import math
 import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import partial
@@ -578,11 +579,12 @@ def sweep(rhos, hops_list, erasures, modes, replications: int,
           feed: RaFeedSettings | None = None, workers: int = 1):
     """Cross product of the grid, deterministically seeded per cell.
 
-    One map, over a spawned pool of ``min(workers, cells)`` processes if
-    ``workers > 1``, first simulates each access feed once per (mode,
-    replication) (ra modes need ``feed``), then runs ``run_point`` per
-    (mode, rho, replication), handing an ra cell its feed as ``access``.
-    The rows depend only on the grid and the master seed, not ``workers``.
+    One map first simulates each access feed once per (mode, replication)
+    (ra modes need ``feed``), then runs ``run_point`` per (mode, rho,
+    replication), handing an ra cell its feed as ``access``.  It runs over
+    a spawned pool of ``min(workers, tasks, CPUs)`` processes when that is
+    more than one, and in process when not.  The rows depend only on the
+    grid and the master seed, not ``workers``.
     """
     unknown = [m for m in modes if m not in MODES]
     if unknown:
@@ -598,9 +600,9 @@ def sweep(rhos, hops_list, erasures, modes, replications: int,
              for m in modes for rho in rhos for rep in range(replications)]
     if not tasks:
         return []
-    with (ProcessPoolExecutor(min(workers, len(tasks)),
-                              multiprocessing.get_context("spawn"))
-          if workers > 1 else contextlib.nullcontext()) as pool:
+    processes = min(workers, len(tasks), os.cpu_count() or 1)
+    with (ProcessPoolExecutor(processes, multiprocessing.get_context("spawn"))
+          if processes > 1 else contextlib.nullcontext()) as pool:
         fan_out = pool.map if pool else map
         feeds = dict(zip(keys, fan_out(simulate, keys)))
         parts = fan_out(run_point, *zip(*[

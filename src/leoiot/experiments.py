@@ -54,6 +54,30 @@ READS = {"offload": SETTABLE, "validate": frozenset(RULES),
                                or k.startswith("ground_ra.")),
          "analytic": frozenset(k for k in SETTABLE if k.startswith("traffic.")
                                or k.partition(".")[2] in ra.FIELDS_READ)}
+# the largest array index, which bounds a stream's packet count
+MAX_INDEX = int(np.iinfo(np.intp).max)
+# each ExperimentSpec field a run checks, in report order -> (its name in
+# messages, the test of one value, the message when a value fails it); a
+# tuple field is a grid, also checked for no value and for a value twice
+SPEC_RULES = {
+    "rhos": ("rho", lambda r: 0.0 < r < math.inf, "every load must be > 0"),
+    "hops": ("hops", lambda n: n >= 1, "every hop count must be >= 1"),
+    "erasures": ("link erasure", lambda e: 0.0 <= e < 1.0,
+                 "every erasure must lie in [0, 1)"),
+    "modes": ("mode", lambda m: m in bs.MODES,
+              f"every mode must be in {bs.MODES}"),
+    "attempts": ("attempts", lambda a: a >= 1,
+                 "every attempt budget must be >= 1"),
+    "replications": ("replications", lambda n: n >= 1, "must be >= 1"),
+    "workers": ("workers", lambda n: n >= 1, "must be >= 1"),
+    "packets": ("packets", lambda n: n <= MAX_INDEX,
+                f"must be <= {MAX_INDEX}, the largest array index"),
+}
+# the spec fields each subcommand reads, as READS holds its config keys
+SPEC_READS = {"offload": {"attempts"},
+              "analytic": {"rhos", "hops", "erasures"},
+              "backhaul": {"rhos", "hops", "erasures", "modes", "replications",
+                           "workers", "packets"}}
 
 
 @dataclass(frozen=True)
@@ -116,41 +140,31 @@ def _check(problems):
         raise SpecError(problems)
 
 
-def _repeated(name: str, values) -> list:
-    """A grid value given twice would pose as a second replication."""
-    twice = list(dict.fromkeys(v for v in values if values.count(v) > 1))
-    return [f"{name} {twice}: each value may appear once"] if twice else []
-
-
-def sweep_problems(spec: ExperimentSpec) -> list:
-    """Collect sweep-grid values no run can use; empty means usable."""
-    out = [f"{name}: the grid needs at least one value" for name, values in
-           (("rho", spec.rhos), ("hops", spec.hops),
-            ("link erasure", spec.erasures), ("mode", spec.modes))
-           if not values]
-    rhos = [r for r in spec.rhos if not 0.0 < r < math.inf]
-    if rhos:
-        out.append(f"rho {rhos}: every load must be > 0")
-    hops = [n for n in spec.hops if n < 1]
-    if hops:
-        out.append(f"hops {hops}: every hop count must be >= 1")
-    erasures = [e for e in spec.erasures if not 0.0 <= e < 1.0]
-    if erasures:
-        out.append(f"link erasure {erasures}: every erasure must lie in [0, 1)")
-    out += (_repeated("rho", spec.rhos) + _repeated("hops", spec.hops)
-            + _repeated("link erasure", spec.erasures)
-            + _repeated("mode", spec.modes))
-    if spec.replications < 1:
-        out.append(f"replications {spec.replications}: must be >= 1")
-    if spec.workers < 1:
-        out.append(f"workers {spec.workers}: must be >= 1")
-    return out
+def spec_problems(spec: ExperimentSpec, names) -> list:
+    """Check the spec fields in ``names`` by their ``SPEC_RULES``, one line
+    per problem, by kind of check across the fields: empty grids, grid
+    values that fail the test, grid values given twice (a repeat would
+    pose as a second replication), then scalars that fail it.  Empty
+    means a run that reads only ``names`` can use the spec."""
+    rows = [(name, getattr(spec, f), test, message)
+            for f, (name, test, message) in SPEC_RULES.items() if f in names]
+    grids = [row for row in rows if isinstance(row[1], tuple)]
+    return ([f"{name}: the grid needs at least one value"
+             for name, values, *_ in grids if not values]
+            + [f"{name} {bad}: {message}" for name, values, test, message
+               in grids if (bad := [v for v in values if not test(v)])]
+            + [f"{name} {twice}: each value may appear once"
+               for name, values, *_ in grids
+               if (twice := list(dict.fromkeys(
+                   v for v in values if values.count(v) > 1)))]
+            + [f"{name} {value}: {message}" for name, value, test, message
+               in rows if not isinstance(value, tuple) and not test(value)])
 
 
 def backhaul_problems(spec: ExperimentSpec) -> list:
-    """Config and grid problems that stop the relay-chain sweep, also a grid
+    """Config and spec problems that stop the relay-chain sweep, also a grid
     whose lossiest cell delivers too few packets for an age average."""
-    grid = sweep_problems(spec)
+    grid = spec_problems(spec, SPEC_READS["backhaul"])
     n, eps = max(spec.hops, default=1), max(spec.erasures, default=0.0)
     if not grid and spec.packets * (1.0 - eps) ** n < MIN_PACKETS:
         grid.append(f"packets {spec.packets}: {n} hops at link erasure "
@@ -168,10 +182,7 @@ def offload_problems(spec: ExperimentSpec) -> list:
         out.append("space_ra: offloading needs the space path configured")
     else:
         periods.append(config.space_ra.rao_period)
-    attempts = [a for a in spec.attempts if a < 1]
-    if attempts:
-        out.append(f"attempts {attempts}: every attempt budget must be >= 1")
-    out += _repeated("attempts", spec.attempts)
+    out += spec_problems(spec, SPEC_READS["offload"])
     if 0 < config.horizon < max(periods):
         out.append(f"horizon: {config.horizon} ms holds no RAO of a channel "
                    f"with period {max(periods)} ms")
@@ -181,21 +192,15 @@ def offload_problems(spec: ExperimentSpec) -> list:
 def _write_csv(path: Path, header, rows, schema: str):
     with open(path, "w", newline="") as fh:
         fh.write(f"# leoiot-results v1 {schema}\n")
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
+        csv.writer(fh).writerows([header, *rows])
 
 
-def _write_metadata(out: Path, spec: ExperimentSpec, command: str, extra=None):
-    meta = {
-        "tool": "leoiot", "version": __version__,
-        "config_sha256_16": config_hash(spec.config, READS[command]),
-        "figure": spec.figure,
-    }
+def _write_metadata(out: Path, spec: ExperimentSpec, command: str, **extra):
+    meta = {"tool": "leoiot", "version": __version__, "figure": spec.figure,
+            "config_sha256_16": config_hash(spec.config, READS[command]),
+            **extra}
     if "run.seed" in READS[command]:
         meta["seed"] = spec.config.seed
-    if extra:
-        meta.update(extra)
     (out / "metadata.json").write_text(json.dumps(meta, indent=2, sort_keys=True)
                                        + "\n")
 
@@ -301,13 +306,11 @@ def run_backhauling(spec: ExperimentSpec):
     rows = bs.sweep(spec.rhos, spec.hops, spec.erasures, spec.modes,
                     spec.replications, cfg.seed, spec.packets, feed,
                     spec.workers)
-    files = []
     raw = out / "backhaul_rows.csv"
     _write_csv(raw, [f.name for f in fields(bs.SweepRow)],
                [[_fmt(v) if v is None or isinstance(v, float) else v
                  for v in astuple(r)] for r in rows],
                "per-replication sweep rows")
-    files.append(raw)
 
     checks = _checks(rows, closed)
     agg = out / "backhaul_summary.csv"
@@ -317,7 +320,6 @@ def run_backhauling(spec: ExperimentSpec):
                  _fmt(c.link_erasure), c.metric, _fmt(c.value),
                  _fmt(c.stderr)] for c in checks],
                "aggregated metrics with Monte Carlo standard errors")
-    files.append(agg)
 
     ov = out / "analytic_overlay.csv"
     _write_csv(ov, ["figure", "mode", "rho", "hops", "link_erasure",
@@ -326,16 +328,13 @@ def run_backhauling(spec: ExperimentSpec):
                  _fmt(value)] for (rho, hops, eps, metric), value
                 in closed.items()],
                "closed-form overlay (no-RA regime)")
-    files.append(ov)
 
     text, ok = report(checks, spec)
     rp = out / "report.txt"
     rp.write_text(text)
-    files.append(rp)
-    _write_metadata(out, spec, "backhaul", {
-        "packets_per_point": spec.packets,
-        "replications": spec.replications, "workers": spec.workers})
-    return files, ok
+    _write_metadata(out, spec, "backhaul", packets_per_point=spec.packets,
+                    replications=spec.replications, workers=spec.workers)
+    return [raw, agg, ov, rp], ok
 
 
 def _checks(rows, closed: dict) -> list:
@@ -400,7 +399,8 @@ def report(checks, spec: ExperimentSpec):
 def run_analytic(spec: ExperimentSpec):
     """Closed-form quantities for the configured scenario, no simulation."""
     cfg = spec.config
-    _check(validate(cfg, READS["analytic"]) + sweep_problems(spec))
+    _check(validate(cfg, READS["analytic"])
+           + spec_problems(spec, SPEC_READS["analytic"]))
     out = spec.out_dir
     out.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -515,12 +515,9 @@ def main(argv=None) -> int:
 
     if args.command == "validate":
         problems = validate(spec.config, READS["validate"])
-        if problems:
-            for p in problems:
-                print(f"violation: {p}")
-            return 1
-        print("configuration valid")
-        return 0
+        print("\n".join(f"violation: {p}" for p in problems)
+              or "configuration valid")
+        return 1 if problems else 0
 
     try:
         if args.command == "backhaul":

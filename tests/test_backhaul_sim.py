@@ -1,3 +1,4 @@
+import contextlib
 import faulthandler
 import hashlib
 import math
@@ -5,6 +6,7 @@ import signal
 import threading
 import tracemalloc
 from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -787,6 +789,7 @@ class TestSweep:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(bs, "ProcessPoolExecutor", Counting)
+        monkeypatch.setattr("os.cpu_count", lambda: 2)   # a pool on any host
         kwargs = dict(rhos=(0.3, 0.6), hops_list=(1, 2), erasures=(0.0,),
                       modes=("ra-a1", "ra-a10"), replications=1,
                       master_seed=13, n_packets=2_000, feed=FEED)
@@ -794,6 +797,27 @@ class TestSweep:
         assert len(pools) == 1
         assert parallel == sweep(**kwargs, workers=1)
         assert len(pools) == 1
+
+    @pytest.mark.parametrize("cpus, pools", [(3, [3]), (1, []), (None, [])])
+    def test_pool_is_capped_at_the_cpu_count(self, monkeypatch, cpus, pools):
+        # the stand-in records the pool's size and maps in process, so no
+        # worker process starts however many the sweep asks for
+        opened = []
+
+        def in_process(max_workers, mp_context):
+            opened.append(max_workers)
+            return contextlib.nullcontext(SimpleNamespace(map=map))
+
+        monkeypatch.setattr(bs, "ProcessPoolExecutor", in_process)
+        monkeypatch.setattr("os.cpu_count", lambda: cpus)
+        # 2 loads x 2 modes x 2 replications = 8 tasks, more than 3 CPUs
+        kwargs = dict(rhos=(0.3, 0.6), hops_list=(1,), erasures=(0.0,),
+                      modes=("no-ra", "ra-a1"), replications=2,
+                      master_seed=17, n_packets=2_000, feed=FEED)
+        rows = sweep(**kwargs, workers=10**6)
+        assert opened == pools
+        assert rows == sweep(**kwargs, workers=1)
+        assert opened == pools          # one worker opens no pool
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_empty_grid_gives_no_rows(self, workers):

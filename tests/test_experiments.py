@@ -1,9 +1,12 @@
+import contextlib
 import csv
 import json
 import math
 from dataclasses import asdict, fields, replace
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from leoiot import backhaul_sim as bs
@@ -707,6 +710,66 @@ class TestKeyTable:
         assert not out.exists()
 
 
+class TestSpecRules:
+    """The spec's own fields are checked by one table, ``SPEC_RULES``, and
+    each subcommand checks the fields it reads (``SPEC_READS``)."""
+
+    def test_every_rule_is_a_field_some_subcommand_reads(self):
+        assert set(ex.SPEC_RULES) <= {f.name for f in fields(ExperimentSpec)}
+        assert set().union(*ex.SPEC_READS.values()) == set(ex.SPEC_RULES)
+
+    def test_checks_go_by_kind_across_fields(self, tmp_path):
+        spec = backhaul_spec(tmp_path, rhos=(0.0, 0.5, 0.5), hops=(0,),
+                             erasures=(), modes=("no-ra", "no-ra"),
+                             replications=0, workers=0)
+        with pytest.raises(ex.SpecError) as info:
+            run_backhauling(spec)
+        assert info.value.problems == [
+            "link erasure: the grid needs at least one value",
+            "rho [0.0]: every load must be > 0",
+            "hops [0]: every hop count must be >= 1",
+            "rho [0.5]: each value may appear once",
+            "mode ['no-ra']: each value may appear once",
+            "replications 0: must be >= 1", "workers 0: must be >= 1"]
+        assert not any(tmp_path.iterdir())
+
+    def test_unknown_mode_rejected_before_any_file(self, tmp_path):
+        with pytest.raises(ex.SpecError) as info:
+            run_backhauling(backhaul_spec(tmp_path, modes=("no-ra", "ra")))
+        assert info.value.problems == [
+            "mode ['ra']: every mode must be in ('no-ra', 'ra-a1', 'ra-a10')"]
+        assert not any(tmp_path.iterdir())
+
+    def test_analytic_checks_only_the_grid_it_takes(self, tmp_path):
+        # no sweep runs, so the sweep's own fields cannot stop the tables
+        spec = backhaul_spec(tmp_path, modes=(), replications=0, workers=0,
+                             packets=10**30)
+        assert run_analytic(spec) == [tmp_path / "analytic.csv"]
+
+    def test_pool_capped_while_metadata_keeps_the_request(self, tmp_path,
+                                                          monkeypatch):
+        # the stand-in records the pool's size and maps in process, so no
+        # worker process starts however many the flag asks for
+        opened = []
+
+        def in_process(max_workers, mp_context):
+            opened.append(max_workers)
+            return contextlib.nullcontext(SimpleNamespace(map=map))
+
+        monkeypatch.setattr(bs, "ProcessPoolExecutor", in_process)
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        argv = ["backhaul", "--figure", "custom", "--mode", "no-ra", "ra-a1",
+                "--rho", "0.3", "0.6", "--hops", "1", "--replications", "2",
+                "--packets", "2000"]
+        for workers in ("1000000", "1"):
+            main([*argv, "--workers", workers,
+                  "--out", str(tmp_path / workers)])
+        assert opened == [2]
+        assert _csv_bytes(tmp_path / "1000000") == _csv_bytes(tmp_path / "1")
+        meta = json.loads((tmp_path / "1000000" / "metadata.json").read_text())
+        assert meta["workers"] == 1_000_000
+
+
 class TestShortCells:
     @pytest.mark.parametrize("flags", [
         ["--rho", "0.5", "--hops", "6", "--link-erasure", "0.9"],
@@ -806,9 +869,10 @@ class TestShortCells:
          "traffic.total_rate=1e300"],
         # past an array's byte size, though under its largest index
         ["offload", "--set", "horizon=1e20"],
+        # under the packets bound, but over the arrivals a feed can hold
         ["backhaul", "--figure", "custom", "--mode", "ra-a1", "--rho", "0.5",
          "--hops", "1", "--replications", "1",
-         "--packets", "1000000000000000000000000000000"],
+         "--packets", "1000000000000000000"],
     ])
     def test_run_too_large_to_index_ends_in_one_error_line(self, tmp_path,
                                                            capsys, argv):
@@ -817,6 +881,20 @@ class TestShortCells:
         assert len(err) == 1
         assert err[0].startswith(f"error: leoiot {argv[0]}: ")
         assert err[0].endswith("arrivals: too many for an array")
+
+    @pytest.mark.parametrize("mode", ["no-ra", "ra-a1"])
+    def test_packets_past_an_array_index_rejected(self, tmp_path, capsys,
+                                                  mode):
+        out = tmp_path / "out"
+        packets = 10**30
+        code = main(["backhaul", "--figure", "custom", "--mode", mode,
+                     "--rho", "0.5", "--hops", "1", "--replications", "1",
+                     "--packets", str(packets), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: packets {packets}: must be <= "
+                       f"{np.iinfo(np.intp).max}, the largest array index"]
+        assert not out.exists()          # rejected before any work
 
     def test_cell_short_by_chance_ends_in_one_error_line(self, tmp_path,
                                                          capsys):

@@ -1,4 +1,4 @@
-"""Digest every file that seven fixed ``leoiot`` runs write, and what seven
+"""Digest every file that seven fixed ``leoiot`` runs write, and what eight
 runs on bad input print, so that two checkouts can be shown to behave
 byte for byte alike with one ``diff``.
 
@@ -25,8 +25,9 @@ sweep exits 1 when its tolerance report flags a row.
 Last come the bad-input runs of ``BAD_INPUTS``, which end in an error
 before any output file: ``validate`` on finite values that break its
 rules, ``--set`` of a key the subcommand does not read or does not know,
-grid and attempt values no run can use, a negative seed, and a horizon
-whose arrivals no array can hold.  Each gives its exit line
+grid and attempt values no run can use, a negative seed, a horizon
+whose arrivals no array can hold, and a ``--packets`` past an array's
+largest index.  Each gives its exit line
 ``exit=S  bad/name`` and one digest line each for what it printed,
 ``bad/name/stdout`` and ``bad/name/stderr``; they name no file, so
 no temporary path reaches the digests.
@@ -76,6 +77,9 @@ BAD_INPUTS = {
                       "--rho", "0", "0.5", "0.5", "--hops", "0"],
     "offload-seed": ["offload", "--seed", "-1"],
     "offload-huge": ["offload", "--set", "horizon=1e300"],
+    "backhaul-packets": ["backhaul", "--figure", "custom", "--mode", "no-ra",
+                         "--rho", "0.5", "--hops", "1", "--replications", "1",
+                         "--packets", "1000000000000000000000000000000"],
 }
 
 
