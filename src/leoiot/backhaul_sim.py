@@ -17,9 +17,9 @@ does not depend on the chunk size and its first n nodes are the n-hop
 chain.  The thread overlaps the draws with the scan and the age
 integrator: drawn inline, they made fig7-long's 10^6-packet cells 35%
 slower on 2 CPUs (CHANGES.md).  A sweep scores the n-hop cell on node
-n's survivors, so one read serves every hop count and erasure in chunk
-buffers only.  Its delay and age leave out the deliveries of the first
-ceil(0.05 n) packets, a prefix, since the chain delivers in arrival order.
+n's survivors, so one read serves every hop count and erasure in one set
+of chunk buffers, the age integrators' borrowed from the chain's scan.
+Delay and age omit the deliveries of the first ceil(0.05 n) packets.
 """
 from __future__ import annotations
 
@@ -60,9 +60,10 @@ class BackhaulConfig:
 @dataclass(frozen=True)
 class ArrivalStream:
     """``n`` packets entering the chain: every call of ``chunks()`` yields
-    the same queue arrival and generation times (the age's anchors, which
-    differ from arrivals behind the access procedure), ``_CHUNK`` packets a
-    chunk but the last; a stream held in memory also keeps ``gen_times``."""
+    the same values of arrival and generation times (the age's anchors,
+    which differ from arrivals behind the access procedure), ``_CHUNK``
+    packets a chunk but the last, each valid until the next is read (a
+    reader may refill its buffers); a stream in memory keeps ``gen_times``."""
 
     n: int
     chunks: Callable                    # () -> iterator of the chunks
@@ -86,15 +87,17 @@ def array_stream(arrival_times, gen_times) -> ArrivalStream:
 def poisson_stream(rate: float, n_packets: int, seed) -> ArrivalStream:
     """Poisson arrivals at ``rate``, each generated as it arrives: a read
     draws the running sums of ``default_rng(seed).exponential(1 / rate,
-    n_packets)`` afresh, a chunk at a time, as both time vectors, so no
-    array of the stream's length is ever held."""
+    n_packets)`` afresh, bit for bit, a chunk at a time into one buffer
+    yielded as both time vectors: no array of the stream's length is held."""
     seed = (seed if isinstance(seed, np.random.SeedSequence)
             else np.random.SeedSequence(seed))  # one entropy for every read
 
     def chunks():
         rng, carry = np.random.default_rng(seed), 0.0
+        buf = np.empty(min(_CHUNK, n_packets))
         for lo in range(0, n_packets, _CHUNK):
-            times = rng.exponential(1.0 / rate, min(_CHUNK, n_packets - lo))
+            times = rng.standard_exponential(out=buf[:n_packets - lo])
+            times *= 1.0 / rate       # as exponential(1 / rate) scales it
             times[0] += carry
             carry = np.cumsum(times, out=times)[-1]
             yield times, times
@@ -181,7 +184,7 @@ def _ahead(items, depth: int):
         pool.shutdown(cancel_futures=True)
 
 
-def _chain(stream: ArrivalStream, hops: int, links, sink) -> None:
+def _chain(stream: ArrivalStream, hops: int, links, sink, scan) -> None:
     """Push one read of a packet stream, a chunk at a time, through ``hops``
     nodes of the chain of each (link erasure, seed) pair of ``links``: one
     read serves every erasure, in chunk buffers only, whatever its length.
@@ -194,10 +197,11 @@ def _chain(stream: ArrivalStream, hops: int, links, sink) -> None:
     minimum on from chunk to chunk.  After each node, ``sink(link, node,
     lo, gen, alive, times)`` gets the chunk's offset in the stream and its
     generation times, and its survivors in order, by index in the chunk
-    and departure time, in buffers that the next node reuses.
+    and departure time, in buffers that the next node reuses; the sum and
+    the minimum, in the two rows of ``scan``, are idle while it runs.
     """
     n, size = stream.n, min(stream.n, _CHUNK)
-    times, cum, low = np.empty(size), np.empty(size + 1), np.empty(size + 1)
+    times, (cum, low) = np.empty(size), scan
     # a buffer per chunk drawn ahead, one for the chunk in the scan
     ring = [np.empty(size) for _ in range(1 + _AHEAD * (n > _CHUNK))]
     # the indices of a chunk and of its survivors past a lossy link
@@ -250,7 +254,8 @@ def run(stream: ArrivalStream, cfg: BackhaulConfig, seed) -> NetworkTrace:
     drop_node = np.full(n, int(lossy), dtype=np.min_scalar_type(cfg.hops))
     index, times, k = np.empty(n, dtype=np.intp), np.empty(n), 0
     gen_times = (stream.gen_times if stream.gen_times is not None else
-                 np.concatenate([g for _, g in stream.chunks()] or [[]]))
+                 np.concatenate([g.copy() for _, g in stream.chunks()]
+                                or [[]]))   # a chunk is valid until the next
 
     def collect(link, node, lo, gen, alive, departures):
         nonlocal k
@@ -261,7 +266,8 @@ def run(stream: ArrivalStream, cfg: BackhaulConfig, seed) -> NetworkTrace:
             np.add(alive, lo, out=index[part])
             times[part] = departures
 
-    _chain(stream, cfg.hops, [(cfg.link_erasure, seed)], collect)
+    _chain(stream, cfg.hops, [(cfg.link_erasure, seed)], collect,
+           np.empty((2, min(n, _CHUNK) + 1)))
     return NetworkTrace(cfg, gen_times, drop_node,
                         delivered_index=index[:k], delivery_times=times[:k])
 
@@ -274,12 +280,13 @@ class _Age:
     generation order) never resets the age.  Of a stream of ``n`` packets,
     the deliveries of those from index ceil(warmup_fraction n) on make the
     delay mean, and their fresh ones are the sawtooth's anchors; from one
-    anchor to the next the age grows with slope one.
+    anchor to the next the age grows with slope one.  ``add`` works in the
+    two rows of ``scan``, which a sweep's integrators share with its chain.
     """
 
-    def __init__(self, n: int, warmup_fraction: float, scratch: tuple):
+    def __init__(self, n: int, warmup_fraction: float, scan):
         self.n, self.first = n, math.ceil(warmup_fraction * n)
-        self.buf, self.seg, self.flags = scratch
+        self.buf, self.seg = scan
         # every delivery's count and the newest update; past the warm-up,
         # the deliveries' count and summed system time, the first and last
         # anchor, the area under the sawtooth between them, and the sum and
@@ -288,12 +295,6 @@ class _Age:
         self.start, self.end, self.end_age = None, math.nan, math.nan
         self.area, self.peak_sum, self.peak_n = 0.0, 0.0, 0
 
-    @staticmethod
-    def scratch(n: int) -> tuple:
-        """Buffers that integrators share, each within one ``add``."""
-        size = min(n, _CHUNK)
-        return np.empty(size), np.empty(size), np.empty(size, bool)
-
     def add(self, lo, gen, index, deliv):
         """Add the next deliveries, at most ``_CHUNK`` of them: the indices
         of their updates in ``gen``, whose first packet is the stream's
@@ -301,10 +302,9 @@ class _Age:
         k = len(index)
         if not k:
             return
-        # the indices are into gen, and "clip" lets take write straight
-        # into the buffer
+        # the indices are into gen: "clip" lets take write into the buffer
         g = np.take(gen, index, out=self.buf[:k], mode="clip")
-        top, flags = self.top, self.flags[:k]
+        top, flags = self.top, np.empty(k, bool)
         # deliveries come in arrival order: the warm-up's are a prefix
         past = int(np.searchsorted(index, self.first - lo))
         if g[0] > top and np.greater(g[1:], g[:-1], out=flags[1:]).all():
@@ -370,10 +370,10 @@ def average_aoi(trace: NetworkTrace,
     first ceil(warmup_fraction n) of the n offered updates, by index, are
     left out of the delay mean, and the clock starts at the first fresh
     delivery of a later one; the delivered count and fraction keep them.
-    This feeds the trace to the integrator that a sweep runs inside the
-    chain pass.
+    A sweep runs the same integrator inside the chain pass.
     """
-    age = _Age(trace.n_offered, warmup_fraction, _Age.scratch(trace.n_offered))
+    age = _Age(trace.n_offered, warmup_fraction,
+               np.empty((2, min(trace.n_offered, _CHUNK))))
     for lo in range(0, trace.n_delivered, _CHUNK):
         age.add(0, trace.gen_times, trace.delivered_index[lo:lo + _CHUNK],
                 trace.delivery_times[lo:lo + _CHUNK])
@@ -537,9 +537,9 @@ def run_point(mode: str, rho: float, hops, erasures, replication: int,
     """The sweep cells of every link erasure in ``erasures`` and hop count
     in ``hops`` at one (mode, rho, replication), in that order.  One read
     of the stream crosses ``max(hops)`` nodes of each erasure's chain a
-    chunk at a time, and node n's survivors score the n-hop cell: a cell
-    holds chunk buffers only, whatever its length.  An ra cell rescales
-    ``access``, the feed that ``sweep`` simulated once for every load."""
+    chunk at a time, and node n's survivors score the n-hop cell, which
+    holds one set of chunk buffers, whatever its length.  An ra cell
+    rescales ``access``, the feed ``sweep`` simulated once for all loads."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if mode != "no-ra" and access is None:
@@ -547,8 +547,8 @@ def run_point(mode: str, rho: float, hops, erasures, replication: int,
     stream = (rescale_feed(access, rho) if mode != "no-ra" else
               poisson_stream(rho, n_packets,
                              _poisson_seed(master_seed, rho, replication)))
-    scratch = _Age.scratch(stream.n)
-    ages = {cell: _Age(stream.n, WARMUP_FRACTION, scratch)
+    scan = np.empty((2, min(stream.n, _CHUNK) + 1))
+    ages = {cell: _Age(stream.n, WARMUP_FRACTION, scan)
             for cell in itertools.product(range(len(erasures)), hops)}
 
     def integrate(link, node, lo, gen, alive, departures):
@@ -557,7 +557,7 @@ def run_point(mode: str, rho: float, hops, erasures, replication: int,
 
     _chain(stream, max(hops, default=0),
            [(eps, _net_seed(master_seed, mode, rho, eps, replication))
-            for eps in erasures], integrate)
+            for eps in erasures], integrate, scan)
     rows = []
     for (link, n), age in ages.items():
         eps = erasures[link]

@@ -45,6 +45,11 @@ FIGURE_DEFAULTS = {
 TOLERANCES = {"mean_system_time": 0.02, "mean_aoi": 0.10}
 # smallest sweep cell whose age average keeps deliveries past the warm-up
 MIN_PACKETS = 10
+# most cells a sweep runs: it builds its task list before any cell and
+# holds each cell's row and CSV line until it writes its files, 0.73-0.97
+# KB a cell under tracemalloc (no-ra sweeps of 240 to 4,800 cells), so
+# about 1 GB at the bound
+MAX_CELLS = 10 ** 6
 # RAO period of the lightly loaded channel behind the offloading pmfs, ms
 PMF_RAO_PERIOD = 160.0
 # the dotted config keys each subcommand reads: a ``--set`` of any other
@@ -163,12 +168,19 @@ def spec_problems(spec: ExperimentSpec, names) -> list:
 
 def backhaul_problems(spec: ExperimentSpec) -> list:
     """Config and spec problems that stop the relay-chain sweep, also a grid
-    whose lossiest cell delivers too few packets for an age average."""
+    whose lossiest cell delivers too few packets for an age average, and
+    replications that make more than ``MAX_CELLS`` cells of the grid."""
     grid = spec_problems(spec, SPEC_READS["backhaul"])
     n, eps = max(spec.hops, default=1), max(spec.erasures, default=0.0)
     if not grid and spec.packets * (1.0 - eps) ** n < MIN_PACKETS:
         grid.append(f"packets {spec.packets}: {n} hops at link erasure "
                     f"{eps:g} deliver fewer than {MIN_PACKETS} on average")
+    per_rep = math.prod(map(len, (spec.modes, spec.rhos, spec.hops,
+                                  spec.erasures)))
+    if not grid and (cells := spec.replications * per_rep) > MAX_CELLS:
+        grid.append(f"replications {spec.replications}: the grid makes "
+                    f"{cells} cells ({per_rep} per replication), more than "
+                    f"the {MAX_CELLS} a sweep runs")
     return validate(spec.config, READS["backhaul"]) + grid
 
 

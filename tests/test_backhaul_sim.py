@@ -1,6 +1,7 @@
 import contextlib
 import faulthandler
 import hashlib
+import itertools
 import math
 import signal
 import threading
@@ -37,8 +38,9 @@ def point(mode, rho, hops, eps, master_seed, n_packets):
 
 
 def arrays(stream):
-    """A stream's arrival and generation times, from one read."""
-    read = list(stream.chunks())
+    """A stream's arrival and generation times, from one read; a chunk is
+    valid only until the next is read, so each is copied."""
+    read = [(a.copy(), g.copy()) for a, g in stream.chunks()]
     return tuple(np.concatenate([chunk[i] for chunk in read] or [[]])
                  for i in (0, 1))
 
@@ -81,16 +83,21 @@ class TestStreams:
 
 
 class TestStreamReader:
-    """A stream is read a chunk at a time, the same on every read."""
+    """A stream is read a chunk at a time, the same values on every read,
+    each chunk valid until the next is read."""
 
     @pytest.mark.parametrize("n", [0, 1, bs._CHUNK - 1, bs._CHUNK,
                                    bs._CHUNK + 1, 10 ** 5])
     def test_poisson_chunks_are_the_whole_draw(self, n):
-        s = poisson_stream(0.7, n, 5)
-        whole = np.cumsum(np.random.default_rng(5).exponential(1 / 0.7, n))
-        arrival_times, gen_times = arrays(s)
-        assert arrival_times.tobytes() == whole.tobytes()
-        assert gen_times.tobytes() == whole.tobytes()
+        # the reader scales standard draws in place: bit for bit the
+        # scaled draws, at every rate of the default grid
+        for rate in (0.05, 0.2, 0.5, 0.7, 0.8, 0.95):
+            s = poisson_stream(rate, n, 5)
+            whole = np.cumsum(
+                np.random.default_rng(5).exponential(1 / rate, n))
+            arrival_times, gen_times = arrays(s)
+            assert arrival_times.tobytes() == whole.tobytes(), rate
+            assert gen_times.tobytes() == whole.tobytes(), rate
         again = arrays(s)
         assert all(a.tobytes() == whole.tobytes() for a in again)
         assert all(len(a) == bs._CHUNK for a, _ in list(s.chunks())[:-1])
@@ -105,6 +112,16 @@ class TestStreamReader:
         s = bs.rescale_feed(access, 0.6)
         dep, gen = access.departures_ms, access.gen_times_ms
         scale = len(dep) / float(dep[-1]) / 0.6
+        # each read is its slice of the feed times the scale, bit for bit,
+        # in buffers apart from the feed, checked before the next is read
+        reads = 0
+        for lo, (a, g) in zip(itertools.count(0, bs._CHUNK), s.chunks()):
+            part, reads = slice(lo, lo + bs._CHUNK), reads + 1
+            assert a.tobytes() == (dep[part] * scale).tobytes()
+            assert g.tobytes() == (gen[part] * scale).tobytes()
+            assert not np.shares_memory(a, dep)
+            assert not np.shares_memory(g, gen)
+        assert reads == 4
         arrival_times, gen_times = arrays(s)
         assert arrival_times.tobytes() == (dep * scale).tobytes()
         assert gen_times.tobytes() == (gen * scale).tobytes()
@@ -137,6 +154,13 @@ class TestRun:
         assert trace.n_delivered == 0
         assert (trace.drop_node == 1).all()
         assert trace.drop_node.dtype == np.uint8
+
+    def test_chain_of_no_hop_keeps_its_generation_times(self):
+        # no node hands a chunk on, yet the trace keeps every update's time
+        s = poisson_stream(0.5, bs._CHUNK + 100, 1)
+        trace = run(s, BackhaulConfig(0), 2)
+        assert trace.gen_times.tobytes() == arrays(s)[1].tobytes()
+        assert trace.n_delivered == 0
 
     def test_empty_stream(self):
         s = array_stream(np.empty(0), np.empty(0))
@@ -371,7 +395,7 @@ class TestChunkMajorChain:
             nodes[node][0].append(alive + lo)
             nodes[node][1].append(times.copy())
 
-        bs._chain(s, 6, [(eps, 78)], record)
+        bs._chain(s, 6, [(eps, 78)], record, np.empty((2, 1001)))
         longest = run(s, BackhaulConfig(6, eps), 78)
         for hops in (1, 2, 4, 6):
             trace = run(s, BackhaulConfig(hops, eps), 78)
@@ -473,20 +497,22 @@ class TestInputsUntouched:
 class TestPeakMemory:
     """Guard on the chain's and the age integrator's buffers.
 
-    A sweep cell reads its stream a chunk at a time, so it holds chunk
-    buffers only, whatever its length: a 4-hop ``run_point`` over erasures
-    0, 0.01 and 0.1 peaked at 3.58 MB traced both at 2^17 and at 2^20
-    packets.  Counted in float arrays of the cell's length (8 n bytes), a
-    one-erasure cell of 200,000 packets read 1.84 at eps 0 and 2.19 at eps
-    0.1, and one of 10^6 packets given its stream read 0.30 and 0.41 above
-    it.  ``run`` keeps the trace, 2.125 arrays beside the generation times
-    a stream holds: at 400,000 packets it read 2.71 at eps 0 and 2.96 at
-    eps 0.1.  Each bound is its case's reading plus at most 10%.
+    A sweep cell reads its stream a chunk at a time, so it holds one set
+    of chunk buffers, whatever its length: the reader fills one buffer in
+    place, and the age integrators borrow the chain's scan buffers.  A
+    4-hop ``run_point`` over erasures 0, 0.01 and 0.1 peaked at 3.02 MB
+    traced both at 2^17 and at 2^20 packets.  Counted in float arrays of
+    the cell's length (8 n bytes), a one-erasure cell of 200,000 packets
+    read 1.35 at eps 0 and 1.84 at eps 0.1, and one of 10^6 packets given
+    its stream read 0.24 and 0.34 above it.  ``run`` keeps the trace,
+    2.125 arrays beside the generation times a stream holds: at 400,000
+    packets it read 2.71 at eps 0 and 2.96 at eps 0.1.  Each bound is its
+    case's reading plus at most 10%.
     """
 
-    CELL_PEAK_MB = 3.9
-    PEAK_ARRAYS = {0.0: 2.0, 0.1: 2.4}
-    ABOVE_STREAM_ARRAYS = {0.0: 0.33, 0.1: 0.45}
+    CELL_PEAK_MB = 3.32
+    PEAK_ARRAYS = {0.0: 1.48, 0.1: 2.02}
+    ABOVE_STREAM_ARRAYS = {0.0: 0.26, 0.1: 0.36}
     CHAIN_ARRAYS = {0.0: 2.75, 0.1: 3.1}
 
     @staticmethod
@@ -863,8 +889,12 @@ class TestSweep:
                 assert all(b > a for a, b in zip(delays, delays[1:]))
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown mode 'two-step'"):
             point("two-step", 0.5, 2, 0.0, 7, 1000)
+        # also with a feed, before the cell reads it
+        access = bs.AccessFeed(np.arange(1.0, 101.0), np.arange(100.0), 1.0)
+        with pytest.raises(ValueError, match="unknown mode 'two-step'"):
+            run_point("two-step", 0.5, (2,), (0.0,), 0, 7, 100, access)
 
     def test_ra_cell_needs_its_feed(self):
         with pytest.raises(ValueError, match="access feed"):

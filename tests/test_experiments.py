@@ -896,6 +896,30 @@ class TestShortCells:
                        f"{np.iinfo(np.intp).max}, the largest array index"]
         assert not out.exists()          # rejected before any work
 
+    @pytest.mark.parametrize("replications", [250_001, 10**18])
+    def test_replications_past_the_cell_bound_rejected(
+            self, tmp_path, capsys, monkeypatch, replications):
+        # the sweep would build a task per (mode, rho, replication) first
+        def sweep(*args, **kwargs):
+            raise AssertionError("built the sweep of an oversized grid")
+
+        monkeypatch.setattr(bs, "sweep", sweep)
+        out = tmp_path / "out"
+        code = main(["backhaul", "--figure", "custom", "--mode", "no-ra",
+                     "--rho", "0.5", "--hops", "1", "2", "4", "6",
+                     "--replications", str(replications), "--packets",
+                     "2000", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: replications {replications}: the grid makes "
+            f"{4 * replications} cells (4 per replication), more than the "
+            f"{ex.MAX_CELLS} a sweep runs"]
+        assert not out.exists()
+        # the bound itself is a grid a sweep can run
+        spec = backhaul_spec(tmp_path, rhos=(0.5,), hops=(1, 2, 4, 6),
+                             replications=ex.MAX_CELLS // 4)
+        assert ex.backhaul_problems(spec) == []
+
     def test_cell_short_by_chance_ends_in_one_error_line(self, tmp_path,
                                                          capsys):
         # 1000 packets at erasure 0.99 deliver 10 on average; at seed 1062
