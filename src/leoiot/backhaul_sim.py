@@ -16,19 +16,19 @@ of its own, ahead on a second thread for a longer stream, so the chain
 does not depend on the chunk size and its first n nodes are the n-hop
 chain.  The thread overlaps the draws with the scan and the age
 integrator: drawn inline, they made fig7-long's 10^6-packet cells 35%
-slower on 2 CPUs (CHANGES.md).  A sweep scores the n-hop cell on node
-n's survivors, so one read serves every hop count and erasure in one set
-of chunk buffers, the age integrators' borrowed from the chain's scan.
-Delay and age omit the deliveries of the first ceil(0.05 n) packets.
+slower on 2 CPUs.  A sweep scores the n-hop cell on node n's survivors,
+so one read serves every hop count and erasure in one set of chunk
+buffers, the age integrators' borrowed from the chain's scan.  Delay and
+age omit the deliveries of the first ceil(0.05 n) packets.  A one-worker
+sweep imports no process pool and a one-chunk cell no thread executor:
+fig6-slice starts neither, yet their modules held 0.8 MB of its peak RSS.
 """
 from __future__ import annotations
 
 import contextlib
 import itertools
 import math
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Callable, ClassVar
@@ -171,6 +171,7 @@ def _draws(links, n: int, hops: int, ring: list):
 def _ahead(items, depth: int):
     """Iterate ``items`` ``depth`` ahead of the block on a thread that
     ends with the block and whose exception is raised in it."""
+    from concurrent.futures import ThreadPoolExecutor
     end, pool = object(), ThreadPoolExecutor(1)
     pending = [pool.submit(next, items, end) for _ in range(depth)]
 
@@ -601,6 +602,9 @@ def sweep(rhos, hops_list, erasures, modes, replications: int,
     if not tasks:
         return []
     processes = min(workers, len(tasks), os.cpu_count() or 1)
+    if processes > 1:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
     with (ProcessPoolExecutor(processes, multiprocessing.get_context("spawn"))
           if processes > 1 else contextlib.nullcontext()) as pool:
         fan_out = pool.map if pool else map

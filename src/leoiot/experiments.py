@@ -50,6 +50,10 @@ MIN_PACKETS = 10
 # KB a cell under tracemalloc (no-ra sweeps of 240 to 4,800 cells), so
 # about 1 GB at the bound
 MAX_CELLS = 10 ** 6
+# most relay nodes a run takes: a sweep cell runs max(hops) of them per
+# link erasure, 2.2 KB a node (its generators and carries; a whole no-ra
+# run held 254 MB at 10^5 nodes), and a closed form sums over max(hops)
+MAX_NODES = 10 ** 5
 # RAO period of the lightly loaded channel behind the offloading pmfs, ms
 PMF_RAO_PERIOD = 160.0
 # the dotted config keys each subcommand reads: a ``--set`` of any other
@@ -166,11 +170,22 @@ def spec_problems(spec: ExperimentSpec, names) -> list:
                in rows if not isinstance(value, tuple) and not test(value)])
 
 
+def node_problems(spec: ExperimentSpec, chains: int) -> list:
+    """A run of ``chains`` chains of the grid's most hops that holds more
+    than ``MAX_NODES`` nodes; empty means it holds at most that."""
+    n = max(spec.hops, default=0)
+    return ([f"hops {n}: {chains * n} nodes in {chains} chain(s), more "
+             f"than the {MAX_NODES} a run takes"]
+            if chains * n > MAX_NODES else [])
+
+
 def backhaul_problems(spec: ExperimentSpec) -> list:
-    """Config and spec problems that stop the relay-chain sweep, also a grid
+    """Config and spec problems that stop the relay-chain sweep, also a cell
+    of more than ``MAX_NODES`` nodes (a chain per link erasure), a grid
     whose lossiest cell delivers too few packets for an age average, and
     replications that make more than ``MAX_CELLS`` cells of the grid."""
     grid = spec_problems(spec, SPEC_READS["backhaul"])
+    grid = grid or node_problems(spec, len(spec.erasures))
     n, eps = max(spec.hops, default=1), max(spec.erasures, default=0.0)
     if not grid and spec.packets * (1.0 - eps) ** n < MIN_PACKETS:
         grid.append(f"packets {spec.packets}: {n} hops at link erasure "
@@ -412,7 +427,8 @@ def run_analytic(spec: ExperimentSpec):
     """Closed-form quantities for the configured scenario, no simulation."""
     cfg = spec.config
     _check(validate(cfg, READS["analytic"])
-           + spec_problems(spec, SPEC_READS["analytic"]))
+           + (spec_problems(spec, SPEC_READS["analytic"])
+              or node_problems(spec, 1)))
     out = spec.out_dir
     out.mkdir(parents=True, exist_ok=True)
     rows = []

@@ -147,6 +147,11 @@ _RA_RULES = {
                      "t_proc1", "t_proc2", "t_proc3"),
                     (lambda v: v >= 0, "must be >= 0")),
 }
+# the most an access path's time (ms) or count may be, also where its rule
+# has no upper bound: a retry's RAO index, ceil((RAO time + retry_lag +
+# backoff) / rao_period), then fits int64 on any horizon below 10^20 ms
+# (retry_lag holds two products, each at most 10^18), as does a grant rank
+MAX_RA_VALUE = 1e9
 # every settable key, dotted, in report order -> its rule for ``validate``
 RULES = {"traffic.total_rate": (lambda v: v > 0, "{} must be > 0"),
          "traffic.ground_ratio": (lambda v: 0.0 <= v <= 1.0,
@@ -166,8 +171,9 @@ def _section_objects(config: ScenarioConfig) -> dict:
 def validate(config: ScenarioConfig, keys=SETTABLE) -> list:
     """Check the dotted ``keys`` by their ``RULES``, in the table's order:
     one line per violation, starting with its key (a ``[run]`` key goes
-    bare, as in ``--set``), and a float that is not finite fails on a line
-    of its own.  Empty means a run that reads only ``keys`` can use it."""
+    bare, as in ``--set``), and a float that is not finite, or an access
+    path's value past ``MAX_RA_VALUE``, fails on a line of its own.  Empty
+    means a run that reads only ``keys`` can use it."""
     objects = _section_objects(config)
     out = []
     for key, (test, message) in RULES.items():
@@ -176,6 +182,8 @@ def validate(config: ScenarioConfig, keys=SETTABLE) -> list:
             value = getattr(objects[section], name)
             if isinstance(value, float) and not math.isfinite(value):
                 message = "{} is not finite"
+            elif section.endswith("_ra") and value > MAX_RA_VALUE:
+                message = f"{{}} is more than {MAX_RA_VALUE:g}"
             elif test(value):
                 continue
             out.append(f"{key.removeprefix('run.')}: {message.format(value)}")

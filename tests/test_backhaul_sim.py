@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import faulthandler
 import hashlib
@@ -809,12 +810,14 @@ class TestSweep:
     def test_one_pool_runs_feeds_and_cells(self, monkeypatch):
         pools = []
 
-        class Counting(bs.ProcessPoolExecutor):
+        class Counting(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, *args, **kwargs):
                 pools.append(self)
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(bs, "ProcessPoolExecutor", Counting)
+        # sweep imports the pool's class when it opens one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            Counting)
         monkeypatch.setattr("os.cpu_count", lambda: 2)   # a pool on any host
         kwargs = dict(rhos=(0.3, 0.6), hops_list=(1, 2), erasures=(0.0,),
                       modes=("ra-a1", "ra-a10"), replications=1,
@@ -834,7 +837,8 @@ class TestSweep:
             opened.append(max_workers)
             return contextlib.nullcontext(SimpleNamespace(map=map))
 
-        monkeypatch.setattr(bs, "ProcessPoolExecutor", in_process)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            in_process)
         monkeypatch.setattr("os.cpu_count", lambda: cpus)
         # 2 loads x 2 modes x 2 replications = 8 tasks, more than 3 CPUs
         kwargs = dict(rhos=(0.3, 0.6), hops_list=(1,), erasures=(0.0,),

@@ -1,7 +1,9 @@
+import concurrent.futures
 import contextlib
 import csv
 import json
 import math
+import warnings
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -359,6 +361,25 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("error: ") and text in err[0]
+        assert not out.exists()          # rejected before any work
+
+    @pytest.mark.parametrize("key, value", [
+        *((f"ground_ra.{name}", "1e+308") for name in (
+            "max_backoff", "extended_prefix", "t_preamble_base", "t_proc1")),
+        *((f"ground_ra.{name}", str(10**22)) for name in (
+            "repetitions", "rar_window"))])
+    def test_retry_time_past_an_rao_index_fails_at_boundary(
+            self, tmp_path, capsys, key, value):
+        # each term of a retry's time: past int64 RAO indices, the cast in
+        # ra_sim._rao_index warned and the run went on to exit 0
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["offload", "--set", "horizon=32000",
+                         "--set", f"{key}={value}", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {key}: {value} is more than 1e+09"]
         assert not out.exists()          # rejected before any work
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -756,7 +777,8 @@ class TestSpecRules:
             opened.append(max_workers)
             return contextlib.nullcontext(SimpleNamespace(map=map))
 
-        monkeypatch.setattr(bs, "ProcessPoolExecutor", in_process)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            in_process)
         monkeypatch.setattr("os.cpu_count", lambda: 2)
         argv = ["backhaul", "--figure", "custom", "--mode", "no-ra", "ra-a1",
                 "--rho", "0.3", "0.6", "--hops", "1", "--replications", "2",
@@ -919,6 +941,61 @@ class TestShortCells:
         spec = backhaul_spec(tmp_path, rhos=(0.5,), hops=(1, 2, 4, 6),
                              replications=ex.MAX_CELLS // 4)
         assert ex.backhaul_problems(spec) == []
+
+    @pytest.mark.parametrize("hops, erasures", [
+        (["100001"], ["0"]),
+        (["1", "100001"], ["0"]),
+        # two chains of 50,001 nodes each, one per link erasure
+        (["50001"], ["0", "0.000001"]),
+    ])
+    def test_hops_past_the_node_bound_rejected(self, tmp_path, capsys,
+                                               monkeypatch, hops, erasures):
+        # each node holds its generators and carries before any packet
+        def sweep(*args, **kwargs):
+            raise AssertionError("ran the sweep of an oversized chain")
+
+        monkeypatch.setattr(bs, "sweep", sweep)
+        out = tmp_path / "out"
+        code = main(["backhaul", "--figure", "custom", "--mode", "no-ra",
+                     "--rho", "0.5", "--hops", *hops, "--link-erasure",
+                     *erasures, "--replications", "1", "--packets", "2000",
+                     "--out", str(out)])
+        assert code == 2
+        n, chains = int(hops[-1]), len(erasures)
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: hops {n}: {n * chains} nodes in {chains} chain(s), "
+            f"more than the {ex.MAX_NODES} a run takes"]
+        assert not out.exists()
+
+    def test_node_bound_is_a_sweep_and_a_closed_form_that_run(self,
+                                                               tmp_path):
+        at = backhaul_spec(tmp_path, hops=(ex.MAX_NODES // 2,),
+                           erasures=(0.0, 1e-9))
+        assert ex.backhaul_problems(at) == []
+        past = replace(at, hops=(ex.MAX_NODES // 2 + 1,))
+        assert ex.backhaul_problems(past) == [
+            f"hops {ex.MAX_NODES // 2 + 1}: {ex.MAX_NODES + 2} nodes in 2 "
+            f"chain(s), more than the {ex.MAX_NODES} a run takes"]
+        # a closed form sums over one chain's nodes, whatever the erasures
+        assert ex.node_problems(past, 1) == []
+        assert ex.node_problems(replace(at, hops=(ex.MAX_NODES,)), 1) == []
+        assert ex.node_problems(replace(at, hops=(1, 10**12)), 1) == [
+            f"hops {10**12}: {10**12} nodes in 1 chain(s), more than the "
+            f"{ex.MAX_NODES} a run takes"]
+        # a bad hop count reads as such, not as a node count
+        assert ex.backhaul_problems(replace(at, hops=(0, 10**6))) == [
+            "hops [0]: every hop count must be >= 1"]
+
+    def test_analytic_hops_past_the_node_bound_rejected(self, tmp_path,
+                                                        capsys):
+        out = tmp_path / "out"
+        code = main(["analytic", "--rho", "0.5", "--hops", "2", "100001",
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: hops 100001: 100001 nodes in 1 chain(s), more than the "
+            f"{ex.MAX_NODES} a run takes"]
+        assert not out.exists()
 
     def test_cell_short_by_chance_ends_in_one_error_line(self, tmp_path,
                                                          capsys):

@@ -5,9 +5,10 @@ from importlib import resources
 
 import pytest
 
-from leoiot.scenario import (SETTABLE, RaConfig, ScenarioConfig,
-                             TrafficConfig, apply_overrides, config_hash,
-                             dump_config, load_config, split_rates, validate)
+from leoiot.scenario import (MAX_RA_VALUE, SETTABLE, RaConfig,
+                             ScenarioConfig, TrafficConfig, apply_overrides,
+                             config_hash, dump_config, load_config,
+                             split_rates, validate)
 
 
 def make_traffic(total_rate=50.0, kappa=0.5):
@@ -116,6 +117,27 @@ class TestValidate:
                       getattr(config, section), **{name: value})}))
         assert validate(config) == [
             f"{key.removeprefix('run.')}: {value} is not finite"]
+
+    @pytest.mark.parametrize("section", ["ground_ra", "space_ra"])
+    def test_access_path_value_past_the_bound_is_one_line(self, section):
+        # a retry's RAO index takes max_backoff and the terms of retry_lag;
+        # every time and count of an access path shares their bound
+        config = load_config("offloading")
+        path = getattr(config, section)
+        kinds = {f.name: type(getattr(path, f.name)) for f in fields(path)}
+
+        def every(value):
+            return replace(config, **{section: replace(path, **{
+                name: kind(value) for name, kind in kinds.items()})})
+        # at the bound only the rules with a range of their own fail
+        assert [line.partition(":")[0]
+                for line in validate(every(MAX_RA_VALUE))] == [
+            f"{section}.{name}"
+            for name in ("preambles", "rao_period", "erasure_prob")]
+        # past it every key fails on the bound's line, in rule order
+        assert validate(every(10 * MAX_RA_VALUE)) == [
+            f"{section}.{name}: {kind(10 * MAX_RA_VALUE)} is more than 1e+09"
+            for name, kind in kinds.items()]
 
 
 class TestPresets:
